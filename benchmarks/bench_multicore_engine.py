@@ -1,4 +1,4 @@
-"""Benchmark — multicore co-design through the partitioned engine.
+"""Benchmark — multicore co-design through the search engine's blocks.
 
 Runs the 3-app/2-core case-study partition sweep through four engine
 configurations and records the two speedups the engine routing exists

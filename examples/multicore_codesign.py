@@ -2,7 +2,7 @@
 
 Partitions the three applications across two cores with private caches
 and jointly optimizes the partition and the per-core schedules.  The
-sweep runs through the partitioned search engine: pass ``workers=2`` /
+sweep runs through the search engine: pass ``workers=2`` /
 ``cache_dir=...`` to ``MulticoreProblem`` to fan candidate evaluations
 out to worker processes and persist them for warm-started reruns
 (``python -m repro multicore --cores 2 --workers 2 --cache-dir D`` is

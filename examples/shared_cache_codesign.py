@@ -7,7 +7,7 @@ then co-designs the application-to-core partition *together with* the
 allocation of the cache's ways to the cores: every ``(core block,
 ways)`` candidate re-analyzes the block's WCETs under its slice of the
 cache (``CacheConfig.with_ways``), and the whole sweep is batched
-through the partitioned search engine.  The private-cache optimum on
+through the search engine.  The private-cache optimum on
 the same platform quantifies what sharing costs
 (``python -m repro multicore --cores 2 --shared-cache`` and
 ``python -m repro.experiments shared_cache`` are the CLI spellings).

@@ -4,7 +4,7 @@ The paper notes the framework "can be naturally extended to a
 multi-core architecture, where each core has its own cache".  This
 experiment quantifies that extension on the case study: partition the
 three applications onto ``n_cores`` private-cache cores (through the
-partitioned search engine), and compare the best partition's overall
+search engine's per-core blocks), and compare the best partition's overall
 control performance against the best single-core schedule of the same
 sweep — the single-core problem is just the one-block partition, so the
 comparison comes from one engine run and one shared cache.

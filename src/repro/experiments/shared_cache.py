@@ -117,7 +117,7 @@ def run(
 ) -> SharedCacheSummary:
     """Run the private-vs-shared comparison on one platform.
 
-    Both sweeps run through the partitioned engine; with a
+    Both sweeps run through the search engine; with a
     ``cache_dir`` they share disk entries wherever a block's way
     allocation equals the full geometry.  ``strategy`` picks the
     per-core schedule search (default ``exhaustive``); ``on_event``

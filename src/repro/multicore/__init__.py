@@ -35,7 +35,6 @@ from .allocators import (
     unregister_allocator,
 )
 from .partition import (
-    BlockSearchEngine,
     CoreAssignment,
     MulticoreEvaluation,
     MulticoreProblem,
@@ -45,7 +44,6 @@ from .partition import (
 
 __all__ = [
     "AllocationProblem",
-    "BlockSearchEngine",
     "CoreAssignment",
     "MulticoreEvaluation",
     "MulticoreProblem",

@@ -3,8 +3,9 @@
 For each partition of the applications onto cores, every core is an
 independent instance of the single-core problem (its own cache slice,
 its own periodic schedule, smaller interference set Δ), so the
-single-core machinery is reused per core — through the partitioned
-search engine (:class:`repro.sched.engine.PartitionedSearchEngine`):
+single-core machinery is reused per core — through the search engine
+(:class:`repro.sched.engine.SearchEngine`), which serves every core's
+block of applications as one of its sub-problems:
 
 * every block of applications gets a real
   :class:`~repro.sched.evaluator.ScheduleEvaluator` (so femtosecond
@@ -12,7 +13,9 @@ search engine (:class:`repro.sched.engine.PartitionedSearchEngine`):
   exactly one place, the evaluator);
 * all ``(core-block, schedule)`` candidates of the whole partition
   sweep are submitted as one batch, which fans out to worker processes
-  when ``workers >= 2``;
+  when ``workers >= 2``; per-core strategies run on a block-scoped
+  engine (:meth:`SearchEngine.for_block
+  <repro.sched.engine.SearchEngine.for_block>`);
 * evaluations persist to ``cache_dir`` keyed by the per-core
   sub-problem digest, so a block's entries are reused across
   partitions, across runs, and by single-core searches of the same
@@ -43,9 +46,9 @@ from typing import Iterator
 from ..control.design import DesignOptions
 from ..core.application import ControlApplication
 from ..errors import ConfigurationError, ScheduleError, SearchError
-from ..platform import Platform
-from ..sched.engine import Block, PartitionedSearchEngine
-from ..sched.evaluator import ScheduleEvaluation
+from ..platform import Platform, default_platform
+from ..sched.engine import Block, SearchEngine
+from ..sched.evaluator import ScheduleEvaluation, ScheduleEvaluator
 from ..sched.feasibility import enumerate_idle_feasible, idle_feasible
 from ..sched.schedule import PeriodicSchedule
 from ..sched.strategies import StrategySpec, get_strategy
@@ -56,53 +59,6 @@ from ..units import Clock
 #: fan out as a single engine batch; small enough that even an
 #: exhaustive many-core stream never materializes.
 PARTITION_CHUNK = 64
-
-
-class BlockSearchEngine:
-    """One core's block as a duck-:class:`ScheduleEvaluator`.
-
-    Search strategies operate on single-core evaluation problems; this
-    adapter exposes one block of a :class:`PartitionedSearchEngine` as
-    exactly that, so any registered strategy can optimize a core's
-    schedule while evaluations still flow through the shared engine
-    (per-block memo, shared persistent cache and worker pool).  The
-    block may carry a way allocation (shared-cache co-design), in which
-    case the adapter's applications are the re-analyzed variants.
-    """
-
-    def __init__(self, engine: PartitionedSearchEngine, block) -> None:
-        self._engine = engine
-        spec = block if isinstance(block, Block) else Block(tuple(int(i) for i in block))
-        self.block = spec
-        self.indices = spec.indices
-        self.ways = spec.ways
-        sub = engine.subproblem(spec)
-        self.apps = sub.evaluator.apps
-        self.clock = engine.clock
-        self.design_options = engine.design_options
-
-    def evaluate(self, schedule: PeriodicSchedule) -> ScheduleEvaluation:
-        return self._engine.evaluate(self.block, schedule)
-
-    def evaluate_batch(
-        self, schedules: list[PeriodicSchedule]
-    ) -> list[ScheduleEvaluation]:
-        return self._engine.evaluate_pairs(
-            [(self.block, schedule) for schedule in schedules]
-        )
-
-    def is_cached(self, schedule: PeriodicSchedule) -> bool:
-        return self._engine.subproblem(self.block).evaluator.is_cached(schedule)
-
-    @property
-    def workers(self) -> int:
-        return self._engine.workers
-
-    @property
-    def speculative(self) -> bool:
-        """Speculative batch prefetching pays off exactly when the
-        shared engine fans batches out to a worker pool."""
-        return self._engine.workers >= 2
 
 
 @dataclass(frozen=True)
@@ -183,8 +139,8 @@ def way_allocations(total_ways: int, n_blocks: int) -> Iterator[tuple[int, ...]]
 class MulticoreProblem:
     """Co-design over partitions and per-core periodic schedules.
 
-    ``workers`` and ``cache_dir`` configure the shared partitioned
-    engine exactly like the single-core ``CodesignProblem``: with
+    ``workers`` and ``cache_dir`` configure the shared search engine
+    exactly like the single-core ``CodesignProblem``: with
     ``workers >= 2`` candidate evaluations fan out to worker processes,
     and with a ``cache_dir`` every evaluation persists to disk so
     repeated runs (and overlapping partitions) warm-start.
@@ -249,17 +205,16 @@ class MulticoreProblem:
         # (Delta = 0), so its schedule space is unbounded; burst lengths
         # are capped where the cache-reuse benefit has long saturated.
         self.max_count_per_core = max_count_per_core
-        self.engine = PartitionedSearchEngine(
-            self.apps,
-            clock,
-            self.design_options,
+        self.platform = platform or default_platform(clock)
+        self.engine = SearchEngine(
+            ScheduleEvaluator(
+                self.apps, clock, self.design_options, eval_backend=eval_backend
+            ),
             workers=workers,
             cache_dir=cache_dir,
-            platform=platform,
+            platform=self.platform,
             on_event=on_event,
-            eval_backend=eval_backend,
         )
-        self.platform = self.engine.platform
         self.total_ways = self.platform.cache.associativity
         if self.shared_cache:
             usable_cores = min(self.n_cores, len(self.apps))
@@ -330,7 +285,7 @@ class MulticoreProblem:
     ) -> tuple[dict[int, float], dict[int, float], bool]:
         """Evaluate one core; returns (settling, performance, idle_ok)."""
         app_indices = tuple(app_indices)
-        evaluation = self.engine.evaluate(app_indices, schedule, ways=ways)
+        evaluation = self.engine.for_block(app_indices, ways).evaluate(schedule)
         settling = {
             global_index: app_eval.settling
             for global_index, app_eval in zip(app_indices, evaluation.apps)
@@ -376,7 +331,7 @@ class MulticoreProblem:
         space = self.core_schedule_space(block, ways)
         if not space:
             return None
-        engine = BlockSearchEngine(self.engine, Block(block, ways))
+        engine = self.engine.for_block(block, ways)
         # Strategies walk the space through eq. (4) only; re-add the
         # burst-length cap so a lone-app core (Delta = 0, everything
         # idle-feasible) cannot wander past the enumerated space.
@@ -399,9 +354,7 @@ class MulticoreProblem:
         """Exhaustively optimize one core's schedule (weighted objective)."""
         app_indices = tuple(app_indices)
         space = self.core_schedule_space(app_indices, ways)
-        evaluations = self.engine.evaluate_pairs(
-            [(Block(app_indices, ways), schedule) for schedule in space]
-        )
+        evaluations = self.engine.for_block(app_indices, ways).evaluate_batch(space)
         best = self._best_in_block(app_indices, evaluations)
         if best is None:
             return None
@@ -434,9 +387,9 @@ class MulticoreProblem:
         runner collects every distinct block over all partitions and
         batches *all* their candidate schedules through the engine in
         one submission (parallel workers, shared persistent cache).
-        Other strategies (e.g. ``"hybrid"``) run per block through a
-        :class:`BlockSearchEngine`, still sharing the engine's caches
-        and pool.  Partitions are then scored from the per-block optima.
+        Other strategies (e.g. ``"hybrid"``) run per block on a
+        block-scoped engine, still sharing the engine's caches and
+        pool.  Partitions are then scored from the per-block optima.
 
         With ``shared_cache=True`` each partition is additionally swept
         over every allocation of the cache's ways to its cores, so the
@@ -525,7 +478,7 @@ class MulticoreProblem:
         Full-space strategies batch every new block's complete schedule
         space through the engine as *one* submission (so a small sweep
         still fans out as a single batch, exactly as before); other
-        strategies run per block through a :class:`BlockSearchEngine`.
+        strategies run per block on a block-scoped engine.
         """
         new_blocks: list[tuple[tuple[int, ...], int | None]] = []
         pending: set[tuple[tuple[int, ...], int | None]] = set()
@@ -539,16 +492,16 @@ class MulticoreProblem:
         if not new_blocks:
             return
         if full_space:
-            pairs = [
-                (Block(block, ways), schedule)
-                for block, ways in new_blocks
-                for schedule in self.core_schedule_space(block, ways)
-            ]
-            evaluations = self.engine.evaluate_pairs(pairs)
+            blocks, schedules = [], []
+            for block, ways in new_blocks:
+                space = self.core_schedule_space(block, ways)
+                blocks += [Block(block, ways)] * len(space)
+                schedules += space
+            evaluations = self.engine.evaluate_batch(schedules, blocks)
             per_block: dict[
                 tuple[tuple[int, ...], int | None], list[ScheduleEvaluation]
             ] = {key: [] for key in new_blocks}
-            for (spec, _schedule), evaluation in zip(pairs, evaluations):
+            for spec, evaluation in zip(blocks, evaluations):
                 per_block[(spec.indices, spec.ways)].append(evaluation)
             for key, results in per_block.items():
                 best_per_block[key] = self._best_in_block(key[0], results)

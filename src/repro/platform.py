@@ -75,7 +75,7 @@ class Platform:
         """``apps`` with WCETs re-analyzed under ``ways`` ways.
 
         This is the one definition of what a way allocation does to an
-        application set; the partitioned engine (coordinator and worker
+        application set; the search engine (coordinator and worker
         processes alike) and the standalone digest helpers all call it,
         so their sub-problem digests can never diverge.  Deterministic
         in ``(apps, self, ways)``.

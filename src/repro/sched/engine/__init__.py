@@ -1,20 +1,22 @@
-"""Parallel batch schedule-search engine with a persistent cache.
+"""Schedule-search engine with a process pool and a persistent cache.
 
 The subsystem behind ``--workers`` / ``--cache-dir``:
 
-* :mod:`~repro.sched.engine.engine` — :class:`SearchEngine`, the
+* :mod:`~repro.sched.engine.engine` — :class:`SearchEngine`, the one
   layered (memo -> disk -> workers) evaluation service the search
-  algorithms submit candidates through;
-* :mod:`~repro.sched.engine.partitioned` —
-  :class:`PartitionedSearchEngine`, the same layering generalized to a
-  family of per-core sub-problems (the multicore co-design), with
-  cross-core batching and block-level disk keys;
+  algorithms submit candidates through.  It serves a family of
+  :class:`Block` sub-problems: the single-core problem is the
+  whole-problem block, and each core of a multicore partition (with its
+  way allocation, for a shared cache) is another block.  Batches may
+  mix blocks, and :meth:`SearchEngine.for_block` scopes the engine to
+  one block for a per-core strategy run;
 * :mod:`~repro.sched.engine.events` — typed progress events
-  (:class:`BatchSubmitted` / :class:`BatchCompleted`) both engines emit
-  through their ``on_event`` callback, each carrying a consistent
+  (:class:`BatchSubmitted` / :class:`BatchCompleted`) the engine emits
+  through its ``on_event`` callback, each carrying a consistent
   :class:`EngineStats` snapshot;
-* :mod:`~repro.sched.engine.backends` — serial and
-  ``ProcessPoolExecutor`` evaluation backends;
+* :mod:`~repro.sched.engine.backends` — the serial backend and the
+  process-pool backend (single-process executors with cache-affinity
+  routing by sub-problem digest);
 * :mod:`~repro.sched.engine.store` — the SQLite-backed persistent
   evaluation cache (WAL + busy timeout, safe to share between
   concurrent runs);
@@ -25,8 +27,8 @@ The subsystem behind ``--workers`` / ``--cache-dir``:
   :mod:`repro.apps`, which itself builds on :mod:`repro.sched`).
 """
 
-from .backends import AffinityRouter, ProcessPoolBackend, SerialBackend
-from .engine import EngineOptions, EngineStats, SearchEngine
+from .backends import AffinityRouter, Block, ProcessPoolBackend, SerialBackend
+from .engine import EngineOptions, EngineStats, SearchEngine, Subproblem
 from .events import BatchCompleted, BatchSubmitted, EngineEvent
 from .keys import (
     evaluation_key,
@@ -34,7 +36,6 @@ from .keys import (
     problem_fingerprint,
     subproblem_digest,
 )
-from .partitioned import Block, PartitionedSearchEngine, Subproblem
 from .serialize import evaluation_from_dict, evaluation_to_dict
 from .store import PersistentCache
 
@@ -46,7 +47,6 @@ __all__ = [
     "EngineEvent",
     "EngineOptions",
     "EngineStats",
-    "PartitionedSearchEngine",
     "PersistentCache",
     "ProcessPoolBackend",
     "SearchEngine",

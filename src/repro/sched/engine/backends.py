@@ -1,32 +1,96 @@
-"""Evaluation backends: serial loop or a process pool.
+"""Evaluation backends: serial in-process, or a process pool.
 
 The expensive part of a schedule evaluation is the per-application
 holistic controller design (PSO + closed-loop simulation) — pure
 CPU-bound numpy, so real parallelism needs processes, not threads.
 
-Each worker process builds its own :class:`ScheduleEvaluator` once (in
-the pool initializer) and keeps it alive across tasks, so the per-
-(application, timing) design memoization still pays off *within* a
-worker; the coordinating engine merges results into the shared memo and
-the persistent store.  Workers receive contiguous *chunks* of the
-candidate list rather than single schedules, so the evaluator's
-vectorized batch path can stack the designs of a whole chunk.
+The engine hands a backend its de-duplicated misses as ``(sub-problem,
+schedule)`` tasks.  A sub-problem is one :class:`Block` of the
+engine's applications; the whole-problem block is the single-core
+problem itself.  Both backends evaluate each block's schedules as one
+batch, so the evaluator's vectorized path can stack their designs.
 
 Evaluations are deterministic functions of (apps, clock, design
 options, schedule) — all swarm randomness is seeded from the design
 options and the vectorized batch path is bitwise identical to the
 serial one — so a parallel run returns bit-identical results to a
-serial run with either backend, just sooner.
+serial run, just sooner.
 """
 
 from __future__ import annotations
 
 import zlib
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 
 from ...errors import SearchError
+from ...platform import Platform, default_platform
 from ..evaluator import ScheduleEvaluation, ScheduleEvaluator
 from ..schedule import PeriodicSchedule
+
+
+@dataclass(frozen=True)
+class Block:
+    """One sub-problem address: application indices + way allocation.
+
+    ``ways is None`` means the block runs on a private cache with the
+    platform's full geometry (the classic multicore extension);
+    ``ways=k`` means it runs on ``k`` ways of the shared cache and its
+    WCETs are re-analyzed accordingly.
+    """
+
+    indices: tuple[int, ...]
+    ways: int | None = None
+
+
+def as_block(block, ways: int | None = None) -> Block:
+    """Normalize a block spec: a plain index tuple means private cache;
+    ``ways`` fills in the allocation of a block that has none."""
+    if isinstance(block, Block):
+        spec = Block(tuple(int(i) for i in block.indices), block.ways)
+    else:
+        spec = Block(tuple(int(i) for i in block))
+    if spec.ways is None and ways is not None:
+        spec = Block(spec.indices, int(ways))
+    return spec
+
+
+def block_evaluator(
+    root: ScheduleEvaluator, platform: Platform, block: Block, variants: dict
+) -> ScheduleEvaluator:
+    """The evaluator of one block of ``root``'s problem.
+
+    The whole-problem block is ``root`` itself: the caller's
+    applications, unchanged.  Every other block is
+    :meth:`ScheduleEvaluator.for_subproblem` over the applications
+    re-analyzed under the block's way allocation (memoized per
+    allocation in ``variants``).  The coordinator and every worker build
+    block evaluators through this one function, so they agree bitwise.
+    """
+    n_apps = len(root.apps)
+    if block.ways is None:
+        if block.indices == tuple(range(n_apps)):
+            return root
+        apps = root.apps
+    else:
+        apps = variants.get(block.ways)
+        if apps is None:
+            apps = variants[block.ways] = platform.reanalyze(root.apps, block.ways)
+    return ScheduleEvaluator.for_subproblem(
+        apps,
+        root.clock,
+        root.design_options,
+        block.indices,
+        eval_backend=root.eval_backend,
+    )
+
+
+def _by_subproblem(tasks: list) -> dict:
+    """Task positions grouped per sub-problem, in first-seen order."""
+    groups: dict = {}
+    for i, (sub, _schedule) in enumerate(tasks):
+        groups.setdefault(sub, []).append(i)
+    return groups
 
 
 class AffinityRouter:
@@ -87,102 +151,143 @@ class AffinityRouter:
             plan.append(worker)
         return plan
 
-#: Per-process evaluator, created by :func:`_init_worker`.
-_WORKER_EVALUATOR: ScheduleEvaluator | None = None
+
+# ----------------------------------------------------------------------
+# Worker-side machinery.  Workers receive the whole problem once (in the
+# pool initializer) and build block evaluators on demand, so a task is
+# just (block, schedule counts) — a few ints.
+# ----------------------------------------------------------------------
+
+_WORKER_ROOT: ScheduleEvaluator | None = None
+_WORKER_PLATFORM: Platform | None = None
+_WORKER_EVALUATORS: dict[Block, ScheduleEvaluator] = {}
+_WORKER_VARIANTS: dict[int, list] = {}
 
 
-def _init_worker(apps, clock, design_options, eval_backend="vectorized") -> None:
-    """Pool initializer: build this worker's long-lived evaluator."""
-    global _WORKER_EVALUATOR
-    _WORKER_EVALUATOR = ScheduleEvaluator(
+def _init_worker(apps, clock, design_options, eval_backend, platform) -> None:
+    """Pool initializer: build the whole-problem evaluator, reset blocks."""
+    global _WORKER_ROOT, _WORKER_PLATFORM
+    _WORKER_ROOT = ScheduleEvaluator(
         apps, clock, design_options, eval_backend=eval_backend
     )
+    _WORKER_PLATFORM = platform
+    _WORKER_EVALUATORS.clear()
+    _WORKER_VARIANTS.clear()
 
 
-def _evaluate_counts(counts: tuple[int, ...]) -> ScheduleEvaluation:
-    """Task function: evaluate one schedule in this worker."""
-    if _WORKER_EVALUATOR is None:  # pragma: no cover - initializer always ran
-        raise SearchError("worker evaluator was never initialized")
-    return _WORKER_EVALUATOR.evaluate(PeriodicSchedule(counts))
-
-
-def _evaluate_counts_chunk(
-    chunk: list[tuple[int, ...]],
+def _evaluate_chunk(
+    chunk: tuple[Block, list[tuple[int, ...]]],
 ) -> list[ScheduleEvaluation]:
-    """Task function: evaluate a chunk of schedules in this worker."""
-    if _WORKER_EVALUATOR is None:  # pragma: no cover - initializer always ran
-        raise SearchError("worker evaluator was never initialized")
-    return _WORKER_EVALUATOR.evaluate_batch(
-        [PeriodicSchedule(counts) for counts in chunk]
+    """Task function: evaluate one block's chunk of schedules at once.
+
+    Block evaluators live for the life of the worker, so the per-
+    (application, timing) design memo keeps paying off across tasks of
+    the same block.
+    """
+    block, counts_list = chunk
+    evaluator = _WORKER_EVALUATORS.get(block)
+    if evaluator is None:
+        if _WORKER_ROOT is None:  # pragma: no cover - initializer always ran
+            raise SearchError("pool worker was never initialized")
+        evaluator = _WORKER_EVALUATORS[block] = block_evaluator(
+            _WORKER_ROOT, _WORKER_PLATFORM, block, _WORKER_VARIANTS
+        )
+    return evaluator.evaluate_batch(
+        [PeriodicSchedule(counts) for counts in counts_list]
     )
-
-
-def split_chunks(items: list, n_chunks: int) -> list[list]:
-    """Split ``items`` into at most ``n_chunks`` contiguous, balanced runs."""
-    n_chunks = min(max(1, n_chunks), len(items)) if items else 0
-    chunks = []
-    start = 0
-    for i in range(n_chunks):
-        stop = start + (len(items) - start) // (n_chunks - i)
-        if stop > start:
-            chunks.append(items[start:stop])
-        start = stop
-    return chunks
 
 
 class SerialBackend:
-    """Evaluate candidates in-process (the fallback and the default)."""
+    """Evaluate tasks on the coordinator's evaluators (the default and
+    the fallback)."""
 
     name = "serial"
 
-    def __init__(self, evaluator: ScheduleEvaluator) -> None:
-        self._evaluator = evaluator
-
-    def map(self, schedules: list[PeriodicSchedule]) -> list[ScheduleEvaluation]:
-        return self._evaluator.evaluate_batch(list(schedules))
+    def map(self, tasks: list) -> list[ScheduleEvaluation]:
+        results: list[ScheduleEvaluation | None] = [None] * len(tasks)
+        for sub, positions in _by_subproblem(tasks).items():
+            batch = sub.evaluator.evaluate_batch([tasks[i][1] for i in positions])
+            for i, evaluation in zip(positions, batch):
+                results[i] = evaluation
+        return results
 
     def close(self) -> None:
         pass
 
 
 class ProcessPoolBackend:
-    """Fan candidate evaluations out to a pool of worker processes."""
+    """Fan tasks out to a pool of worker processes.
+
+    Dispatch is *cache-affinity-aware*: the pool is a set of pinnable
+    single-process executors and an :class:`AffinityRouter` keys every
+    chunk on its sub-problem digest, so a block's evaluations land on
+    the worker whose long-lived evaluator already designed that block's
+    controllers (with fair-share work stealing when a batch is
+    lopsided).  Routing only changes *where* a chunk runs, never what it
+    computes, so results stay identical to the serial path.
+    """
 
     name = "process-pool"
 
-    def __init__(self, evaluator: ScheduleEvaluator, workers: int) -> None:
+    def __init__(
+        self,
+        evaluator: ScheduleEvaluator,
+        workers: int,
+        platform: Platform | None = None,
+    ) -> None:
         if workers < 2:
             raise SearchError(f"process pool needs >= 2 workers, got {workers}")
         self.workers = workers
-        # The worker-side evaluator is rebuilt from the problem spec, so
-        # only the (picklable) inputs travel, never the live caches.
+        self.affinity = AffinityRouter(workers)
+        # Workers rebuild the problem from its (picklable) inputs, so
+        # only those travel, never the live caches.
         self._initargs = (
-            evaluator.apps,
+            list(evaluator.apps),
             evaluator.clock,
             evaluator.design_options,
             evaluator.eval_backend,
+            platform or default_platform(evaluator.clock),
         )
-        self._executor: ProcessPoolExecutor | None = None
+        self._executors: list[ProcessPoolExecutor] | None = None
 
-    def _ensure_executor(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_init_worker,
-                initargs=self._initargs,
+    def _ensure_executors(self) -> list[ProcessPoolExecutor]:
+        if self._executors is None:
+            self._executors = [
+                ProcessPoolExecutor(
+                    max_workers=1,
+                    initializer=_init_worker,
+                    initargs=self._initargs,
+                )
+                for _ in range(self.workers)
+            ]
+        return self._executors
+
+    def map(self, tasks: list) -> list[ScheduleEvaluation]:
+        executors = self._ensure_executors()
+        # Chunks never span blocks (each lands on one worker evaluator),
+        # and each block's tasks are split so the whole batch still
+        # spreads across the pool.
+        chunk_size = max(1, -(-len(tasks) // self.workers))
+        chunks = [
+            (sub, positions[start:start + chunk_size])
+            for sub, positions in _by_subproblem(tasks).items()
+            for start in range(0, len(positions), chunk_size)
+        ]
+        plan = self.affinity.assign([(sub.digest, len(part)) for sub, part in chunks])
+        futures = [
+            executors[worker].submit(
+                _evaluate_chunk, (sub.block, [tasks[i][1].counts for i in part])
             )
-        return self._executor
-
-    def map(self, schedules: list[PeriodicSchedule]) -> list[ScheduleEvaluation]:
-        executor = self._ensure_executor()
-        counts = [schedule.counts for schedule in schedules]
-        chunks = split_chunks(counts, self.workers)
-        results: list[ScheduleEvaluation] = []
-        for batch in executor.map(_evaluate_counts_chunk, chunks):
-            results.extend(batch)
+            for (sub, part), worker in zip(chunks, plan)
+        ]
+        results: list[ScheduleEvaluation | None] = [None] * len(tasks)
+        for (_sub, part), future in zip(chunks, futures):
+            for i, evaluation in zip(part, future.result()):
+                results[i] = evaluation
         return results
 
     def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
+        if self._executors is not None:
+            for executor in self._executors:
+                executor.shutdown(wait=True)
+            self._executors = None

@@ -269,7 +269,7 @@ def run_scenario(
 def _run_multicore_scenario(
     scenario: Scenario, options: EngineOptions, on_event=None
 ) -> ScenarioOutcome:
-    """Run a multicore scenario through the partitioned engine."""
+    """Run a multicore scenario through the search engine."""
     # Imported lazily: repro.multicore builds on repro.sched, so a
     # module-level import would be circular.
     from ...multicore.partition import MulticoreProblem

@@ -1,9 +1,9 @@
-"""Typed progress events emitted by the search engines.
+"""Typed progress events emitted by the search engine.
 
 Long sweeps used to be silent until the final result; these events are
-the engine's live telemetry.  Both :class:`~.engine.SearchEngine` and
-:class:`~.partitioned.PartitionedSearchEngine` accept an ``on_event``
-callback and invoke it synchronously, on the coordinating thread:
+the engine's live telemetry.  :class:`~.engine.SearchEngine` accepts an
+``on_event`` callback and invokes it synchronously, on the coordinating
+thread (block-scoped engines share their parent's callback):
 
 * :class:`BatchSubmitted` just before a batch of de-duplicated cache
   misses is handed to the backend (serial or worker pool);
@@ -120,14 +120,14 @@ class BatchCompleted(EngineEvent):
 
     ``best_overall`` is the best feasible overall performance among all
     evaluations the engine has served so far (``None`` until a feasible
-    one appears).  For the partitioned engine the value is the
+    one appears).  Once batches span several blocks the value is the
     block-local objective of the best sub-problem evaluation — a
     progress signal, not the partition objective.
 
     The affinity counters mirror
     :class:`~.engine.EngineStats`' cache-affinity routing telemetry
     (dispatched chunks, *outside* the accounting identity); they stay
-    at their zero defaults on serial and single-problem engines.
+    at their zero defaults on serial engines.
     """
 
     n_batch: int
@@ -150,8 +150,7 @@ class BatchCompleted(EngineEvent):
 
 
 def batch_completed(stats, n_batch: int, best_overall: float | None) -> BatchCompleted:
-    """A :class:`BatchCompleted` snapshot of ``stats`` (shared by both
-    engines so their events can never drift apart)."""
+    """A :class:`BatchCompleted` snapshot of ``stats``."""
     return BatchCompleted(
         n_batch=n_batch,
         n_requested=stats.n_requested,
@@ -168,7 +167,7 @@ def batch_completed(stats, n_batch: int, best_overall: float | None) -> BatchCom
 
 def best_feasible_overall(evaluations, current: float | None) -> float | None:
     """``current`` folded over a batch's feasible overalls (the
-    best-so-far tracking shared by both engines)."""
+    engine's best-so-far tracking)."""
     for evaluation in evaluations:
         if evaluation.feasible and (
             current is None or evaluation.overall > current

@@ -131,11 +131,14 @@ def subproblem_digest(
     budget and the platform — never on the rest of the partition.  One
     block therefore shares its disk entries across every partition that
     contains it, and with plain single-core runs of the same
-    applications.
+    applications.  (The engine keys the whole-problem block — every
+    index, no ways — with the plain :func:`problem_digest` of the
+    caller's applications; the two agree whenever the weights already
+    sum to exactly one.)
 
     For shared-cache co-design pass ``ways``: the applications are
     re-analyzed under that slice of the platform's cache (exactly like
-    the partitioned engine does) and the platform is restricted to it,
+    the engine does) and the platform is restricted to it,
     so the digest matches the engine's for the same way-allocated block.
     """
     resolved = platform or default_platform(clock)

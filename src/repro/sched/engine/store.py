@@ -58,18 +58,28 @@ class PersistentCache:
         self._conn: sqlite3.Connection | None = sqlite3.connect(
             str(self.path), timeout=BUSY_TIMEOUT_S, check_same_thread=False
         )
-        # WAL survives in the database file, but setting it is idempotent
-        # and some filesystems silently refuse it — never assert the mode.
-        self._conn.execute("PRAGMA journal_mode=WAL")
-        self._conn.execute(f"PRAGMA busy_timeout={int(BUSY_TIMEOUT_S * 1000)}")
-        self._conn.execute(
-            "CREATE TABLE IF NOT EXISTS evaluations ("
-            "  key TEXT PRIMARY KEY,"
-            "  payload TEXT NOT NULL,"
-            "  created REAL NOT NULL"
-            ")"
-        )
-        self._conn.commit()
+        try:
+            # WAL survives in the database file, but setting it is
+            # idempotent and some filesystems silently refuse it — never
+            # assert the mode.
+            self._conn.execute("PRAGMA journal_mode=WAL")
+            self._conn.execute(f"PRAGMA busy_timeout={int(BUSY_TIMEOUT_S * 1000)}")
+            self._conn.execute(
+                "CREATE TABLE IF NOT EXISTS evaluations ("
+                "  key TEXT PRIMARY KEY,"
+                "  payload TEXT NOT NULL,"
+                "  created REAL NOT NULL"
+                ")"
+            )
+            self._conn.commit()
+        except sqlite3.DatabaseError as exc:
+            self.close()
+            if isinstance(exc, sqlite3.OperationalError):
+                raise  # e.g. locked: a real database, just busy
+            raise ConfigurationError(
+                f"{str(self.path)!r} is not an evaluation cache ({exc}); "
+                "remove it or pass another cache dir"
+            ) from exc
 
     def _connection(self) -> sqlite3.Connection:
         """The live connection, or a clear error after :meth:`close`."""

@@ -1,4 +1,4 @@
-"""Multicore co-design through the partitioned search engine.
+"""Multicore co-design through the search engine's per-core blocks.
 
 Covers the PR's acceptance surface: serial == parallel == warm-cache
 results on the 3-app/2-core problem, pair-request accounting over the

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ScheduleError
 from repro.multicore import MulticoreProblem, enumerate_partitions
+from repro.sched import SearchEngine
 
 
 class TestEnumeratePartitions:
@@ -147,20 +148,16 @@ class TestMulticoreProblem:
         assert "exhaustive" in str(excinfo.value)
 
     def test_block_engine_forwards_parallelism(self, case_study, quick_design_options):
-        from repro.multicore import BlockSearchEngine
-        from repro.sched.engine import PartitionedSearchEngine
-
-        serial = PartitionedSearchEngine(
-            case_study.apps, case_study.clock, quick_design_options
-        )
-        assert BlockSearchEngine(serial, (0,)).speculative is False
-        parallel = PartitionedSearchEngine(
-            case_study.apps, case_study.clock, quick_design_options, workers=2
+        serial = SearchEngine(case_study.evaluator(quick_design_options))
+        assert serial.for_block((0,)).speculative is False
+        parallel = SearchEngine(
+            case_study.evaluator(quick_design_options), workers=2
         )
         try:
-            block = BlockSearchEngine(parallel, (0,))
+            block = parallel.for_block((0,))
             assert block.speculative is True
             assert block.workers == 2
+            assert block.stats is parallel.stats
         finally:
             parallel.close()
 

@@ -148,7 +148,8 @@ class TestWayAwareDigests:
         what gives the allocation sweep its trade-off."""
         with make_problem(shared_case, tiny_design_options) as problem:
             colds = [
-                problem.engine.apps_for_ways(ways)[0].wcets.cold_cycles
+                problem.engine.subproblem((0,), ways).evaluator.apps[0]
+                .wcets.cold_cycles
                 for ways in (4, 2, 1)
             ]
         assert colds == sorted(colds)
@@ -222,7 +223,7 @@ class TestConfigurationContract:
         )
         try:
             with pytest.raises(ConfigurationError) as excinfo:
-                problem.engine.apps_for_ways(2)
+                problem.engine.subproblem((0,), 2)
             assert "program" in str(excinfo.value)
         finally:
             problem.close()

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.sched.engine import (
-    BatchCompleted,
-    BatchSubmitted,
-    PartitionedSearchEngine,
-    SearchEngine,
-)
+from repro.sched.engine import BatchCompleted, BatchSubmitted, SearchEngine
 from repro.sched.schedule import PeriodicSchedule
 
 
@@ -87,24 +82,16 @@ class TestSearchEngineEvents:
 
 class TestPartitionedEngineEvents:
     @pytest.fixture()
-    def engine_events(self, two_apps, case_study, tiny_design_options):
+    def engine_events(self, make_evaluator):
         events = []
-        engine = PartitionedSearchEngine(
-            two_apps,
-            case_study.clock,
-            tiny_design_options,
-            on_event=events.append,
-        )
+        engine = SearchEngine(make_evaluator(), on_event=events.append)
         return engine, events
 
     def test_cross_block_batch_events(self, engine_events):
         engine, events = engine_events
-        pairs = [
-            ((0,), PeriodicSchedule.of(1)),
-            ((1,), PeriodicSchedule.of(1)),
-            ((0,), PeriodicSchedule.of(1)),  # duplicate within the batch
-        ]
-        engine.evaluate_pairs(pairs)
+        schedule = PeriodicSchedule.of(1)
+        # The second (0,) is a duplicate within the batch.
+        engine.evaluate_batch([schedule] * 3, [(0,), (1,), (0,)])
         submitted = [e for e in events if isinstance(e, BatchSubmitted)]
         completed = [e for e in events if isinstance(e, BatchCompleted)]
         assert len(submitted) == 1 and len(completed) == 1
@@ -118,8 +105,9 @@ class TestPartitionedEngineEvents:
 
     def test_memo_served_pairs_emit_nothing(self, engine_events):
         engine, events = engine_events
-        pair = [((0, 1), PeriodicSchedule.of(1, 1))]
-        engine.evaluate_pairs(pair)
+        scoped = engine.for_block((0,))
+        scoped.evaluate(PeriodicSchedule.of(1))
         n_events = len(events)
-        engine.evaluate_pairs(pair)
+        scoped.evaluate(PeriodicSchedule.of(1))
         assert len(events) == n_events
+        assert engine.stats.n_memo_hits == 1

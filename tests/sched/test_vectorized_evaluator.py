@@ -14,7 +14,7 @@ import pytest
 from repro.apps import build_case_study
 from repro.errors import ScheduleError
 from repro.sched import PeriodicSchedule, ScheduleEvaluator
-from repro.sched.engine.backends import SerialBackend, split_chunks
+from repro.sched.engine import SearchEngine
 
 
 def _assert_batches_identical(serial, vectorized):
@@ -181,30 +181,8 @@ class TestEngineIntegration:
             PeriodicSchedule(counts)
             for counts in [(1, 1, 1), (2, 1, 1), (1, 2, 1)]
         ]
-        backend = SerialBackend(vectorized)
-        _assert_batches_identical(
-            serial.evaluate_batch(schedules), backend.map(schedules)
-        )
-
-
-class TestSplitChunks:
-    def test_partition_preserves_order(self):
-        items = list(range(10))
-        chunks = split_chunks(items, 3)
-        assert [x for chunk in chunks for x in chunk] == items
-
-    def test_balanced(self):
-        chunks = split_chunks(list(range(10)), 3)
-        sizes = [len(c) for c in chunks]
-        assert max(sizes) - min(sizes) <= 1
-        assert len(chunks) == 3
-
-    def test_more_chunks_than_items(self):
-        chunks = split_chunks([1, 2], 5)
-        assert chunks == [[1], [2]]
-
-    def test_empty(self):
-        assert split_chunks([], 4) == []
-
-    def test_single_chunk(self):
-        assert split_chunks([1, 2, 3], 1) == [[1, 2, 3]]
+        with SearchEngine(vectorized) as engine:
+            assert engine.backend_name == "serial"
+            _assert_batches_identical(
+                serial.evaluate_batch(schedules), engine.evaluate_batch(schedules)
+            )
