@@ -272,23 +272,26 @@ def _continuous_poles(theta: np.ndarray, order: int) -> np.ndarray:
     """Map stage-A parameters to ``order`` continuous-time poles.
 
     ``theta`` holds (wn, zeta) per complex pair followed by one decay
-    rate per leftover real pole.
+    rate per leftover real pole, along its last axis; leading axes (a
+    particle batch) map row by row.  Underdamped pairs (``zeta < 1``)
+    give ``-zeta wn ± j wn sqrt(1 - zeta^2)``, the others the real pair
+    ``-zeta wn ± wn sqrt(zeta^2 - 1)``.
     """
-    poles = np.empty(order, dtype=complex)
-    n_pairs = order // 2
-    for i in range(n_pairs):
-        wn = theta[2 * i]
-        zeta = theta[2 * i + 1]
-        if zeta < 1.0:
-            wd = wn * math.sqrt(1.0 - zeta * zeta)
-            poles[2 * i] = complex(-zeta * wn, wd)
-            poles[2 * i + 1] = complex(-zeta * wn, -wd)
-        else:
-            spread = wn * math.sqrt(zeta * zeta - 1.0)
-            poles[2 * i] = complex(-zeta * wn + spread, 0.0)
-            poles[2 * i + 1] = complex(-zeta * wn - spread, 0.0)
+    theta = np.asarray(theta, dtype=float)
+    poles = np.empty(theta.shape[:-1] + (order,), dtype=complex)
+    for i in range(order // 2):
+        wn = theta[..., 2 * i]
+        zeta = theta[..., 2 * i + 1]
+        zeta_sq = zeta * zeta
+        under = zeta < 1.0
+        root = wn * np.sqrt(np.where(under, 1.0 - zeta_sq, zeta_sq - 1.0))
+        center = -zeta * wn
+        poles[..., 2 * i].real = np.where(under, center, center + root)
+        poles[..., 2 * i].imag = np.where(under, root, 0.0)
+        poles[..., 2 * i + 1].real = np.where(under, center, center - root)
+        poles[..., 2 * i + 1].imag = np.where(under, -root, 0.0)
     if order % 2:
-        poles[-1] = complex(-theta[-1], 0.0)
+        poles[..., -1] = -theta[..., -1]
     return poles
 
 
@@ -317,7 +320,9 @@ class _StageA:
 
     def gains_for(self, theta: np.ndarray) -> np.ndarray | None:
         """Per-task gains realizing the pole targets, or ``None``."""
-        poles_ct = _continuous_poles(theta, self.order)
+        return self._gains_for_poles(_continuous_poles(theta, self.order))
+
+    def _gains_for_poles(self, poles_ct: np.ndarray) -> np.ndarray | None:
         gains = np.empty((self.m, self.order))
         for j, seg in enumerate(self.evaluator.segments):
             desired = np.exp(poles_ct * seg.h)
@@ -330,8 +335,9 @@ class _StageA:
     def objective(self, thetas: np.ndarray) -> np.ndarray:
         batch = []
         bad = np.zeros(thetas.shape[0], dtype=bool)
+        poles_ct = _continuous_poles(thetas, self.order)
         for p in range(thetas.shape[0]):
-            gains = self.gains_for(thetas[p])
+            gains = self._gains_for_poles(poles_ct[p])
             if gains is None:
                 bad[p] = True
                 batch.append(np.zeros((self.m, self.order)))
@@ -481,8 +487,9 @@ def _design_uniform(
     def objective(thetas: np.ndarray) -> np.ndarray:
         batch = np.empty((thetas.shape[0], m, order))
         bad = np.zeros(thetas.shape[0], dtype=bool)
+        poles_ct = _continuous_poles(thetas, order)
         for p in range(thetas.shape[0]):
-            desired = np.exp(_continuous_poles(thetas[p], order) * h_mean)
+            desired = np.exp(poles_ct[p] * h_mean)
             try:
                 k_row = place_poles_siso(ad, gamma, desired)
             except ControlError:

@@ -15,14 +15,31 @@ Serial-oracle contract
 The serial path (``design_controller`` and everything under it) is the
 oracle; this module never replaces it and must reproduce it exactly.
 The batched twins re-execute the *same* floating-point operations in the
-same order: every BLAS/LAPACK call is issued with the same shapes the
-serial path uses (per-unit ``(P, l)`` blocks, stacked gufunc batches
-whose per-slice kernels match the serial calls), element-wise work is
-fused across units (single-rounded IEEE ops are shape-independent), and
-``np.poly``'s convolution recurrence is re-issued per particle rather
-than re-derived (its complex FMA kernel is length-dependent).  On any
-one machine the two paths therefore agree bit-for-bit; tests assert
-exact equality, not tolerances.
+same order, so on any one machine the two paths agree bit-for-bit and
+tests assert exact equality, not tolerances.  What a speedup here may
+and may not do follows from that.
+
+It may:
+
+* drop rows that no longer contribute — the tracking loop sorts units
+  by horizon and stops computing a unit once it is past its own;
+* hoist work that does not depend on the gains — segment placers, the
+  simulation clock, stacked segment matrices — out of the per-call path;
+* batch Python-level prologues and epilogues — factor arrays, pole
+  maps, masks and rejection tests over whole particle arrays — and fuse
+  element-wise work across units and particles: single-rounded IEEE
+  operations give the same bits whatever the array shape or layout.
+
+It may not:
+
+* change the per-slice shape or layout of any BLAS/LAPACK call: every
+  matmul, solve, determinant and eigenvalue problem runs on the same
+  ``(P, l)``-style blocks the serial path uses, as stacked gufunc
+  batches whose per-slice kernels match the serial calls;
+* re-derive ``np.convolve``: ``np.poly``'s recurrence is repeated call
+  by call per particle, because its complex kernel is length-dependent;
+* reorder an accumulation: sums, products and the simulation clock add
+  their terms in the serial order.
 """
 
 from __future__ import annotations
@@ -60,20 +77,26 @@ class DesignRequest:
     options: DesignOptions
 
 
-def _poly_from_roots(roots: np.ndarray, cast_real: bool) -> np.ndarray:
-    """``np.poly(roots)`` minus its dispatch overhead.
+def _poly_batch(roots: np.ndarray) -> np.ndarray:
+    """Complex ``np.poly`` coefficients of every root row ``(P, l)``.
 
-    Re-issues the exact convolution recurrence ``np.poly`` runs (the
-    complex convolve kernel is length-dependent, so it must be *called*,
-    not re-derived); the conjugate-closure test deciding ``cast_real``
-    is hoisted to the caller, where it batches across particles.
+    Runs exactly the convolution calls ``np.poly`` runs (the complex
+    convolve kernel is length-dependent, so it must be *called*, not
+    re-derived); only the ``[1, -root]`` factors are built up front, as
+    one array.  Rows whose roots are conjugate-closed are real up to the
+    ``.real`` cast ``np.poly`` applies, which the caller takes.
     """
-    a = np.ones((1,), dtype=complex)
-    for zero in roots:
-        a = np.convolve(a, np.array([1, -zero], dtype=complex), mode="full")
-    if cast_real:
-        a = a.real.copy()
-    return a
+    n_batch, order = roots.shape
+    factors = np.empty((order, n_batch, 2), dtype=complex)
+    factors[:, :, 0] = 1.0
+    factors[:, :, 1] = -roots.T
+    rows = [np.ones((1,), dtype=complex)] * n_batch
+    for column in factors:
+        rows = [
+            np.convolve(row, factor, mode="full")
+            for row, factor in zip(rows, list(column))
+        ]
+    return np.array(rows)
 
 
 class _SegmentPlacer:
@@ -111,25 +134,22 @@ class _SegmentPlacer:
     def place_batch(self, desired: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Gain rows ``(P, l)`` for pole sets ``(P, l)``; returns ``(k, bad)``."""
         n_batch, order = desired.shape
-        bad = np.zeros(n_batch, dtype=bool)
         if self.uncontrollable:
-            bad[:] = True
-            return np.zeros((n_batch, order)), bad
-        sorted_roots = np.sort(desired, axis=1)
-        sorted_conj = np.sort(desired.conjugate(), axis=1)
-        cast_real = np.all(sorted_roots == sorted_conj, axis=1)
-        coefficients = np.empty((n_batch, order + 1))
-        for p in range(n_batch):
-            coeffs = _poly_from_roots(desired[p], bool(cast_real[p]))
-            if np.iscomplexobj(coeffs):
-                if np.abs(coeffs.imag).max() > 1e-8 * max(
-                    1.0, np.abs(coeffs).max()
-                ):
-                    bad[p] = True
-                    coefficients[p] = 0.0
-                    continue
-                coeffs = coeffs.real
-            coefficients[p] = coeffs
+            return np.zeros((n_batch, order)), np.ones(n_batch, dtype=bool)
+        poly = _poly_batch(desired)
+        # np.poly casts conjugate-closed rows to real; the others must
+        # pass place_poles_siso's imaginary-residue test (np.fmax, like
+        # the serial max(1.0, .), ignores a NaN magnitude).
+        conjugate_closed = np.all(
+            np.sort(desired, axis=1) == np.sort(desired.conjugate(), axis=1),
+            axis=1,
+        )
+        bad = ~conjugate_closed & (
+            np.abs(poly.imag).max(axis=1)
+            > 1e-8 * np.fmax(1.0, np.abs(poly).max(axis=1))
+        )
+        coefficients = poly.real.copy()
+        coefficients[bad] = 0.0
         phi = np.zeros((n_batch, order, order))
         for i, power in enumerate(self.powers):
             phi += coefficients[:, order - i, None, None] * power[None, :, :]
@@ -153,9 +173,7 @@ class _BatchedStageA:
     def gains_batch(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-task gains ``(P, m, l)`` and the infeasible-particle mask."""
         n_batch = thetas.shape[0]
-        poles_ct = np.stack(
-            [_continuous_poles(thetas[p], self.order) for p in range(n_batch)]
-        )
+        poles_ct = _continuous_poles(thetas, self.order)
         gains = np.empty((n_batch, self.m, self.order))
         bad = np.zeros(n_batch, dtype=bool)
         for j, placer in enumerate(self.placers):
@@ -231,22 +249,40 @@ class _FeedforwardGroup:
 
 
 class _LiftedBatch:
-    """Stacked construction of the lifted ``A_hol`` for a particle batch.
+    """Stacked construction of the lifted ``A_hol`` across units.
 
-    Mirrors :func:`repro.control.lifted.lifted_closed_loop` term by term:
-    matrix products become stacked gufunc matmuls (per-slice kernels
-    identical to the serial 2-D calls), outer products and additions stay
-    element-wise and fuse across particles.
+    Mirrors :func:`repro.control.lifted.lifted_closed_loop` term by term
+    for every particle of every unit in one build: the units share
+    ``(m, l)`` and their inner-actuation pattern, so the term structure
+    is common and only the segment matrices differ, and those are
+    repeated per particle row.  Matrix products become stacked gufunc
+    matmuls (per-slice kernels identical to the serial 2-D calls), outer
+    products and additions stay element-wise and fuse across rows.
     """
 
-    def __init__(self, segments: list[Segment]) -> None:
-        self.segments = segments
-        self.m = len(segments)
-        self.order = segments[0].ad.shape[0]
+    def __init__(self, segment_lists: list[list[Segment]]) -> None:
+        first = segment_lists[0]
+        self.n_units = len(segment_lists)
+        self.m = len(first)
+        self.order = first[0].ad.shape[0]
         self.dim = self.order + 1 if self.m == 1 else self.m * self.order
-        # Gain-independent stacks (broadcast A_d copies, basis selectors,
-        # zero reference vector) keyed by particle count; they are only
-        # ever read, so reuse across evaluate calls is safe.
+        self.inner = [seg.has_inner_actuation for seg in first]
+        self.ad = [
+            np.stack([segments[j].ad for segments in segment_lists])
+            for j in range(self.m)
+        ]
+        self.b1 = [
+            np.stack([segments[j].b1 for segments in segment_lists])
+            for j in range(self.m)
+        ]
+        self.b2 = [
+            np.stack([segments[j].b2 for segments in segment_lists])
+            for j in range(self.m)
+        ]
+        # Gain-independent per-row stacks (segment matrices repeated per
+        # particle, basis selectors, zero reference vector) keyed by the
+        # particle count; they are only ever read, so reuse across
+        # evaluate calls is safe.
         self._static: dict[int, tuple] = {}
 
     def _static_for(self, n_batch: int) -> tuple:
@@ -254,39 +290,36 @@ class _LiftedBatch:
         if cached is not None:
             return cached
         m, order, dim = self.m, self.order, self.dim
-        ad_b = [
-            np.ascontiguousarray(
-                np.broadcast_to(seg.ad, (n_batch, order, order))
-            )
-            for seg in self.segments
-        ]
+        n_rows = self.n_units * n_batch
+        ad, b1, b2 = (
+            [np.repeat(table, n_batch, axis=0) for table in tables]
+            for tables in (self.ad, self.b1, self.b2)
+        )
         basis = []
-        for j in range(m):
-            coeff = np.zeros((n_batch, order, dim))
-            coeff[:, :, j * order:(j + 1) * order] = np.eye(order)
-            basis.append(coeff)
-        zero_rvec = np.zeros((n_batch, order))
-        cached = (ad_b, basis, zero_rvec)
+        if m > 1:
+            for j in range(m):
+                coeff = np.zeros((n_rows, order, dim))
+                coeff[:, :, j * order:(j + 1) * order] = np.eye(order)
+                basis.append(coeff)
+        zero_rvec = np.zeros((n_rows, order))
+        cached = (ad, b1, b2, basis, zero_rvec)
         self._static[n_batch] = cached
         return cached
 
     def build(self, gains: np.ndarray, feedforward: np.ndarray) -> np.ndarray:
+        """``A_hol`` per row of the unit-major stacked ``(U·P, m, l)`` gains."""
         m, order = self.m, self.order
-        n_batch = gains.shape[0]
-        segments = self.segments
+        n_rows = gains.shape[0]
+        ad, b1, b2, basis, zero_rvec = self._static_for(n_rows // self.n_units)
         if m == 1:
-            seg = segments[0]
             k = gains[:, 0, :]
-            a_hol = np.zeros((n_batch, order + 1, order + 1))
-            a_hol[:, :order, :order] = (
-                seg.ad[None, :, :] + seg.b2[None, :, None] * k[:, None, :]
-            )
-            a_hol[:, :order, order] = seg.b1[None, :]
+            a_hol = np.zeros((n_rows, order + 1, order + 1))
+            a_hol[:, :order, :order] = ad[0] + b2[0][:, :, None] * k[:, None, :]
+            a_hol[:, :order, order] = b1[0]
             a_hol[:, order, :order] = k
             return a_hol
 
         dim = self.dim
-        ad_b, basis, zero_rvec = self._static_for(n_batch)
         g_rows = [
             np.ascontiguousarray(gains[:, j, :])[:, None, :] for j in range(m)
         ]
@@ -301,73 +334,102 @@ class _LiftedBatch:
 
         u_prev_hp = [input_expr(j, basis[j], zero_rvec) for j in range(m)]
 
-        seg_long = segments[m - 1]
         u_before = u_prev_hp[m - 2]
         u_after = u_prev_hp[m - 1]
         coeff = (
-            np.matmul(ad_b[m - 1], basis[m - 1])
-            + seg_long.b1[None, :, None] * u_before[0][:, None, :]
-            + seg_long.b2[None, :, None] * u_after[0][:, None, :]
+            np.matmul(ad[m - 1], basis[m - 1])
+            + b1[m - 1][:, :, None] * u_before[0][:, None, :]
+            + b2[m - 1][:, :, None] * u_after[0][:, None, :]
         )
         rvec = (
-            np.matmul(ad_b[m - 1], zero_rvec[:, :, None])[:, :, 0]
-            + seg_long.b1[None, :] * u_before[1][:, None]
-            + seg_long.b2[None, :] * u_after[1][:, None]
+            np.matmul(ad[m - 1], zero_rvec[:, :, None])[:, :, 0]
+            + b1[m - 1] * u_before[1][:, None]
+            + b2[m - 1] * u_after[1][:, None]
         )
         new_exprs = [(coeff, rvec)]
 
         new_inputs = [input_expr(0, new_exprs[0][0], new_exprs[0][1])]
         for j in range(m - 1):
-            seg = segments[j]
             coeff_j, rvec_j = new_exprs[j]
             active = u_prev_hp[m - 1] if j == 0 else new_inputs[j - 1]
             coeff = (
-                np.matmul(ad_b[j], coeff_j)
-                + seg.b1[None, :, None] * active[0][:, None, :]
+                np.matmul(ad[j], coeff_j)
+                + b1[j][:, :, None] * active[0][:, None, :]
             )
             rvec = (
-                np.matmul(ad_b[j], rvec_j[:, :, None])[:, :, 0]
-                + seg.b1[None, :] * active[1][:, None]
+                np.matmul(ad[j], rvec_j[:, :, None])[:, :, 0]
+                + b1[j] * active[1][:, None]
             )
-            if seg.has_inner_actuation:
+            if self.inner[j]:
                 own = new_inputs[j]
-                coeff = coeff + seg.b2[None, :, None] * own[0][:, None, :]
-                rvec = rvec + seg.b2[None, :] * own[1][:, None]
+                coeff = coeff + b2[j][:, :, None] * own[0][:, None, :]
+                rvec = rvec + b2[j] * own[1][:, None]
             new_exprs.append((coeff, rvec))
             if j + 1 < m:
                 new_inputs.append(
                     input_expr(j + 1, new_exprs[j + 1][0], new_exprs[j + 1][1])
                 )
 
-        a_hol = np.empty((n_batch, dim, dim))
+        a_hol = np.empty((n_rows, dim, dim))
         for j, (coeff, _rvec) in enumerate(new_exprs):
             a_hol[:, j * order:(j + 1) * order, :] = coeff
         return a_hol
 
 
+@dataclass(frozen=True)
+class _TrackingStep:
+    """Gathered coefficient tables of one fused time step.
+
+    Covers the active prefix only: row ``u`` belongs to the ``u``-th
+    (step-sorted) unit, ``seg_index[u]`` is its flat segment.
+    Observation tables are laid out ``(unit, grid point, particle)`` so
+    the band check runs along contiguous particle rows.
+    """
+
+    n_active: int
+    seg_index: np.ndarray               # (n,)
+    ad_t: np.ndarray                    # (n, l, l) transposed views
+    b1: np.ndarray                      # (n, 1, l)
+    b2: np.ndarray
+    s1: np.ndarray                      # (n, s_max, 1)
+    s2: np.ndarray
+    t_abs: np.ndarray                   # (n, s_max, 1) observation times
+    obs_groups: list[tuple[slice | np.ndarray, np.ndarray, int]]
+
+
 class _TrackingGroup:
     """Fused tracking simulation for units sharing one plant order.
 
-    One global time loop advances every unit's trajectory batch at once:
-    the two per-segment matrix products keep their serial shapes (issued
-    per active unit on its contiguous ``(P, l)`` block), while the input
-    law, intersample band checks, state updates and settling bookkeeping
-    fuse across all units via gathered per-step coefficient tables.
-    Units that reach their own horizon are frozen by masking.
+    One global time loop advances every unit's trajectory batch at once.
+    Units are sorted by step count, longest first, so the units still
+    inside their own horizon at step ``k`` are always the prefix
+    ``[:n_active]`` and the loop works on prefix views: a unit past its
+    horizon is never computed again.  The two per-segment matrix products
+    keep their serial shapes (one per active unit on its contiguous
+    ``(P, l)`` block), while the input law, intersample band checks,
+    state updates and settling bookkeeping fuse across the active units
+    via gathered per-step coefficient tables.  The segment clock does
+    not depend on the gains, so the absolute observation times are
+    accumulated once, here, with the serial additions.
     """
 
     def __init__(self, evaluators: list[_GainEvaluator], unit_indices: list[int]) -> None:
-        self.evaluators = evaluators
-        self.unit_indices = unit_indices
-        n_units = len(evaluators)
+        steps = []
+        for ge in evaluators:
+            gap = ge.plan.idle_gap
+            hyper = ge.plan.hyperperiod
+            n_hyper = max(1, math.ceil((ge.horizon - gap) / hyper))
+            steps.append(n_hyper * ge.plan.n_phases)
+        rank = sorted(range(len(evaluators)), key=lambda u: -steps[u])
+        evaluators = [evaluators[u] for u in rank]
+        steps = [steps[u] for u in rank]
+        self.unit_indices = [unit_indices[u] for u in rank]
+        self.n_units = len(evaluators)
         order = evaluators[0].plan.order
         self.order = order
-        self.m_list = [ge.plan.n_phases for ge in evaluators]
-        # Flat slot 0 is a dedicated all-zero segment for frozen units:
-        # zero gains/coefficients and t = -inf observation times make the
-        # fused update a no-op there without per-array masking.
-        offsets = [1]
-        for m in self.m_list:
+        m_list = [ge.plan.n_phases for ge in evaluators]
+        offsets = [0]
+        for m in m_list:
             offsets.append(offsets[-1] + m)
         self.offsets = offsets
         total_m = offsets[-1]
@@ -381,92 +443,75 @@ class _TrackingGroup:
         )
         self.c_list = [ge.plan.c for ge in evaluators]
 
-        steps = []
-        for ge in evaluators:
-            gap = ge.plan.idle_gap
-            hyper = ge.plan.hyperperiod
-            n_hyper = max(1, math.ceil((ge.horizon - gap) / hyper))
-            steps.append(n_hyper * ge.plan.n_phases)
-        self.steps = steps
-        self.max_steps = max(steps)
-
-        segment_objs = [None]
-        for ge in evaluators:
-            segment_objs.extend(ge.plan.segments)
-        self.segment_objs = segment_objs
-        self.n_obs = [0] + [
-            len(seg.obs_times) for seg in segment_objs[1:]
-        ]
-        s_max = max(self.n_obs)
+        segment_objs = [seg for ge in evaluators for seg in ge.plan.segments]
+        n_obs = [len(seg.obs_times) for seg in segment_objs]
+        s_max = max(n_obs)
         self.s_max = s_max
-        self.b1 = np.zeros((total_m, order))
-        self.b2 = np.zeros((total_m, order))
-        self.s1 = np.zeros((total_m, s_max))
-        self.s2 = np.zeros((total_m, s_max))
+        ad = np.empty((total_m, order, order))
+        b1 = np.empty((total_m, 1, order))
+        b2 = np.empty((total_m, 1, order))
+        s1 = np.zeros((total_m, s_max, 1))
+        s2 = np.zeros((total_m, s_max, 1))
         # Padded observation slots carry t = -inf so whatever garbage the
-        # padded output columns hold can never become a violation time.
-        self.obs_t = np.full((total_m, s_max), -np.inf)
-        self.periods = np.zeros(total_m)
-        flat = 1
-        for u, ge in enumerate(evaluators):
-            for j, seg in enumerate(ge.plan.segments):
-                count = len(seg.obs_times)
-                self.b1[flat] = seg.b1
-                self.b2[flat] = seg.b2
-                self.s1[flat, :count] = seg.obs_s1
-                self.s2[flat, :count] = seg.obs_s2
-                self.obs_t[flat, :count] = seg.obs_times
-                self.periods[flat] = ge.plan.periods[j]
-                flat += 1
+        # padded output rows hold can never become a violation time.
+        obs_t = np.full((total_m, s_max), -np.inf)
+        periods = [h for ge in evaluators for h in ge.plan.periods]
+        for flat, seg in enumerate(segment_objs):
+            count = n_obs[flat]
+            ad[flat] = seg.ad
+            b1[flat, 0] = seg.b1
+            b2[flat, 0] = seg.b2
+            s1[flat, :count, 0] = seg.obs_s1
+            s2[flat, :count, 0] = seg.obs_s2
+            obs_t[flat, :count] = seg.obs_times
 
-        # Per-step gather tables: flat segment index per unit (slot 0 for
-        # frozen units) plus the active mask.
-        self.seg_index = np.zeros((self.max_steps, n_units), dtype=np.intp)
-        self.active = np.zeros((self.max_steps, n_units), dtype=bool)
-        for k in range(self.max_steps):
-            for u in range(n_units):
-                if k < steps[u]:
-                    self.seg_index[k, u] = offsets[u] + k % self.m_list[u]
-                    self.active[k, u] = True
-
-        # The step-k coefficient pattern is static, so expand it once:
-        # stacked A_d per step (identity for frozen units — the result is
-        # masked out anyway) used through a transpose view so each slice
-        # presents the same layout as the serial ``x @ ad.T`` call, and
-        # observation-map stacks sub-grouped by grid size so the fused
-        # matmul never pads a GEMM shape.
-        ad_steps = np.empty((self.max_steps, n_units, order, order))
-        self.obs_groups: list[list[tuple[np.ndarray, np.ndarray, int]]] = []
-        for k in range(self.max_steps):
+        # The step pattern is static, so gather it once per step: stacked
+        # A_d used through a transpose view so each slice presents the
+        # same layout as the serial ``x @ ad.T`` call, and observation-map
+        # stacks sub-grouped by grid size so the fused matmul never pads a
+        # GEMM shape (a group spanning a contiguous run of units is
+        # addressed by a slice, not a gather).
+        self.steps: list[_TrackingStep] = []
+        clock = [0.0] * self.n_units
+        for k in range(steps[0]):
+            n_active = sum(1 for count in steps if count > k)
+            seg_index = np.array(
+                [offsets[u] + k % m_list[u] for u in range(n_active)],
+                dtype=np.intp,
+            )
+            t_abs = np.empty((n_active, s_max, 1))
             by_size: dict[int, list[int]] = {}
-            for u in range(n_units):
-                if self.active[k, u]:
-                    flat = self.seg_index[k, u]
-                    ad_steps[k, u] = self.segment_objs[flat].ad
-                    by_size.setdefault(self.n_obs[flat], []).append(u)
-                else:
-                    ad_steps[k, u] = np.eye(order)
+            for u in range(n_active):
+                flat = seg_index[u]
+                t_abs[u, :, 0] = clock[u] + obs_t[flat]
+                clock[u] += periods[flat]
+                by_size.setdefault(n_obs[flat], []).append(u)
             groups = []
             for count, members in by_size.items():
                 stack = np.stack(
-                    [
-                        self.segment_objs[self.seg_index[k, u]].obs_w
-                        for u in members
-                    ]
+                    [segment_objs[seg_index[u]].obs_w for u in members]
                 )
-                groups.append(
-                    (np.array(members), stack.transpose(0, 2, 1), count)
+                lo, hi = members[0], members[-1] + 1
+                rows = (
+                    slice(lo, hi)
+                    if hi - lo == len(members)
+                    else np.array(members)
                 )
-            self.obs_groups.append(groups)
-        self.ad_t_steps = [
-            ad_steps[k].transpose(0, 2, 1) for k in range(self.max_steps)
-        ]
-        self.s1_steps = self.s1[self.seg_index][:, :, None, :]
-        self.s2_steps = self.s2[self.seg_index][:, :, None, :]
-        self.b1_steps = self.b1[self.seg_index][:, :, None, :]
-        self.b2_steps = self.b2[self.seg_index][:, :, None, :]
-        self.obs_t_steps = self.obs_t[self.seg_index]
-        self.period_steps = self.periods[self.seg_index]
+                groups.append((rows, stack.transpose(0, 2, 1), count))
+            self.steps.append(
+                _TrackingStep(
+                    n_active=n_active,
+                    seg_index=seg_index,
+                    ad_t=ad[seg_index].transpose(0, 2, 1),
+                    b1=b1[seg_index],
+                    b2=b2[seg_index],
+                    s1=s1[seg_index],
+                    s2=s2[seg_index],
+                    t_abs=t_abs,
+                    obs_groups=groups,
+                )
+            )
+        self.t_final = clock
 
     def run(
         self,
@@ -476,20 +521,18 @@ class _TrackingGroup:
         u_peak_out: list,
         final_error_out: list,
     ) -> None:
-        n_units = len(self.evaluators)
+        """Simulate every unit; ``gains``/``feedforwards`` follow ``unit_indices``."""
+        n_units = self.n_units
         order = self.order
         n_batch = gains[0].shape[0]
-        total = n_units * n_batch
-        total_m = self.b1.shape[0]
+        total_m = self.offsets[-1]
 
         g_flat = np.empty((total_m, n_batch, order))
         f_flat = np.empty((total_m, n_batch))
-        g_flat[0] = 0.0
-        f_flat[0] = 0.0
         for u in range(n_units):
-            lo, m = self.offsets[u], self.m_list[u]
-            g_flat[lo:lo + m] = gains[u].transpose(1, 0, 2)
-            f_flat[lo:lo + m] = feedforwards[u].transpose(1, 0)
+            lo, hi = self.offsets[u], self.offsets[u + 1]
+            g_flat[lo:hi] = gains[u].transpose(1, 0, 2)
+            f_flat[lo:hi] = feedforwards[u].transpose(1, 0)
 
         x = np.empty((n_units, n_batch, order))
         x[:] = self.x0[:, None, :]
@@ -501,63 +544,54 @@ class _TrackingGroup:
         violating0 = np.abs(y_start - self.r[:, None]) > self.band[:, None]
         last_violation = np.where(violating0, 0.0, (-self.gap)[:, None])
         u_peak = np.zeros((n_units, n_batch))
-        t_start = np.zeros(n_units)
-        y_buf = np.empty((n_units, n_batch, self.s_max))
+        y_buf = np.empty((n_units, self.s_max, n_batch))
+        r2 = self.r[:, None]
         r3 = self.r[:, None, None]
         band3 = self.band[:, None, None]
 
-        # Frozen/padded rows legitimately produce inf/nan garbage that the
-        # masks discard; silence only those spurious warnings.
+        # Padded observation rows may hold inf/nan garbage that their
+        # t = -inf slots discard; silence only those spurious warnings.
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(self.max_steps):
-                seg_idx = self.seg_index[k]
-                active = self.active[k]
-                active2 = active[:, None]
-                g_step = g_flat[seg_idx]
-                f_step = f_flat[seg_idx]
+            for step in self.steps:
+                n = step.n_active
+                x_act = x[:n]
+                u_prev_act = u_prev[:n]
                 u_curr = (
                     np.einsum(
                         "pl,pl->p",
-                        g_step.reshape(total, order),
-                        x.reshape(total, order),
-                    ).reshape(n_units, n_batch)
-                    + f_step * self.r[:, None]
+                        g_flat[step.seg_index].reshape(n * n_batch, order),
+                        x_act.reshape(n * n_batch, order),
+                    ).reshape(n, n_batch)
+                    + f_flat[step.seg_index] * r2[:n]
                 )
-                u_peak = np.where(
-                    active2, np.maximum(u_peak, np.abs(u_curr)), u_peak
-                )
+                np.maximum(u_peak[:n], np.abs(u_curr), out=u_peak[:n])
 
-                for members, obs_w_t, count in self.obs_groups[k]:
-                    y_buf[members, :, :count] = np.matmul(x[members], obs_w_t)
+                for rows, obs_w_t, count in step.obs_groups:
+                    y_buf[rows, :count] = np.matmul(
+                        x[rows], obs_w_t
+                    ).transpose(0, 2, 1)
                 y_sub = (
-                    y_buf
-                    + u_prev[:, :, None] * self.s1_steps[k]
-                    + u_curr[:, :, None] * self.s2_steps[k]
+                    y_buf[:n]
+                    + u_prev_act[:, None, :] * step.s1
+                    + u_curr[:, None, :] * step.s2
                 )
-                t_abs = t_start[:, None] + self.obs_t_steps[k]
-                violating = np.abs(y_sub - r3) > band3
-                candidate = np.where(
-                    violating, t_abs[:, None, :], -np.inf
-                ).max(axis=2)
-                # Frozen units gather slot 0, whose t = -inf observation
-                # times make their candidate -inf — no mask needed here.
-                last_violation = np.maximum(last_violation, candidate)
+                violating = np.abs(y_sub - r3[:n]) > band3[:n]
+                candidate = np.where(violating, step.t_abs, -np.inf).max(axis=1)
+                np.maximum(
+                    last_violation[:n], candidate, out=last_violation[:n]
+                )
 
-                x_new = (
-                    np.matmul(x, self.ad_t_steps[k])
-                    + u_prev[:, :, None] * self.b1_steps[k]
-                    + u_curr[:, :, None] * self.b2_steps[k]
+                x[:n] = (
+                    np.matmul(x_act, step.ad_t)
+                    + u_prev_act[:, :, None] * step.b1
+                    + u_curr[:, :, None] * step.b2
                 )
-                x = np.where(active2[:, :, None], x_new, x)
-                u_prev = np.where(active2, u_curr, u_prev)
-                # Slot 0 has period 0.0, so frozen clocks stay put.
-                t_start = t_start + self.period_steps[k]
+                u_prev[:n] = u_curr
 
         for u in range(n_units):
             final_y = x[u] @ self.c_list[u]
             final_error = np.abs(final_y - self.r[u])
-            t_final = float(t_start[u])
-            settled = last_violation[u] < t_final - 1e-15
+            settled = last_violation[u] < self.t_final[u] - 1e-15
             settling = np.where(
                 settled, last_violation[u] + self.gap[u], np.inf
             )
@@ -601,21 +635,26 @@ class BatchGainEvaluator:
     Takes one gain batch per unit (all with the same particle count) and
     returns one result dict per unit, identical to what each unit's own
     ``_GainEvaluator.evaluate`` would have produced.  Feedforward gains
-    reuse the serial per-unit batch routine; the stability check batches
-    the lifted-matrix eigenvalue problems across units of equal lifted
-    dimension; the tracking simulations run through one fused time loop
-    per plant order.  Evaluation counters on the unit evaluators advance
-    exactly as in serial runs.
+    fuse per plant order; the stability check builds and solves the
+    lifted-matrix eigenvalue problems once per group of units sharing
+    ``(m, l)`` and inner-actuation pattern; the tracking simulations run
+    through one fused time loop per plant order.  Evaluation counters on
+    the unit evaluators advance exactly as in serial runs.
     """
 
     def __init__(self, evaluators: list[_GainEvaluator]) -> None:
         self.evaluators = evaluators
         self._tracking = _StackedTracking(evaluators)
-        self._lifts = [_LiftedBatch(ge.segments) for ge in evaluators]
-        by_dim: dict[int, list[int]] = {}
-        for i, lift in enumerate(self._lifts):
-            by_dim.setdefault(lift.dim, []).append(i)
-        self._dim_groups = list(by_dim.values())
+        by_pattern: dict[tuple, list[int]] = {}
+        for i, ge in enumerate(evaluators):
+            key = (ge.m, ge.order) + tuple(
+                seg.has_inner_actuation for seg in ge.segments
+            )
+            by_pattern.setdefault(key, []).append(i)
+        self._lift_groups = [
+            (indices, _LiftedBatch([evaluators[i].segments for i in indices]))
+            for indices in by_pattern.values()
+        ]
         by_order: dict[int, list[int]] = {}
         for i, ge in enumerate(evaluators):
             by_order.setdefault(ge.order, []).append(i)
@@ -626,18 +665,14 @@ class BatchGainEvaluator:
 
     def _spectral_radii(self, gains: list[np.ndarray], feedforwards: list[np.ndarray]):
         radii = [None] * len(self.evaluators)
-        for group in self._dim_groups:
-            stacked = np.concatenate(
-                [
-                    self._lifts[i].build(gains[i], feedforwards[i])
-                    for i in group
-                ],
-                axis=0,
+        for indices, lift in self._lift_groups:
+            a_hol = lift.build(
+                np.concatenate([gains[i] for i in indices]),
+                np.concatenate([feedforwards[i] for i in indices]),
             )
-            magnitudes = np.abs(np.linalg.eigvals(stacked))
-            rho = magnitudes.max(axis=1)
+            rho = np.abs(np.linalg.eigvals(a_hol)).max(axis=1)
             offset = 0
-            for i in group:
+            for i in indices:
                 count = gains[i].shape[0]
                 radii[i] = rho[offset:offset + count]
                 offset += count
