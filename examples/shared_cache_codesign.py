@@ -10,7 +10,7 @@ cache (``CacheConfig.with_ways``), and the whole sweep is batched
 through the search engine.  The private-cache optimum on
 the same platform quantifies what sharing costs
 (``python -m repro multicore --cores 2 --shared-cache`` and
-``python -m repro.experiments shared_cache`` are the CLI spellings).
+``python -m repro experiment shared_cache`` are the CLI spellings).
 
 Run:  python examples/shared_cache_codesign.py
 """

@@ -19,8 +19,6 @@ Commands
     Regenerate one paper artifact through the experiment registry:
     structured, schema-versioned ``ExperimentReport`` JSON with
     ``--json``, persisted and resumed under ``--run-dir``.
-    (``python -m repro.experiments <name>`` remains as a deprecated
-    shim.)
 ``lint [--format json] [--checkers a,b] [--list] [paths...]``
     Run the repo-specific static-analysis suite (cache-key soundness,
     determinism, registry contracts, exception hygiene; rules
@@ -71,13 +69,12 @@ Commands
 
 ``search``, ``batch`` and ``multicore`` all run through the unified
 :class:`repro.study.Study` facade and share one flag set:
-``--strategy`` picks any registered search strategy (``--method`` is
-its deprecated alias), ``--json`` prints the structured
-:class:`~repro.study.RunReport` artifact(s) to stdout instead of
-tables, ``--run-dir DIR`` persists every report as JSON (matching
-reruns resume from disk), ``--workers N`` evaluates candidates on
-worker processes and ``--cache-dir DIR`` persists every evaluation so
-reruns warm-start.  The platform flags — ``--wcet-model``,
+``--strategy`` picks any registered search strategy, ``--json``
+prints the structured :class:`~repro.study.RunReport` artifact(s) to
+stdout instead of tables, ``--run-dir DIR`` persists every report as
+JSON (matching reruns resume from disk), ``--workers N`` evaluates
+candidates on worker processes and ``--cache-dir DIR`` persists every
+evaluation so reruns warm-start.  The platform flags — ``--wcet-model``,
 ``--cache-sets``, ``--cache-ways``, ``--miss-cycles``,
 ``--clock-mhz`` — rebuild the problem on a different execution
 platform (see ``python -m repro models``); the platform is recorded in
@@ -95,18 +92,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 
 from .apps import build_case_study
 from .core.report import format_seconds_ms, render_table
 from .errors import ReproError
 from .experiments.profiles import current_profile, design_options_for_profile
 from .sched import PeriodicSchedule, enumerate_idle_feasible
-from .sched.strategies import (
-    available_strategies,
-    get_strategy,
-    strategy_description,
-)
+from .sched.strategies.base import STRATEGIES
 from .units import Clock
 from .viz import render_schedule_timeline
 
@@ -173,73 +165,54 @@ def cmd_evaluate(args: argparse.Namespace) -> None:
     print(f"\nP_all = {evaluation.overall:.4f}  feasible: {evaluation.feasible}")
 
 
-def cmd_strategies(_args: argparse.Namespace) -> None:
-    rows = []
-    for name in available_strategies():
-        strategy = get_strategy(name)
-        rows.append(
-            [name, strategy.options_type.__name__, strategy_description(strategy)]
-        )
+def _print_listing(registry, columns, footer) -> None:
+    """One registry listing: a row per registered name — the name,
+    ``columns`` (header -> cell of the entry) and the description."""
+    *qualifier, noun = registry.kind.split()
+    rows = [
+        [name, *(cell(entry) for cell in columns.values()), registry.describe(entry)]
+        for name, entry in registry.items()
+    ]
     print(
         render_table(
-            ["strategy", "options", "description"],
+            [noun, *columns, "description"],
             rows,
-            title="registered search strategies",
+            title=" ".join(["registered", *qualifier, registry.plural]),
         )
     )
-    print(
-        "\nregister your own with @repro.sched.strategies.register_strategy"
+    print(f"\n{footer}")
+
+
+def _options_name(entry) -> str:
+    return entry.options_type.__name__
+
+
+def cmd_strategies(_args: argparse.Namespace) -> None:
+    _print_listing(
+        STRATEGIES,
+        {"options": _options_name},
+        "register your own with @repro.sched.strategies.register_strategy",
     )
 
 
 def cmd_allocators(_args: argparse.Namespace) -> None:
-    from .multicore.allocators import (
-        allocator_description,
-        available_allocators,
-        get_allocator,
-    )
+    from .multicore.allocators import ALLOCATORS
 
-    rows = []
-    for name in available_allocators():
-        allocator = get_allocator(name)
-        rows.append(
-            [
-                name,
-                allocator.options_type.__name__,
-                allocator_description(allocator),
-            ]
-        )
-    print(
-        render_table(
-            ["allocator", "options", "description"],
-            rows,
-            title="registered partition allocators",
-        )
-    )
-    print(
-        "\nregister your own with @repro.multicore.register_allocator"
+    _print_listing(
+        ALLOCATORS,
+        {"options": _options_name},
+        "register your own with @repro.multicore.register_allocator",
     )
 
 
 def cmd_models(_args: argparse.Namespace) -> None:
-    from .wcet.models import (
-        available_wcet_models,
-        get_wcet_model,
-        model_description,
-    )
+    from .wcet.models import WCET_MODELS
 
-    rows = []
-    for name in available_wcet_models():
-        model = get_wcet_model(name)
-        rows.append([name, model_description(model)])
-    print(
-        render_table(
-            ["model", "description"],
-            rows,
-            title="registered WCET models",
-        )
+    _print_listing(
+        WCET_MODELS,
+        {},
+        "register your own with @repro.wcet.register_wcet_model",
     )
-    print("\nregister your own with @repro.wcet.register_wcet_model")
 
 
 def cmd_lint(args: argparse.Namespace) -> None:
@@ -247,27 +220,19 @@ def cmd_lint(args: argparse.Namespace) -> None:
 
     from .lint import (
         available_checkers,
-        checker_description,
         default_paths,
-        get_checker,
         render_json,
         render_text,
         run_lint,
     )
+    from .lint.registry import CHECKERS
 
     if args.list:
-        rows = []
-        for name in available_checkers():
-            checker = get_checker(name)
-            rows.append([name, checker.code, checker_description(checker)])
-        print(
-            render_table(
-                ["checker", "rule", "description"],
-                rows,
-                title="registered lint checkers",
-            )
+        _print_listing(
+            CHECKERS,
+            {"rule": lambda checker: checker.code},
+            "register your own with @repro.lint.register_checker",
         )
-        print("\nregister your own with @repro.lint.register_checker")
         return
     checkers = (
         tuple(part.strip() for part in args.checkers.split(",") if part.strip())
@@ -286,26 +251,13 @@ def cmd_lint(args: argparse.Namespace) -> None:
 
 
 def cmd_experiments(_args: argparse.Namespace) -> None:
-    from .experiments import (
-        available_experiments,
-        experiment_description,
-        get_experiment,
-    )
+    from .experiments.registry import EXPERIMENTS
 
-    rows = []
-    for name in available_experiments():
-        experiment = get_experiment(name)
-        rows.append([name, experiment_description(experiment)])
-    print(
-        render_table(
-            ["experiment", "description"],
-            rows,
-            title="registered experiments",
-        )
-    )
-    print(
-        "\nrun one with `python -m repro experiment <name>`; "
-        "register your own with @repro.experiments.register_experiment"
+    _print_listing(
+        EXPERIMENTS,
+        {},
+        "run one with `python -m repro experiment <name>`; "
+        "register your own with @repro.experiments.register_experiment",
     )
 
 
@@ -347,7 +299,7 @@ def cmd_experiment(args: argparse.Namespace) -> None:
         platform=_platform_from_args(
             args, shared=callable(getattr(spec, "default_platform", None))
         ),
-        strategy=_resolve_strategy(args),
+        strategy=args.strategy,
         workers=args.workers,
         cache_dir=args.cache_dir,
         max_count_per_core=args.max_count_per_core,
@@ -415,19 +367,6 @@ def _platform_from_args(
     )
 
 
-def _resolve_strategy(args: argparse.Namespace) -> str | None:
-    """``--strategy``, honoring the deprecated ``--method`` alias."""
-    if getattr(args, "method", None):
-        warnings.warn(
-            "--method is deprecated; use --strategy",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if args.strategy is None:
-            return args.method
-    return args.strategy
-
-
 def _engine_options(args: argparse.Namespace):
     from .sched.engine import EngineOptions
 
@@ -467,7 +406,7 @@ def cmd_search(args: argparse.Namespace) -> None:
     starts = [_parse_schedule(s) for s in args.starts] if args.starts else None
     study = Study.from_case_study(
         design_options_for_profile(),
-        strategy=_resolve_strategy(args),
+        strategy=args.strategy,
         starts=starts,
         platform=_platform_from_args(args),
         engine_options=_engine_options(args),
@@ -520,7 +459,7 @@ def cmd_simulate(args: argparse.Namespace) -> None:
     )
     study = Study.from_case_study(
         design_options_for_profile(),
-        strategy=_resolve_strategy(args),
+        strategy=args.strategy,
         platform=platform,
         dynamic=profile,
         engine_options=_engine_options(args),
@@ -598,7 +537,7 @@ def cmd_batch(args: argparse.Namespace) -> None:
     study = Study.from_suite(
         args.suite_size,
         seed=args.seed,
-        strategy=_resolve_strategy(args),
+        strategy=args.strategy,
         design_options=design_options_for_profile(),
         n_cores=args.cores,
         platform=_platform_from_args(args, shared=args.shared_cache),
@@ -660,7 +599,7 @@ def cmd_multicore(args: argparse.Namespace) -> None:
 
     study = Study.from_case_study(
         design_options_for_profile(),
-        strategy=_resolve_strategy(args),
+        strategy=args.strategy,
         n_cores=args.cores,
         max_count_per_core=args.max_count_per_core,
         platform=_platform_from_args(args, shared=args.shared_cache),
@@ -766,7 +705,7 @@ def _submit_spec(args: argparse.Namespace):
     )
     return JobSpec(
         kind="suite" if args.suite_size is not None else "search",
-        strategy=_resolve_strategy(args),
+        strategy=args.strategy,
         starts=starts,
         n_starts=args.n_starts,
         seed=args.seed,
@@ -1213,9 +1152,6 @@ def main(argv: list[str] | None = None) -> int:
         help="registered search strategy (validated by the server)",
     )
     submit.add_argument(
-        "--method", default=None, help=argparse.SUPPRESS
-    )
-    submit.add_argument(
         "--eval-backend",
         choices=("vectorized", "serial"),
         default="vectorized",
@@ -1285,11 +1221,6 @@ def _add_search_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="registered search strategy (see `python -m repro strategies`); "
         "default: hybrid (exhaustive per core for multicore)",
-    )
-    parser.add_argument(
-        "--method",
-        default=None,
-        help=argparse.SUPPRESS,  # deprecated alias of --strategy
     )
     parser.add_argument(
         "--json",

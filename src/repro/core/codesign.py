@@ -9,17 +9,13 @@ provides the Table-III style comparison between two schedules.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-
 from pathlib import Path
 
 from ..control.design import DesignOptions
-from ..sched.annealing import AnnealingOptions
 from ..sched.engine import SearchEngine
 from ..sched.evaluator import ScheduleEvaluation, ScheduleEvaluator
 from ..sched.feasibility import enumerate_idle_feasible, idle_feasible
-from ..sched.hybrid import HybridOptions
 from ..sched.results import SearchResult
 from ..sched.schedule import PeriodicSchedule
 from ..sched.strategies import StrategySpec, get_strategy
@@ -138,9 +134,6 @@ class CodesignProblem:
         n_starts: int = 2,
         seed: int = 2018,
         options: object | None = None,
-        hybrid_options: HybridOptions | None = None,
-        annealing_options: AnnealingOptions | None = None,
-        method: str | None = None,
     ) -> CodesignResult:
         """Find an optimal schedule with a registered search strategy.
 
@@ -152,27 +145,8 @@ class CodesignProblem:
         Unknown strategy names raise
         :class:`~repro.errors.ConfigurationError` naming the registered
         strategies.
-
-        ``method=`` is the deprecated spelling of ``strategy=``;
-        ``hybrid_options=`` / ``annealing_options=`` are older aliases
-        of ``options=`` and are consulted only when their type matches
-        the chosen strategy.
         """
-        if method is not None:
-            warnings.warn(
-                "CodesignProblem.optimize(method=...) is deprecated; "
-                "use strategy=...",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if strategy is None:
-                strategy = method
         strat = get_strategy(strategy if strategy is not None else "hybrid")
-        if options is None:
-            for legacy in (hybrid_options, annealing_options):
-                if legacy is not None and isinstance(legacy, strat.options_type):
-                    options = legacy
-                    break
         spec = StrategySpec(
             starts=tuple(starts) if starts else None,
             n_starts=n_starts,

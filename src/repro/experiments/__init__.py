@@ -1,14 +1,13 @@
 """Paper-artifact regeneration (one module per table/figure).
 
 Every experiment registers itself with the **experiment registry**
-(:mod:`repro.experiments.registry` — the same pluggable contract as the
-search-strategy and WCET-model registries): resolve one with
+(:mod:`repro.experiments.registry`, one
+:class:`~repro.registry.Registry` like every plugin registry): resolve one with
 :func:`get_experiment`, list them with :func:`available_experiments`,
 run one with :func:`run_experiment`, which returns a structured,
 JSON-round-tripping :class:`ExperimentReport` and persists/resumes it
 under a run directory.  ``python -m repro experiments`` lists them from
-the command line and ``python -m repro experiment <name>`` runs one
-(``python -m repro.experiments`` remains as a deprecated shim).
+the command line and ``python -m repro experiment <name>`` runs one.
 
 The mapping to the paper:
 

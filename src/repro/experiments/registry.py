@@ -5,13 +5,11 @@ receives an :class:`ExperimentRequest` (platform, strategy, engine
 configuration, progress callback) and returns a structured
 :class:`~repro.experiments.report.ExperimentReport`.  Experiments
 register themselves by name with :func:`register_experiment`; every
-entry point (``python -m repro experiment <name>``, the deprecated
-``python -m repro.experiments`` shim, the resume-aware
+entry point (``python -m repro experiment <name>``, the resume-aware
 :func:`run_experiment` runner) resolves names through
 :func:`get_experiment`, so an unknown name fails fast with the list of
-registered experiments — the exact contract of the search-strategy
-(:mod:`repro.sched.strategies`) and WCET-model
-(:mod:`repro.wcet.models`) registries.
+registered experiments — the one :class:`~repro.registry.Registry`
+contract shared by every plugin registry.
 
 Eight experiments are builtin: one per paper artifact — ``table1``,
 ``table2``, ``table3``, ``fig6``, ``search``, ``multicore``,
@@ -38,6 +36,7 @@ from typing import Callable, Protocol, runtime_checkable
 from ..control.design import DesignOptions
 from ..errors import ConfigurationError
 from ..platform import Platform
+from ..registry import Registry
 from ..study.report import _json_safe
 from .profiles import current_profile
 from .report import ExperimentReport
@@ -135,82 +134,15 @@ class ExperimentSpec(Protocol):
         ...
 
 
-#: The global registry: experiment name -> experiment instance.
-_REGISTRY: dict[str, ExperimentSpec] = {}
-
-
-def register_experiment(experiment):
-    """Register an experiment class (or instance) under its ``name``.
-
-    Usable as a class decorator::
-
-        @register_experiment
-        class MyExperiment:
-            name = "mine"
-            supports_out = False
-
-            def build(self, request):
-                ...
-
-            def render(self, report):
-                ...
-
-    Returns its argument so the decorated class stays usable.  Double
-    registration of one name raises
-    :class:`~repro.errors.ConfigurationError`.
-    """
-    instance = experiment() if isinstance(experiment, type) else experiment
-    name = getattr(instance, "name", None)
-    if not isinstance(name, str) or not name:
-        raise ConfigurationError(
-            f"experiment {experiment!r} must define a non-empty string `name`"
-        )
-    for method in ("build", "render"):
-        if not callable(getattr(instance, method, None)):
-            raise ConfigurationError(
-                f"experiment {name!r} must define a `{method}` method"
-            )
-    if getattr(instance, "supports_out", False) and not callable(
-        getattr(instance, "write_outputs", None)
+def _check_outputs(experiment: ExperimentSpec) -> None:
+    """``supports_out`` experiments must define ``write_outputs``."""
+    if experiment.supports_out and not callable(
+        getattr(experiment, "write_outputs", None)
     ):
         raise ConfigurationError(
-            f"experiment {name!r} declares supports_out but defines no "
-            "`write_outputs` method"
+            f"experiment {experiment.name!r} declares supports_out but "
+            "defines no `write_outputs` method"
         )
-    if name in _REGISTRY:
-        raise ConfigurationError(f"experiment {name!r} is already registered")
-    _REGISTRY[name] = instance
-    return experiment
-
-
-def unregister_experiment(name: str) -> None:
-    """Remove a registered experiment (mainly for tests of third-party
-    registration; the builtin experiments should stay registered)."""
-    _REGISTRY.pop(name, None)
-
-
-def available_experiments() -> tuple[str, ...]:
-    """Names of all registered experiments, sorted."""
-    _ensure_builtins()
-    return tuple(sorted(_REGISTRY))
-
-
-def get_experiment(name: str) -> ExperimentSpec:
-    """Resolve an experiment name, failing fast on unknown names."""
-    _ensure_builtins()
-    experiment = _REGISTRY.get(name)
-    if experiment is None:
-        raise ConfigurationError(
-            f"unknown experiment {name!r}; registered experiments: "
-            f"{', '.join(available_experiments())}"
-        )
-    return experiment
-
-
-def experiment_description(experiment: ExperimentSpec) -> str:
-    """First docstring line of an experiment (for listings)."""
-    doc = (getattr(experiment, "__doc__", None) or "").strip()
-    return doc.splitlines()[0] if doc else ""
 
 
 def _ensure_builtins() -> None:
@@ -229,6 +161,23 @@ def _ensure_builtins() -> None:
         table2,
         table3,
     )
+
+
+#: The experiment registry (see :class:`repro.registry.Registry`).
+EXPERIMENTS: Registry[ExperimentSpec] = Registry(
+    "experiment",
+    "experiments",
+    attributes=("name", "supports_out"),
+    methods=("build", "render"),
+    check=_check_outputs,
+    builtins=_ensure_builtins,
+)
+
+register_experiment = EXPERIMENTS.register
+unregister_experiment = EXPERIMENTS.unregister
+available_experiments = EXPERIMENTS.available
+get_experiment = EXPERIMENTS.get
+experiment_description = EXPERIMENTS.describe
 
 
 # ----------------------------------------------------------------------
@@ -422,15 +371,12 @@ def run_and_render(
     request: ExperimentRequest | None = None,
     run_dir: str | Path | None = None,
 ) -> str:
-    """Run (or resume) one experiment and render it — the single text
-    code path shared by ``python -m repro experiment`` and the
-    deprecated ``python -m repro.experiments`` shim, which is what
-    keeps their rendered tables byte-identical.
+    """Run (or resume) one experiment and render it — the text code
+    path of ``python -m repro experiment``.
 
     ``request.out`` is the output directory for file-writing
     experiments (rejected for all others); ``None`` falls back to
-    :func:`effective_out`'s default, so both CLIs behave identically
-    with and without the flag.
+    :func:`effective_out`'s default.
     """
     request = request or ExperimentRequest()
     report = run_experiment(name, request, run_dir=run_dir)

@@ -1,8 +1,9 @@
 """RPL003 — registry contracts.
 
-The repo's extensibility story is five look-alike registries (search
-strategies, WCET models, experiments, lint checkers, partition
-allocators), each with the same two promises:
+Every extension point of the repo (search strategies, WCET models,
+experiments, lint checkers, partition allocators) is one instance of
+the single :class:`~repro.registry.Registry` mechanism, which makes
+two promises:
 
 1. a registered plugin structurally satisfies its protocol, so it
    fails at *registration*, not deep inside a study run;
@@ -10,16 +11,18 @@ allocators), each with the same two promises:
    naming the registered entries — never a bare ``ValueError`` or a
    ``KeyError`` leaking from the backing dict.
 
-This checker enforces both statically.  For every class decorated with
-one of the ``register_*`` decorators it verifies the protocol members
-are provided in the class body (attributes assigned or annotated,
-methods defined, including ``self.x = ...`` in methods); base classes
-make members unresolvable from one AST, so subclassing plugins are
-given the benefit of the doubt.  For every module that owns a
-``_REGISTRY`` it verifies the registry accessors (``register_*``,
-``get_*``, ``available_*``, ``unregister_*``) neither ``raise``
-builtin lookup errors nor index ``_REGISTRY[...]`` directly on the
-read path.
+The registry checks promise 1 at run time; this checker enforces both
+statically, so a broken plugin is caught before it is imported
+(``CONTRACTS`` is tested to equal the members each runtime registry
+declares). For every class decorated with one of the ``register_*``
+decorators it verifies the protocol members are provided in the class
+body (attributes assigned or annotated, methods defined, including
+``self.x = ...`` in methods); base classes make members unresolvable
+from one AST, so subclassing plugins are given the benefit of the
+doubt. For every module that owns a hand-rolled ``_REGISTRY`` dict it
+verifies the registry accessors (``register_*``, ``get_*``,
+``available_*``, ``unregister_*``) neither ``raise`` builtin lookup
+errors nor index ``_REGISTRY[...]`` directly on the read path.
 """
 
 from __future__ import annotations

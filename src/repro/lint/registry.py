@@ -1,4 +1,4 @@
-"""Pluggable lint-checker registry — the fourth registry.
+"""Pluggable lint-checker registry.
 
 A *checker* is the unit of extensibility of the static-analysis suite:
 it receives the parsed tree of every checked file
@@ -7,9 +7,8 @@ it receives the parsed tree of every checked file
 themselves by name with :func:`register_checker`; the runner and the
 CLI (``python -m repro lint``) resolve names through
 :func:`get_checker`, so an unknown name fails fast with the list of
-registered checkers — the exact contract of the search-strategy
-(:mod:`repro.sched.strategies`), WCET-model (:mod:`repro.wcet.models`)
-and experiment (:mod:`repro.experiments.registry`) registries.
+registered checkers — the one :class:`~repro.registry.Registry`
+contract shared by every plugin registry.
 
 Four checkers are builtin, one per repo invariant: ``cache-keys``
 (RPL001), ``determinism`` (RPL002), ``registry-contract`` (RPL003) and
@@ -18,9 +17,10 @@ Four checkers are builtin, one per repo invariant: ``cache-keys``
 
 from __future__ import annotations
 
-from typing import Iterable, Protocol, cast, runtime_checkable
+from typing import Iterable, Protocol, runtime_checkable
 
 from ..errors import ConfigurationError
+from ..registry import Registry
 from .context import LintContext
 from .findings import Finding
 
@@ -41,75 +41,13 @@ class LintChecker(Protocol):
         ...
 
 
-#: The global registry: checker name -> checker instance.
-_REGISTRY: dict[str, LintChecker] = {}
-
-
-def register_checker(checker: object) -> object:
-    """Register a checker class (or instance) under its ``name``.
-
-    Usable as a class decorator::
-
-        @register_checker
-        class MyChecker:
-            name = "mine"
-            code = "XYZ001"
-
-            def check(self, context):
-                ...
-
-    Returns its argument so the decorated class stays usable.  Double
-    registration of one name raises
-    :class:`~repro.errors.ConfigurationError`.
-    """
-    instance = checker() if isinstance(checker, type) else checker
-    name = getattr(instance, "name", None)
-    if not isinstance(name, str) or not name:
+def _check_code(checker: LintChecker) -> None:
+    """A checker's ``code`` is the non-empty rule id of its findings."""
+    if not isinstance(checker.code, str) or not checker.code:
         raise ConfigurationError(
-            f"checker {checker!r} must define a non-empty string `name`"
+            f"lint checker {checker.name!r} must define a non-empty string "
+            "`code` (the rule id stamped on its findings, e.g. 'RPL001')"
         )
-    code = getattr(instance, "code", None)
-    if not isinstance(code, str) or not code:
-        raise ConfigurationError(
-            f"checker {name!r} must define a non-empty string `code` "
-            "(the rule id stamped on its findings, e.g. 'RPL001')"
-        )
-    if not callable(getattr(instance, "check", None)):
-        raise ConfigurationError(f"checker {name!r} must define a `check` method")
-    if name in _REGISTRY:
-        raise ConfigurationError(f"lint checker {name!r} is already registered")
-    _REGISTRY[name] = cast(LintChecker, instance)
-    return checker
-
-
-def unregister_checker(name: str) -> None:
-    """Remove a registered checker (mainly for tests of third-party
-    registration; the builtin checkers should stay registered)."""
-    _REGISTRY.pop(name, None)
-
-
-def available_checkers() -> tuple[str, ...]:
-    """Names of all registered checkers, sorted."""
-    _ensure_builtins()
-    return tuple(sorted(_REGISTRY))
-
-
-def get_checker(name: str) -> LintChecker:
-    """Resolve a checker name, failing fast on unknown names."""
-    _ensure_builtins()
-    checker = _REGISTRY.get(name)
-    if checker is None:
-        raise ConfigurationError(
-            f"unknown lint checker {name!r}; registered checkers: "
-            f"{', '.join(available_checkers())}"
-        )
-    return checker
-
-
-def checker_description(checker: LintChecker) -> str:
-    """First docstring line of a checker (for listings)."""
-    doc = (getattr(checker, "__doc__", None) or "").strip()
-    return doc.splitlines()[0] if doc else ""
 
 
 def _ensure_builtins() -> None:
@@ -120,3 +58,20 @@ def _ensure_builtins() -> None:
         exceptions,
         registries,
     )
+
+
+#: The lint-checker registry (see :class:`repro.registry.Registry`).
+CHECKERS: Registry[LintChecker] = Registry(
+    "lint checker",
+    "checkers",
+    attributes=("name", "code"),
+    methods=("check",),
+    check=_check_code,
+    builtins=_ensure_builtins,
+)
+
+register_checker = CHECKERS.register
+unregister_checker = CHECKERS.unregister
+available_checkers = CHECKERS.available
+get_checker = CHECKERS.get
+checker_description = CHECKERS.describe

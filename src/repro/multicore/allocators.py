@@ -10,11 +10,10 @@ partitions that :class:`~repro.multicore.partition.MulticoreProblem`
 consumes lazily, evaluating per-core schedules only for the partitions
 actually drawn.
 
-Allocators are the fifth registry, with the exact same contract as
-search strategies, WCET models, experiments and lint checkers: register
-by name with :func:`register_allocator`, resolve by name with
-:func:`get_allocator`, unknown names fail fast naming what *is*
-registered.  Builtins:
+Allocators plug in through the one :class:`~repro.registry.Registry`
+contract shared by every plugin registry: register by name with
+:func:`register_allocator`, resolve by name with :func:`get_allocator`,
+unknown names fail fast naming what *is* registered.  Builtins:
 
 * ``exhaustive`` — every partition, in the canonical enumeration order
   (today's behavior, kept as the small-N ground truth);
@@ -43,6 +42,7 @@ from typing import Callable, Iterable, Iterator, Protocol, runtime_checkable
 from ..core.application import ControlApplication
 from ..errors import ConfigurationError
 from ..platform import Platform
+from ..registry import Registry
 from .partition import enumerate_partitions
 
 #: One partition: disjoint blocks of application indices, each block
@@ -102,84 +102,20 @@ class PartitionAllocator(Protocol):
         ...
 
 
-#: The global registry: allocator name -> allocator instance.
-_REGISTRY: dict[str, PartitionAllocator] = {}
+#: The allocator registry (see :class:`repro.registry.Registry`).
+ALLOCATORS: Registry[PartitionAllocator] = Registry(
+    "partition allocator",
+    "allocators",
+    attributes=("name", "options_type"),
+    methods=("partitions",),
+)
 
-
-def register_allocator(allocator):
-    """Register an allocator class (or instance) under its ``name``.
-
-    Usable as a class decorator::
-
-        @register_allocator
-        class MyAllocator:
-            name = "mine"
-            options_type = MyOptions
-
-            def partitions(self, problem, options):
-                ...
-
-    Returns its argument so the decorated class stays usable.  Double
-    registration of one name raises
-    :class:`~repro.errors.ConfigurationError`.
-    """
-    instance = allocator() if isinstance(allocator, type) else allocator
-    name = getattr(instance, "name", None)
-    if not isinstance(name, str) or not name:
-        raise ConfigurationError(
-            f"allocator {allocator!r} must define a non-empty string `name`"
-        )
-    if not callable(getattr(instance, "partitions", None)):
-        raise ConfigurationError(
-            f"allocator {name!r} must define a `partitions` method"
-        )
-    if name in _REGISTRY:
-        raise ConfigurationError(
-            f"partition allocator {name!r} is already registered"
-        )
-    _REGISTRY[name] = instance
-    return allocator
-
-
-def unregister_allocator(name: str) -> None:
-    """Remove a registered allocator (mainly for tests of third-party
-    registration; the builtin allocators should stay registered)."""
-    _REGISTRY.pop(name, None)
-
-
-def available_allocators() -> tuple[str, ...]:
-    """Names of all registered allocators, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def get_allocator(name: str) -> PartitionAllocator:
-    """Resolve an allocator name, failing fast on unknown names."""
-    allocator = _REGISTRY.get(name)
-    if allocator is None:
-        raise ConfigurationError(
-            f"unknown partition allocator {name!r}; registered allocators: "
-            f"{', '.join(available_allocators())}"
-        )
-    return allocator
-
-
-def allocator_description(allocator: PartitionAllocator) -> str:
-    """First docstring line of an allocator (for listings)."""
-    doc = (getattr(allocator, "__doc__", None) or "").strip()
-    return doc.splitlines()[0] if doc else ""
-
-
-def resolve_allocator_options(allocator: PartitionAllocator, options):
-    """``options`` validated against the allocator, or its defaults."""
-    if options is None:
-        return allocator.options_type()
-    if not isinstance(options, allocator.options_type):
-        raise ConfigurationError(
-            f"allocator {allocator.name!r} takes "
-            f"{allocator.options_type.__name__} options, got "
-            f"{type(options).__name__}"
-        )
-    return options
+register_allocator = ALLOCATORS.register
+unregister_allocator = ALLOCATORS.unregister
+available_allocators = ALLOCATORS.available
+get_allocator = ALLOCATORS.get
+allocator_description = ALLOCATORS.describe
+resolve_allocator_options = ALLOCATORS.resolve_options
 
 
 # ----------------------------------------------------------------------

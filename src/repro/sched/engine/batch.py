@@ -16,8 +16,7 @@ the scenario-diversity axis of the roadmap.
 from __future__ import annotations
 
 import time
-import warnings
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -69,8 +68,6 @@ class Scenario:
     warm) engine, and the outcome carries the resulting
     :class:`~repro.sim.report.SimReport`.  Dynamic scenarios are
     single-core only.
-
-    ``method=`` is the deprecated spelling of ``strategy=``.
     """
 
     name: str
@@ -89,17 +86,8 @@ class Scenario:
     allocator: str | None = None
     allocator_options: object | None = None
     dynamic: object | None = None
-    method: InitVar[str | None] = None
 
-    def __post_init__(self, method: str | None) -> None:
-        if method is not None:
-            warnings.warn(
-                "Scenario(method=...) is deprecated; use strategy=...",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if self.strategy is None:
-                self.strategy = method
+    def __post_init__(self) -> None:
         if self.n_cores < 1:
             raise ConfigurationError(
                 f"need at least one core, got {self.n_cores}"
@@ -340,12 +328,11 @@ def synthesize_scenarios(
     allocator: str | None = None,
     allocator_options: object | None = None,
     dynamic: bool = False,
-    method: str | None = None,
 ) -> list[Scenario]:
     """Deterministic random workloads derived from the case study.
 
     ``strategy`` names a registered search strategy (``None`` = the
-    run-type default); ``method=`` is its deprecated spelling.
+    run-type default).
 
     ``dynamic=True`` attaches a seeded random
     :class:`~repro.sim.profiles.DynamicProfile` (load transient plus a
@@ -399,14 +386,6 @@ def synthesize_scenarios(
     from ...program.synth import make_control_program
     from ...wcet.reuse import analyze_task_wcets
 
-    if method is not None:
-        warnings.warn(
-            "synthesize_scenarios(method=...) is deprecated; use strategy=...",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if strategy is None:
-            strategy = method
     if n_scenarios < 1:
         raise SearchError(f"need at least one scenario, got {n_scenarios}")
     if dynamic and n_cores > 1:

@@ -24,76 +24,23 @@ third-party callbacks, trivially testable.  A callback that raises
 aborts the run — deliberately, so broken observers never corrupt a
 sweep silently.
 
-Every event also has a typed JSON encoding —
-:meth:`EngineEvent.to_dict` / :meth:`EngineEvent.from_dict` (and the
-``to_json`` / ``from_json`` string forms) round-trip losslessly, with
-the concrete event class recorded under the ``"event"`` key.  This is
-the wire format :mod:`repro.serve.wire` streams over HTTP.
+Every event also has a typed JSON encoding, inherited from
+:class:`~repro.registry.TaggedEvent` — ``to_dict`` / ``from_dict`` (and
+the ``to_json`` / ``from_json`` string forms) round-trip losslessly,
+with the concrete event class recorded under the ``"event"`` key.  This
+is the wire format :mod:`repro.serve.wire` streams over HTTP.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
-from typing import Any
+from dataclasses import dataclass
 
-from ...errors import ConfigurationError
-
-#: Concrete event classes by name (``to_dict``'s ``"event"`` tag);
-#: populated automatically as subclasses are defined.
-ENGINE_EVENT_TYPES: dict[str, type["EngineEvent"]] = {}
+from ...registry import TaggedEvent
 
 
 @dataclass(frozen=True)
-class EngineEvent:
+class EngineEvent(TaggedEvent, family="engine"):
     """Base class of all engine progress events."""
-
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
-        ENGINE_EVENT_TYPES[cls.__name__] = cls
-
-    # ------------------------------------------------------------------
-    # JSON round-tripping (the serve wire format builds on this)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-safe form, tagged with the concrete event class."""
-        data: dict = {"event": type(self).__name__}
-        data.update(asdict(self))
-        return data
-
-    def to_json(self) -> str:
-        """Stable JSON form (inverse of :meth:`from_json`)."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EngineEvent":
-        """Rebuild the concrete event ``to_dict`` encoded.
-
-        Unknown or malformed payloads raise
-        :class:`~repro.errors.ConfigurationError` naming the known
-        event classes — wire decoding fails fast, like the registries.
-        """
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"engine event payload must be an object, got {type(data).__name__}"
-            )
-        payload = dict(data)
-        name = payload.pop("event", None)
-        event_type = ENGINE_EVENT_TYPES.get(name) if isinstance(name, str) else None
-        if event_type is None:
-            raise ConfigurationError(
-                f"unknown engine event {name!r}; known events: "
-                f"{', '.join(sorted(ENGINE_EVENT_TYPES))}"
-            )
-        try:
-            return event_type(**payload)
-        except TypeError as exc:
-            raise ConfigurationError(f"invalid {name} payload: {exc}") from exc
-
-    @classmethod
-    def from_json(cls, text: str) -> "EngineEvent":
-        """Inverse of :meth:`to_json` (identity round-trip)."""
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,8 @@ search: it receives an engine (anything duck-compatible with
 :class:`~repro.sched.evaluator.ScheduleEvaluator`), the enumerated
 idle-feasible schedule space and a :class:`StrategySpec`, and returns a
 :class:`~repro.sched.results.SearchResult`.  Strategies register
-themselves by name with :func:`register_strategy`; every entry point
+themselves by name with :func:`register_strategy` (a binding of the
+:data:`STRATEGIES` :class:`~repro.registry.Registry`); every entry point
 (``CodesignProblem.optimize``, the batch scenario runner, the
 ``Study`` facade, the CLI) resolves names through :func:`get_strategy`,
 so an unknown name fails fast with the list of registered strategies
@@ -19,7 +20,8 @@ from typing import Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from ...errors import ConfigurationError, SearchError
+from ...errors import SearchError
+from ...registry import Registry
 from ..feasibility import idle_feasible
 from ..results import SearchResult
 from ..schedule import PeriodicSchedule
@@ -82,67 +84,19 @@ class SearchStrategy(Protocol):
         ...
 
 
-#: The global registry: strategy name -> strategy instance.
-_REGISTRY: dict[str, SearchStrategy] = {}
+#: The strategy registry (see :class:`repro.registry.Registry`).
+STRATEGIES: Registry[SearchStrategy] = Registry(
+    "search strategy",
+    "strategies",
+    attributes=("name", "options_type"),
+    methods=("run",),
+)
 
-
-def register_strategy(strategy):
-    """Register a strategy class (or instance) under its ``name``.
-
-    Usable as a class decorator::
-
-        @register_strategy
-        class MyStrategy:
-            name = "mine"
-            options_type = MyOptions
-
-            def run(self, engine, space, spec):
-                ...
-
-    Returns its argument so the decorated class stays usable.  Double
-    registration of one name raises
-    :class:`~repro.errors.ConfigurationError`.
-    """
-    instance = strategy() if isinstance(strategy, type) else strategy
-    name = getattr(instance, "name", None)
-    if not isinstance(name, str) or not name:
-        raise ConfigurationError(
-            f"strategy {strategy!r} must define a non-empty string `name`"
-        )
-    if not callable(getattr(instance, "run", None)):
-        raise ConfigurationError(f"strategy {name!r} must define a `run` method")
-    if name in _REGISTRY:
-        raise ConfigurationError(f"search strategy {name!r} is already registered")
-    _REGISTRY[name] = instance
-    return strategy
-
-
-def unregister_strategy(name: str) -> None:
-    """Remove a registered strategy (mainly for tests of third-party
-    registration; the builtin strategies should stay registered)."""
-    _REGISTRY.pop(name, None)
-
-
-def available_strategies() -> tuple[str, ...]:
-    """Names of all registered strategies, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def get_strategy(name: str) -> SearchStrategy:
-    """Resolve a strategy name, failing fast on unknown names."""
-    strategy = _REGISTRY.get(name)
-    if strategy is None:
-        raise ConfigurationError(
-            f"unknown search strategy {name!r}; registered strategies: "
-            f"{', '.join(available_strategies())}"
-        )
-    return strategy
-
-
-def strategy_description(strategy: SearchStrategy) -> str:
-    """First docstring line of a strategy (for listings)."""
-    doc = (getattr(strategy, "__doc__", None) or "").strip()
-    return doc.splitlines()[0] if doc else ""
+register_strategy = STRATEGIES.register
+unregister_strategy = STRATEGIES.unregister
+available_strategies = STRATEGIES.available
+get_strategy = STRATEGIES.get
+strategy_description = STRATEGIES.describe
 
 
 # ----------------------------------------------------------------------
@@ -152,14 +106,7 @@ def strategy_description(strategy: SearchStrategy) -> str:
 
 def resolve_options(strategy: SearchStrategy, spec: StrategySpec):
     """``spec.options`` validated against the strategy, or defaults."""
-    if spec.options is None:
-        return strategy.options_type()
-    if not isinstance(spec.options, strategy.options_type):
-        raise ConfigurationError(
-            f"strategy {strategy.name!r} takes {strategy.options_type.__name__} "
-            f"options, got {type(spec.options).__name__}"
-        )
-    return spec.options
+    return STRATEGIES.resolve_options(strategy, spec.options)
 
 
 def feasibility_fn(engine, spec: StrategySpec):

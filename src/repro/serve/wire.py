@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from typing import Union
 
 from ..errors import ConfigurationError
-from ..sched.engine.events import ENGINE_EVENT_TYPES, EngineEvent
-from ..study.events import STUDY_EVENT_TYPES, StudyEvent
+from ..sched.engine.events import EngineEvent
+from ..study.events import StudyEvent
 
 #: Bump when the message layout changes incompatibly.
 WIRE_SCHEMA_VERSION = 1
@@ -93,11 +93,10 @@ def decode_event(data: dict) -> Union[StudyEvent, EngineEvent]:
             f"wire event must be an object, got {type(data).__name__}"
         )
     name = data.get("event")
-    if isinstance(name, str) and name in STUDY_EVENT_TYPES:
-        return StudyEvent.from_dict(data)
-    if isinstance(name, str) and name in ENGINE_EVENT_TYPES:
-        return EngineEvent.from_dict(data)
-    known = sorted(STUDY_EVENT_TYPES) + sorted(ENGINE_EVENT_TYPES)
+    for family in (StudyEvent, EngineEvent):
+        if isinstance(name, str) and name in family.event_types():
+            return family.from_dict(data)
+    known = sorted(StudyEvent.event_types()) + sorted(EngineEvent.event_types())
     raise ConfigurationError(
         f"unknown wire event {name!r}; known events: {', '.join(known)}"
     )

@@ -22,7 +22,6 @@ byte-identical, cold or warm cache.
 """
 
 from .events import (
-    SIM_EVENT_TYPES,
     LoadDisturbance,
     PlantModeChange,
     ScheduleSwitch,
@@ -35,7 +34,6 @@ from .profiles import DynamicProfile, load_transient, synthesize_profile
 from .report import SimReport
 
 __all__ = [
-    "SIM_EVENT_TYPES",
     "DynamicProfile",
     "EventQueue",
     "FeedbackLoop",

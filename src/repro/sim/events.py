@@ -1,10 +1,11 @@
 """Typed runtime events of the feedback-scheduling simulation.
 
 These mirror the engine's progress events
-(:mod:`repro.sched.engine.events`): frozen dataclasses, auto-registered
-by class name, with a tagged JSON encoding — :meth:`SimEvent.to_dict` /
-:meth:`SimEvent.from_dict` round-trip losslessly, with the concrete
-event class recorded under the ``"event"`` key.  The simulation's
+(:mod:`repro.sched.engine.events`): frozen dataclasses on the shared
+:class:`~repro.registry.TaggedEvent` base, auto-registered by class
+name, with a tagged JSON encoding — ``to_dict`` / ``from_dict``
+round-trip losslessly, with the concrete event class recorded under
+the ``"event"`` key.  The simulation's
 timeline is a list of these encodings, and
 :class:`repro.study.events.SimulationProgress` wraps them onto the
 serve wire.
@@ -23,72 +24,19 @@ Four runtime event kinds exist:
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
-from typing import Any
+from dataclasses import dataclass
 
-from ..errors import ConfigurationError
-
-#: Concrete event classes by name (``to_dict``'s ``"event"`` tag);
-#: populated automatically as subclasses are defined.
-SIM_EVENT_TYPES: dict[str, type["SimEvent"]] = {}
+from ..registry import TaggedEvent
 
 
 @dataclass(frozen=True)
-class SimEvent:
+class SimEvent(TaggedEvent, family="sim"):
     """Base class of all simulation runtime events.
 
     ``time`` is the simulated time of the event in seconds.
     """
 
     time: float
-
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
-        SIM_EVENT_TYPES[cls.__name__] = cls
-
-    # ------------------------------------------------------------------
-    # JSON round-tripping (the serve wire format builds on this)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-safe form, tagged with the concrete event class."""
-        data: dict = {"event": type(self).__name__}
-        data.update(asdict(self))
-        return data
-
-    def to_json(self) -> str:
-        """Stable JSON form (inverse of :meth:`from_json`)."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SimEvent":
-        """Rebuild the concrete event ``to_dict`` encoded.
-
-        Unknown or malformed payloads raise
-        :class:`~repro.errors.ConfigurationError` naming the known
-        event classes — wire decoding fails fast, like the registries.
-        """
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"sim event payload must be an object, got {type(data).__name__}"
-            )
-        payload = dict(data)
-        name = payload.pop("event", None)
-        event_type = SIM_EVENT_TYPES.get(name) if isinstance(name, str) else None
-        if event_type is None:
-            raise ConfigurationError(
-                f"unknown sim event {name!r}; known events: "
-                f"{', '.join(sorted(SIM_EVENT_TYPES))}"
-            )
-        try:
-            return event_type(**payload)
-        except TypeError as exc:
-            raise ConfigurationError(f"invalid {name} payload: {exc}") from exc
-
-    @classmethod
-    def from_json(cls, text: str) -> "SimEvent":
-        """Inverse of :meth:`to_json` (identity round-trip)."""
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

@@ -27,10 +27,10 @@ All events are frozen dataclasses; callbacks run synchronously on the
 coordinating thread, and a raising callback aborts the run (observers
 must never corrupt a sweep silently).
 
-Every event also has a typed JSON encoding —
-:meth:`StudyEvent.to_dict` / :meth:`StudyEvent.from_dict` (and the
-``to_json`` / ``from_json`` string forms) round-trip losslessly, with
-the concrete event class tagged under ``"event"``, nested engine
+Every event also has a typed JSON encoding, inherited from
+:class:`~repro.registry.TaggedEvent` — ``to_dict`` / ``from_dict`` (and
+the ``to_json`` / ``from_json`` string forms) round-trip losslessly,
+with the concrete event class tagged under ``"event"``, nested engine
 events encoded through :meth:`EngineEvent.to_dict
 <repro.sched.engine.events.EngineEvent.to_dict>` and reports through
 :meth:`RunReport.to_dict <repro.study.report.RunReport.to_dict>`.
@@ -39,23 +39,17 @@ This is the wire format :mod:`repro.serve.wire` streams over HTTP.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
-from typing import Any
 
-from ..errors import ConfigurationError
+from ..registry import TaggedEvent
 from ..sched.engine.events import EngineEvent
 from ..sim.events import SimEvent
 from ..sim.report import SimReport
 from .report import RunReport
 
-#: Concrete event classes by name (``to_dict``'s ``"event"`` tag);
-#: populated automatically as subclasses are defined.
-STUDY_EVENT_TYPES: dict[str, type["StudyEvent"]] = {}
-
 
 @dataclass(frozen=True)
-class StudyEvent:
+class StudyEvent(TaggedEvent, family="study"):
     """Base class of all study progress events.
 
     ``index`` is the scenario's position in the study (0-based),
@@ -65,62 +59,6 @@ class StudyEvent:
     index: int
     n_scenarios: int
     scenario: str
-
-    def __init_subclass__(cls, **kwargs: Any) -> None:
-        super().__init_subclass__(**kwargs)
-        STUDY_EVENT_TYPES[cls.__name__] = cls
-
-    # ------------------------------------------------------------------
-    # JSON round-tripping (the serve wire format builds on this)
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """JSON-safe form, tagged with the concrete event class."""
-        data: dict = {"event": type(self).__name__}
-        data.update(self._payload())
-        return data
-
-    def _payload(self) -> dict:
-        """The event's fields as JSON-safe values (subclass hook)."""
-        return asdict(self)
-
-    def to_json(self) -> str:
-        """Stable JSON form (inverse of :meth:`from_json`)."""
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StudyEvent":
-        """Rebuild the concrete event ``to_dict`` encoded.
-
-        Unknown or malformed payloads raise
-        :class:`~repro.errors.ConfigurationError` naming the known
-        event classes — wire decoding fails fast, like the registries.
-        """
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"study event payload must be an object, got {type(data).__name__}"
-            )
-        payload = dict(data)
-        name = payload.pop("event", None)
-        event_type = STUDY_EVENT_TYPES.get(name) if isinstance(name, str) else None
-        if event_type is None:
-            raise ConfigurationError(
-                f"unknown study event {name!r}; known events: "
-                f"{', '.join(sorted(STUDY_EVENT_TYPES))}"
-            )
-        try:
-            return event_type._from_payload(payload)
-        except (TypeError, KeyError, ValueError) as exc:
-            raise ConfigurationError(f"invalid {name} payload: {exc}") from exc
-
-    @classmethod
-    def _from_payload(cls, payload: dict) -> "StudyEvent":
-        """Construct from a decoded payload (subclass hook)."""
-        return cls(**payload)
-
-    @classmethod
-    def from_json(cls, text: str) -> "StudyEvent":
-        """Inverse of :meth:`to_json` (identity round-trip)."""
-        return cls.from_dict(json.loads(text))
 
 
 @dataclass(frozen=True)

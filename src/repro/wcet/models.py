@@ -8,8 +8,8 @@ layer consumes.  Models register themselves by name with
 (:func:`repro.wcet.reuse.analyze_task_wcets`, :class:`repro.platform.Platform`,
 scenario synthesis, the CLI's ``--wcet-model``) resolves names through
 :func:`get_wcet_model`, so an unknown name fails fast with the list of
-registered models — the exact contract of the search-strategy registry
-(:mod:`repro.sched.strategies`).
+registered models — the one :class:`~repro.registry.Registry` contract
+shared by every plugin registry.
 
 Three models are builtin:
 
@@ -29,10 +29,11 @@ from typing import Protocol, runtime_checkable
 
 from ..cache.abstract import MayCache
 from ..cache.config import CacheConfig
-from ..errors import AnalysisError, ConfigurationError
+from ..errors import AnalysisError
 from ..program.blocks import BasicBlock
 from ..program.program import Program
 from ..program.structure import Branch, Loop, Node, Seq
+from ..registry import Registry
 from .concrete import simulate_worst_case
 from .results import TaskWcets
 from .static import AbstractState, analyze_program
@@ -52,66 +53,16 @@ class WcetModel(Protocol):
         ...
 
 
-#: The global registry: model name -> model instance.
-_REGISTRY: dict[str, WcetModel] = {}
+#: The WCET-model registry (see :class:`repro.registry.Registry`).
+WCET_MODELS: Registry[WcetModel] = Registry(
+    "WCET model", "models", methods=("analyze",)
+)
 
-
-def register_wcet_model(model):
-    """Register a WCET model class (or instance) under its ``name``.
-
-    Usable as a class decorator::
-
-        @register_wcet_model
-        class MyModel:
-            name = "mine"
-
-            def analyze(self, program, config):
-                ...
-
-    Returns its argument so the decorated class stays usable.  Double
-    registration of one name raises
-    :class:`~repro.errors.ConfigurationError`.
-    """
-    instance = model() if isinstance(model, type) else model
-    name = getattr(instance, "name", None)
-    if not isinstance(name, str) or not name:
-        raise ConfigurationError(
-            f"WCET model {model!r} must define a non-empty string `name`"
-        )
-    if not callable(getattr(instance, "analyze", None)):
-        raise ConfigurationError(f"WCET model {name!r} must define an `analyze` method")
-    if name in _REGISTRY:
-        raise ConfigurationError(f"WCET model {name!r} is already registered")
-    _REGISTRY[name] = instance
-    return model
-
-
-def unregister_wcet_model(name: str) -> None:
-    """Remove a registered model (mainly for tests of third-party
-    registration; the builtin models should stay registered)."""
-    _REGISTRY.pop(name, None)
-
-
-def available_wcet_models() -> tuple[str, ...]:
-    """Names of all registered WCET models, sorted."""
-    return tuple(sorted(_REGISTRY))
-
-
-def get_wcet_model(name: str) -> WcetModel:
-    """Resolve a WCET-model name, failing fast on unknown names."""
-    model = _REGISTRY.get(name)
-    if model is None:
-        raise ConfigurationError(
-            f"unknown WCET model {name!r}; registered models: "
-            f"{', '.join(available_wcet_models())}"
-        )
-    return model
-
-
-def model_description(model: WcetModel) -> str:
-    """First docstring line of a model (for listings)."""
-    doc = (getattr(model, "__doc__", None) or "").strip()
-    return doc.splitlines()[0] if doc else ""
+register_wcet_model = WCET_MODELS.register
+unregister_wcet_model = WCET_MODELS.unregister
+available_wcet_models = WCET_MODELS.available
+get_wcet_model = WCET_MODELS.get
+model_description = WCET_MODELS.describe
 
 
 # ----------------------------------------------------------------------

@@ -63,35 +63,6 @@ class TestStageTwo:
             problem.optimize(strategy="oracle")
         assert "hybrid" in str(excinfo.value)
 
-    def test_method_kwarg_deprecated_but_works(self, problem):
-        with pytest.warns(DeprecationWarning) as record:
-            result = problem.optimize(
-                method="hybrid", starts=[PeriodicSchedule.of(2, 2, 2)]
-            )
-        assert len(record) == 1
-        assert result.strategy == "hybrid"
-        assert result.search.best.feasible
-
-    def test_explicit_strategy_beats_deprecated_method(self, problem):
-        with pytest.warns(DeprecationWarning):
-            result = problem.optimize(
-                strategy="annealing",
-                method="hybrid",
-                starts=[PeriodicSchedule.of(1, 1, 1)],
-            )
-        assert result.strategy == "annealing"
-
-    def test_legacy_options_kwargs_still_apply(self, problem):
-        from repro.sched.hybrid import HybridOptions
-
-        result = problem.optimize(
-            strategy="hybrid",
-            starts=[PeriodicSchedule.of(2, 2, 2)],
-            hybrid_options=HybridOptions(max_steps=1),
-        )
-        # One step only: the walk path is at most start + one move.
-        assert len(result.search.traces[0].path) <= 2
-
 
 class TestComparison:
     def test_compare_produces_table3_rows(self, problem):

@@ -131,38 +131,6 @@ class TestSynthesis:
         message = str(excinfo.value)
         assert "anealing" in message and "annealing" in message
 
-    def test_method_kwarg_deprecated_but_works(self, tiny_design_options):
-        scenario = synthesize_scenarios(1, design_options=tiny_design_options)[0]
-        with pytest.warns(DeprecationWarning) as record:
-            renamed = Scenario(
-                name="legacy",
-                apps=scenario.apps,
-                clock=scenario.clock,
-                method="annealing",
-            )
-        assert len(record) == 1
-        assert renamed.strategy == "annealing"
-
-    def test_explicit_strategy_beats_deprecated_method(self, tiny_design_options):
-        scenario = synthesize_scenarios(1, design_options=tiny_design_options)[0]
-        with pytest.warns(DeprecationWarning):
-            mixed = Scenario(
-                name="mixed",
-                apps=scenario.apps,
-                clock=scenario.clock,
-                strategy="exhaustive",
-                method="annealing",
-            )
-        assert mixed.strategy == "exhaustive"
-
-    def test_synthesize_method_kwarg_deprecated(self, tiny_design_options):
-        with pytest.warns(DeprecationWarning) as record:
-            scenarios = synthesize_scenarios(
-                1, design_options=tiny_design_options, method="annealing"
-            )
-        assert len(record) == 1
-        assert scenarios[0].strategy == "annealing"
-
     def test_default_strategy_per_run_type(self, tiny_design_options):
         single = synthesize_scenarios(1, design_options=tiny_design_options)[0]
         multi = synthesize_scenarios(

@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.sim import (
-    SIM_EVENT_TYPES,
     LoadDisturbance,
     PlantModeChange,
     ScheduleSwitch,
@@ -30,10 +29,10 @@ class TestRegistry:
             "LoadDisturbance",
             "PlantModeChange",
             "ScheduleSwitch",
-        } <= set(SIM_EVENT_TYPES)
+        } <= set(SimEvent.event_types())
 
     def test_registry_maps_name_to_class(self):
-        assert SIM_EVENT_TYPES["TaskArrival"] is TaskArrival
+        assert SimEvent.event_types()["TaskArrival"] is TaskArrival
 
 
 class TestRoundTrip:

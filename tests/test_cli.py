@@ -1,5 +1,6 @@
 """Tests for the top-level CLI (quick profile via environment)."""
 
+import importlib
 import json
 
 import pytest
@@ -55,6 +56,31 @@ class TestCli:
             assert name in out
         assert "register" in out
 
+    @pytest.mark.parametrize(
+        "argv, module, registry",
+        [
+            (["strategies"], "repro.sched.strategies.base", "STRATEGIES"),
+            (["allocators"], "repro.multicore.allocators", "ALLOCATORS"),
+            (["models"], "repro.wcet.models", "WCET_MODELS"),
+            (["lint", "--list"], "repro.lint.registry", "CHECKERS"),
+            (["experiments"], "repro.experiments.registry", "EXPERIMENTS"),
+        ],
+        ids=["strategies", "allocators", "models", "lint-list", "experiments"],
+    )
+    def test_listing_shows_every_registered_entry(
+        self, capsys, argv, module, registry
+    ):
+        registry = getattr(importlib.import_module(module), registry)
+        assert main(argv) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("registered ")
+        for name, entry in registry.items():
+            assert any(
+                line.startswith(f"{name} ") and registry.describe(entry) in line
+                for line in lines
+            ), name
+        assert "register your own with @repro." in lines[-1]
+
     def test_experiment_unknown_fails_fast(self, capsys):
         assert main(["experiment", "tabel2"]) == 2
         err = capsys.readouterr().err
@@ -84,29 +110,6 @@ class TestCli:
         assert main(args) == 0
         assert capsys.readouterr().out == first
 
-    def test_deprecated_shim_byte_identical_to_new_cli(self, capsys):
-        """`python -m repro.experiments <name>` must render exactly what
-        `python -m repro experiment <name>` renders (golden)."""
-        from repro.experiments.__main__ import main as shim_main
-
-        assert main(["experiment", "table2"]) == 0
-        new = capsys.readouterr().out
-        with pytest.warns(DeprecationWarning) as record:
-            assert shim_main(["table2"]) == 0
-        old = capsys.readouterr().out
-        assert old == new
-        deprecations = [
-            w for w in record if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1  # a single warning
-
-    def test_deprecated_shim_rejects_out_for_non_fig6(self, capsys, tmp_path):
-        from repro.experiments.__main__ import main as shim_main
-
-        with pytest.warns(DeprecationWarning):
-            assert shim_main(["table1", "--out", str(tmp_path)]) == 2
-        assert "fig6" in capsys.readouterr().err
-
     def test_search_with_analytic_model(self, capsys):
         """--wcet-model flows through to the report; analytic coincides
         with static on the calibrated (fitting, single-path) programs."""
@@ -132,11 +135,6 @@ class TestCli:
         assert main(["search", "--strategy", "anealing"]) == 2
         err = capsys.readouterr().err
         assert "anealing" in err and "annealing" in err
-
-    def test_search_method_flag_deprecated(self, capsys):
-        with pytest.warns(DeprecationWarning):
-            assert main(["search", "--method", "hybrid", "--starts", "2,2,2"]) == 0
-        assert "best:" in capsys.readouterr().out
 
     def test_search_json_is_valid_and_schema_stable(self, capsys):
         assert main(["search", "--strategy", "hybrid", "--starts", "2,2,2",
