@@ -20,9 +20,9 @@ Commands
     structured, schema-versioned ``ExperimentReport`` JSON with
     ``--json``, persisted and resumed under ``--run-dir``.
 ``lint [--format json] [--checkers a,b] [--list] [paths...]``
-    Run the repo-specific static-analysis suite (cache-key soundness,
-    determinism, registry contracts, exception hygiene; rules
-    RPL001-RPL004 via the lint-checker registry).  Exits 1 on findings.
+    Run the repo-specific static-analysis suite (determinism,
+    registry contracts, exception hygiene; rules
+    RPL002-RPL004 via the lint-checker registry).  Exits 1 on findings.
 ``search [--strategy hybrid] [--starts 4,2,2 1,2,1]``
     Run a schedule-space search on the case study and print the result.
 ``timeline --schedule 2,2,2``
@@ -897,7 +897,7 @@ def main(argv: list[str] | None = None) -> int:
 
     lint = sub.add_parser(
         "lint",
-        help="run the repo's AST invariant checkers (rules RPL001-RPL004)",
+        help="run the repo's AST invariant checkers (rules RPL002-RPL004)",
     )
     lint.add_argument(
         "paths",

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..control.design import TrackingSpec
 from ..control.lti import LtiPlant
 from ..errors import ConfigurationError
+from ..identity import NON_IDENTITY
 from ..program.program import Program
 from ..wcet.results import TaskWcets
 
@@ -48,7 +49,8 @@ class ControlApplication:
     weight: float
     max_idle: float
     wcets: TaskWcets
-    program: Program | None = None  # lint: fingerprint-exempt(trace-validation aid; evaluation never reads it)
+    #: Trace-validation aid only; evaluation never reads it.
+    program: Program | None = field(default=None, metadata=NON_IDENTITY)
 
     def __post_init__(self) -> None:
         if self.weight <= 0:

@@ -26,18 +26,17 @@ JSON and renders it without re-searching.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Protocol, runtime_checkable
 
 from ..control.design import DesignOptions
 from ..errors import ConfigurationError
+from ..identity import NON_IDENTITY, canonical, diff, digest
 from ..platform import Platform
 from ..registry import Registry
-from ..study.report import _json_safe
+from ..study.report import write_artifact
 from .profiles import current_profile
 from .report import ExperimentReport
 
@@ -60,7 +59,9 @@ class ExperimentRequest:
         run no search ignore it.
     workers / cache_dir:
         Engine configuration for search-backed experiments (worker
-        processes, persistent evaluation cache).
+        processes, persistent evaluation cache).  Like ``out`` and
+        ``on_event`` they change how fast or where a run happens, never
+        what it computes, so they are no part of the run's identity.
     max_count_per_core:
         Burst-length cap per core for the multicore experiments.
     out:
@@ -74,33 +75,13 @@ class ExperimentRequest:
     design_options: DesignOptions | None = None
     platform: Platform | None = None
     strategy: str | None = None
-    workers: int = 0
-    cache_dir: str | Path | None = None
+    workers: int = field(default=0, metadata=NON_IDENTITY)
+    cache_dir: str | Path | None = field(default=None, metadata=NON_IDENTITY)
     max_count_per_core: int = 6
-    out: str | Path | None = None
-    on_event: Callable | None = field(default=None, compare=False)
-
-    def signature(self) -> dict:
-        """JSON-safe record of the result-affecting request fields.
-
-        Engine plumbing (``workers``, ``cache_dir``), output paths and
-        callbacks change *how fast* or *where*, never *what*, so only
-        the strategy and an explicit design-options override enter the
-        signature the resume logic compares.
-        """
-        return _json_safe(
-            {
-                "strategy": self.strategy,
-                # asdict recurses into the nested PSO stage options, so
-                # two budgets differing only there never share a report.
-                "design_options": (
-                    asdict(self.design_options)
-                    if self.design_options is not None
-                    else None
-                ),
-                "max_count_per_core": self.max_count_per_core,
-            }
-        )
+    out: str | Path | None = field(default=None, metadata=NON_IDENTITY)
+    on_event: Callable | None = field(
+        default=None, compare=False, metadata=NON_IDENTITY
+    )
 
 
 @runtime_checkable
@@ -184,18 +165,39 @@ experiment_description = EXPERIMENTS.describe
 # Resume-aware runner
 # ----------------------------------------------------------------------
 
-def _expected_platform(name: str, request: ExperimentRequest) -> dict:
-    """Fingerprint of the platform this run will actually build on.
+def _target_platform(name: str, request: ExperimentRequest) -> Platform:
+    """The platform this run will actually build on.
 
     ``request.platform`` wins; otherwise the experiment's own declared
     default (``shared_cache`` runs on the shared paper platform, not
     the direct-mapped paper cache); otherwise the paper platform.
     """
     if request.platform is not None:
-        return request.platform.fingerprint()
+        return request.platform
     default = getattr(get_experiment(name), "default_platform", None)
     platform = default() if callable(default) else None
-    return (platform or Platform()).fingerprint()
+    return platform or Platform()
+
+
+def _expected_platform(name: str, request: ExperimentRequest) -> dict:
+    """Fingerprint of :func:`_target_platform`."""
+    return _target_platform(name, request).fingerprint()
+
+
+def _resolved(name: str, request: ExperimentRequest) -> ExperimentRequest:
+    """``request`` with its platform resolved by :func:`_target_platform`."""
+    return replace(request, platform=_target_platform(name, request))
+
+
+def _run_identity(experiment: str, profile: str, request) -> dict:
+    """Canonical identity of one experiment run: the experiment, the
+    design profile and every identity field of the resolved request
+    (live, or as recorded in a report)."""
+    return {"experiment": experiment, "profile": profile, **canonical(request)}
+
+
+def _expected_identity(name: str, request: ExperimentRequest) -> dict:
+    return _run_identity(name, current_profile(), _resolved(name, request))
 
 
 def experiment_report_path(
@@ -203,36 +205,22 @@ def experiment_report_path(
 ) -> Path:
     """Where one experiment's report persists under ``run_dir``.
 
-    The filename carries the profile plus a short digest of the
-    result-affecting request fields (strategy, design options,
-    platform), so differently-configured runs of one experiment never
-    collide on a single artifact.
+    The filename carries the profile plus a short digest of the run's
+    whole identity, so differently-configured runs of one experiment
+    never collide on a single artifact.
     """
-    spec = json.dumps(
-        [request.signature(), _expected_platform(name, request)],
-        sort_keys=True,
-    )
-    tag = hashlib.sha256(spec.encode()).hexdigest()[:8]
+    tag = digest(_expected_identity(name, request))[:8]
     return Path(run_dir) / f"experiment-{name}--{current_profile()}--{tag}.json"
-
-
-def _resumable(
-    name: str, request: ExperimentRequest, report: ExperimentReport
-) -> bool:
-    """Whether a persisted report answers this exact experiment run."""
-    return (
-        report.schema_version == ExperimentReport.schema_version
-        and report.experiment == name
-        and report.profile == current_profile()
-        and report.platform == _expected_platform(name, request)
-        and report.request == request.signature()
-    )
 
 
 def load_experiment_report(
     run_dir: str | Path, name: str, request: ExperimentRequest
 ) -> ExperimentReport | None:
-    """The persisted report answering this run, or ``None``."""
+    """The persisted report answering this run, or ``None``.
+
+    A report answers the run exactly when the identity it records
+    (experiment, profile, request) equals the run's.
+    """
     path = experiment_report_path(run_dir, name, request)
     if not path.exists():
         return None
@@ -240,7 +228,8 @@ def load_experiment_report(
         report = ExperimentReport.from_json(path.read_text())
     except (ValueError, KeyError, TypeError):
         return None  # corrupt or foreign artifact: recompute
-    return report if _resumable(name, request, report) else None
+    recorded = _run_identity(report.experiment, report.profile, report.request)
+    return None if diff(recorded, _expected_identity(name, request)) else report
 
 
 def run_experiment(
@@ -252,11 +241,11 @@ def run_experiment(
     """Run one registered experiment, persisting/resuming via ``run_dir``.
 
     With a run directory the report persists as JSON after the run,
-    and (``resume=True``) a rerun whose persisted report matches —
-    same experiment, profile, platform and request signature — is
-    served from disk without recomputing.  Rendering the resumed
-    report is byte-identical to rendering the original (rendering is a
-    pure function of the report).
+    and (``resume=True``) a rerun whose persisted report records the
+    same identity — experiment, profile and every identity field of the
+    request — is served from disk without recomputing.  Rendering the
+    resumed report is byte-identical to rendering the original
+    (rendering is a pure function of the report).
 
     ``--out``-style file outputs are only supported by experiments
     declaring ``supports_out`` (builtin: ``fig6``); requesting one
@@ -275,11 +264,10 @@ def run_experiment(
     report = spec.build(request)
     report.wall_time = time.perf_counter() - started
     report.profile = current_profile()
-    report.request = request.signature()
+    report.request = canonical(_resolved(name, request))
     if run_dir is not None:
         path = experiment_report_path(run_dir, name, request)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(report.to_json() + "\n")
+        write_artifact(path, report.to_json() + "\n")
     if request.out is not None:
         # An explicitly requested output directory is honored here, so
         # library callers get their files too (resumed runs re-create

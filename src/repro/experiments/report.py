@@ -36,9 +36,10 @@ class ExperimentReport:
     series, search statistics) — JSON-safe by construction.
     ``run_reports`` embeds one :class:`~repro.study.RunReport` per
     schedule search the experiment executed (empty for pure
-    table/figure regenerations).  ``request`` records the
-    result-affecting request fields (strategy, design options) the
-    resume logic compares.
+    table/figure regenerations).  ``request`` is the canonical
+    encoding (:mod:`repro.identity`) of the resolved request; with
+    ``experiment`` and ``profile`` it is the run's identity, which
+    resume compares as a whole.
     """
 
     experiment: str

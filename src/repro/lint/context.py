@@ -2,15 +2,13 @@
 
 The runner parses every checked file exactly once into a
 :class:`SourceFile` (AST + raw lines + inline markers); checkers
-receive the whole parsed tree as a :class:`LintContext` so cross-file
-rules (RPL001 compares dataclass definitions against the fingerprint
-code in ``keys.py``) need no second pass.
+receive the whole parsed tree as a :class:`LintContext` so a rule
+that needs more than one file needs no second pass.
 
 Inline markers are the explicit, reviewable escape hatch::
 
     except Exception:  # lint: allow-broad-except(worker must never die)
     started = time.perf_counter()  # lint: allow-ambient(wall-time stats)
-    program: Program | None = None  # lint: fingerprint-exempt(label only)
 
 A marker *requires* a non-empty reason — an empty one is itself a
 finding, so silencing a rule always leaves a paper trail.
@@ -53,12 +51,6 @@ class LintConfig:
 
     Parameters
     ----------
-    fingerprint_required:
-        Dataclasses RPL001 must find covered by a cache-key fingerprint
-        whenever the linted tree contains a keys module (a module
-        defining ``SCHEMA_VERSION`` next to ``*_fingerprint``
-        functions).  A missing one means the cache-key contract itself
-        regressed.
     determinism_dirs:
         Path components marking design/evaluation code for RPL002 — any
         file with one of these directories in its path must be free of
@@ -70,13 +62,6 @@ class LintConfig:
         evaluation inputs.
     """
 
-    fingerprint_required: tuple[str, ...] = (
-        "ControlApplication",
-        "TrackingSpec",
-        "DesignOptions",
-        "Platform",
-        "CacheConfig",
-    )
     determinism_dirs: tuple[str, ...] = (
         "control",
         "wcet",

@@ -22,7 +22,7 @@ class Finding:
     line / col:
         1-based location of the violation.
     rule:
-        Rule identifier (``RPL001`` .. ``RPL004``; ``RPL000`` for files
+        Rule identifier (``RPL002`` .. ``RPL004``; ``RPL000`` for files
         the parser itself rejects).
     message:
         Human-readable description including the suggested fix.

@@ -10,9 +10,10 @@ CLI (``python -m repro lint``) resolve names through
 registered checkers — the one :class:`~repro.registry.Registry`
 contract shared by every plugin registry.
 
-Four checkers are builtin, one per repo invariant: ``cache-keys``
-(RPL001), ``determinism`` (RPL002), ``registry-contract`` (RPL003) and
-``broad-except`` (RPL004).
+Three checkers are builtin, one per repo invariant: ``determinism``
+(RPL002), ``registry-contract`` (RPL003) and ``broad-except`` (RPL004).
+(RPL001, cache-key completeness, is retired: cache keys encode every
+dataclass field by construction — see :mod:`repro.identity`.)
 """
 
 from __future__ import annotations
@@ -46,18 +47,13 @@ def _check_code(checker: LintChecker) -> None:
     if not isinstance(checker.code, str) or not checker.code:
         raise ConfigurationError(
             f"lint checker {checker.name!r} must define a non-empty string "
-            "`code` (the rule id stamped on its findings, e.g. 'RPL001')"
+            "`code` (the rule id stamped on its findings, e.g. 'RPL002')"
         )
 
 
 def _ensure_builtins() -> None:
     """Import the builtin checker modules (each registers itself)."""
-    from . import (  # noqa: F401
-        cache_keys,
-        determinism,
-        exceptions,
-        registries,
-    )
+    from . import determinism, exceptions, registries  # noqa: F401
 
 
 #: The lint-checker registry (see :class:`repro.registry.Registry`).

@@ -6,24 +6,19 @@ timing inputs (WCETs + clock), the plants and tracking scenarios the
 controller design optimizes against, the full design budget — and the
 *platform* those WCETs were analyzed on (cache geometry, way
 allocation, clock, WCET model; see :class:`repro.platform.Platform`).
-This module canonicalizes all of that into a JSON fingerprint and
-hashes it with SHA-256, so a cache entry can never be served for a
-subtly different problem (e.g. after changing
-``DesignOptions.restarts``, or re-analyzing under a different cache).
-
-Floats are embedded via ``repr`` (shortest round-trip), so two
-bit-identical problems always produce the same key.
+The problem is encoded with the one canonical identity encoder
+(:mod:`repro.identity`), which walks every field of every dataclass
+involved, so a cache entry can never be served for a subtly different
+problem (e.g. after changing ``DesignOptions.restarts``, or
+re-analyzing under a different cache) and a newly added field cannot
+be left out of the key.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
-import json
-
 from ...control.design import DesignOptions
-from ...control.lti import LtiPlant
 from ...core.application import ControlApplication
+from ...identity import canonical, digest
 from ...platform import Platform, default_platform
 from ...units import Clock
 from ..evaluator import ScheduleEvaluator
@@ -33,53 +28,9 @@ from ..schedule import PeriodicSchedule
 #: so stale entries from older layouts can never be deserialized.
 #: v2: the fingerprint gained the platform (cache geometry + way
 #: allocation + clock + WCET model).
-SCHEMA_VERSION = 2
-
-
-def plant_fingerprint(plant: LtiPlant) -> dict:
-    """Canonical form of an LTI plant (name + exact matrices)."""
-    return {
-        "name": plant.name,
-        "a": plant.a.tolist(),
-        "b": plant.b.tolist(),
-        "c": plant.c.tolist(),
-    }
-
-
-def app_fingerprint(app: ControlApplication) -> dict:
-    """Canonical form of one control application."""
-    return {
-        "name": app.name,
-        "weight": app.weight,
-        "max_idle": app.max_idle,
-        "wcets": {
-            "cold_cycles": app.wcets.cold_cycles,
-            "warm_cycles": app.wcets.warm_cycles,
-        },
-        "spec": {
-            "r": app.spec.r,
-            "y0": app.spec.y0,
-            "u_max": app.spec.u_max,
-            "deadline": app.spec.deadline,
-            "band_fraction": app.spec.band_fraction,
-        },
-        "plant": plant_fingerprint(app.plant),
-    }
-
-
-def design_options_fingerprint(options: DesignOptions) -> dict:
-    """Canonical form of the full design budget (nested PSO options)."""
-    return dataclasses.asdict(options)
-
-
-def platform_fingerprint(platform: Platform | None, clock: Clock) -> dict:
-    """Canonical form of the platform an evaluation problem runs on.
-
-    ``None`` resolves to the paper platform at the problem's clock, so
-    problems that never declared a platform key identically to problems
-    that declare the historical default explicitly.
-    """
-    return (platform or default_platform(clock)).fingerprint()
+#: v3: the fingerprint is the canonical identity encoding of every
+#: field (:mod:`repro.identity`), not a hand-written field list.
+SCHEMA_VERSION = 3
 
 
 def problem_fingerprint(
@@ -88,20 +39,21 @@ def problem_fingerprint(
     design_options: DesignOptions,
     platform: Platform | None = None,
 ) -> dict:
-    """Everything a schedule evaluation depends on, minus the schedule."""
-    return {
-        "schema": SCHEMA_VERSION,
-        "clock_hz": clock.frequency_hz,
-        "platform": platform_fingerprint(platform, clock),
-        "apps": [app_fingerprint(app) for app in apps],
-        "design_options": design_options_fingerprint(design_options),
-    }
+    """Everything a schedule evaluation depends on, minus the schedule.
 
-
-def fingerprint_digest(fingerprint: dict) -> str:
-    """SHA-256 hex digest of a canonical-JSON fingerprint."""
-    text = json.dumps(fingerprint, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    ``platform=None`` resolves to the paper platform at the problem's
+    clock, so problems that never declared a platform key identically
+    to problems that declare the historical default explicitly.
+    """
+    return canonical(
+        {
+            "schema": SCHEMA_VERSION,
+            "clock": clock,
+            "platform": platform or default_platform(clock),
+            "apps": apps,
+            "design_options": design_options,
+        }
+    )
 
 
 def problem_digest(
@@ -111,9 +63,7 @@ def problem_digest(
     platform: Platform | None = None,
 ) -> str:
     """Digest of the evaluation problem (shared by all its schedules)."""
-    return fingerprint_digest(
-        problem_fingerprint(apps, clock, design_options, platform)
-    )
+    return digest(problem_fingerprint(apps, clock, design_options, platform))
 
 
 def subproblem_digest(

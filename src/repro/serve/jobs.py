@@ -11,22 +11,22 @@ exactly like the CLI does: unknown strategy or WCET-model names raise
 :class:`~repro.errors.ConfigurationError` naming the registered
 alternatives, *before* any search starts.
 
-A spec's :meth:`JobSpec.digest` is a stable hash of its canonical JSON
-form; the service serializes identical digests so concurrent
-submissions of the same job resolve to one search plus disk resumes —
-byte-identical reports, computed once.
+A spec's :meth:`JobSpec.digest` is the stable hash of its canonical
+identity encoding (:mod:`repro.identity`); the service serializes
+identical digests so concurrent submissions of the same job resolve to
+one search plus disk resumes — byte-identical reports, computed once.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from ..errors import ConfigurationError
+from ..identity import NON_IDENTITY, digest
 from ..platform import platform_from_fingerprint
 from ..sched.strategies import get_strategy
 
@@ -63,6 +63,11 @@ class JobSpec:
     default, exhaustive enumeration).  ``resume=False`` forces
     recomputation even when a matching report is persisted in the
     server's shared run directory.
+
+    ``eval_backend`` and ``resume`` change how a job computes its
+    report, never the report, so they are no part of its identity: two
+    specs differing only there write the same run-dir artifact and
+    share one :meth:`digest`.
     """
 
     kind: str = "search"
@@ -76,8 +81,8 @@ class JobSpec:
     allocator: str | None = None
     suite_size: int = 4
     platform: dict | None = None
-    eval_backend: str = "vectorized"
-    resume: bool = True
+    eval_backend: str = field(default="vectorized", metadata=NON_IDENTITY)
+    resume: bool = field(default=True, metadata=NON_IDENTITY)
 
     # ------------------------------------------------------------------
     # JSON round-tripping
@@ -114,7 +119,7 @@ class JobSpec:
                 f"unsupported job spec schema_version {version!r}; "
                 f"this server speaks version {SPEC_SCHEMA_VERSION}"
             )
-        known = {field.name for field in dataclasses.fields(cls)}
+        known = {item.name for item in dataclasses.fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:
             raise ConfigurationError(
@@ -224,13 +229,13 @@ class JobSpec:
         return self
 
     def digest(self) -> str:
-        """Stable identity of this spec (canonical-JSON SHA-256 prefix).
+        """Stable identity of this spec (identity-digest prefix).
 
         Two specs share a digest exactly when they describe the same
         job; the service uses it to serialize identical concurrent
         submissions onto one search.
         """
-        return hashlib.sha256(self.to_json().encode()).hexdigest()[:16]
+        return digest(self)[:16]
 
     # ------------------------------------------------------------------
     # Execution
@@ -348,7 +353,7 @@ class JobRecord:
                 f"unsupported job record schema_version {version!r}; "
                 f"this client speaks version {RECORD_SCHEMA_VERSION}"
             )
-        known = {field.name for field in dataclasses.fields(cls)}
+        known = {item.name for item in dataclasses.fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:
             raise ConfigurationError(

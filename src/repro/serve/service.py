@@ -38,6 +38,7 @@ from typing import AsyncIterator, Optional
 from ..errors import ConfigurationError, ReproError, ServeError
 from ..sched.engine import EngineOptions
 from ..study.events import StudyEvent
+from ..study.report import write_artifact
 from .jobs import JobRecord, JobSpec
 from .wire import TERMINAL_STATES, EventMessage, StatusMessage
 
@@ -265,10 +266,7 @@ class JobService:
     # Internals
     # ------------------------------------------------------------------
     def _persist(self, record: JobRecord) -> None:
-        path = self.jobs_dir / f"{record.id}.json"
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(record.to_json() + "\n")
-        tmp.replace(path)  # atomic: a crash never leaves a torn record
+        write_artifact(self.jobs_dir / f"{record.id}.json", record.to_json() + "\n")
 
     def _next_seq(self, job_id: str) -> int:
         seq = self._seq.get(job_id, 0)

@@ -160,12 +160,19 @@ class ScenarioFinished(StudyEvent):
     ``throughput`` is the study's running rate — cumulative computed
     evaluations divided by cumulative search wall time, in evaluations
     per second (``None`` until any wall time accumulates).
+
+    ``recompute_reason`` says why no persisted report answered the
+    scenario: ``None`` when there was none to resume, else
+    ``"resume disabled"``, ``"corrupt artifact: ..."`` or
+    ``"differs in: <fields>"`` (the :func:`repro.identity.diff` of the
+    recorded and the requested identity).
     """
 
     report: RunReport
     wall_time: float
     n_computed_total: int
     throughput: float | None
+    recompute_reason: str | None = None
 
     @classmethod
     def _from_payload(cls, payload: dict) -> "ScenarioFinished":

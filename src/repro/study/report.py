@@ -16,8 +16,10 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import asdict, dataclass, field
+from pathlib import Path
 
 from ..control.design import DesignOptions
+from ..identity import canonical, digest
 from ..platform import default_platform
 from ..sched.engine.keys import problem_digest
 from ..sched.strategies import options_as_dict
@@ -27,7 +29,9 @@ from ..sched.strategies import options_as_dict
 #: and the shared-cache flag; multicore cores carry their way allocation.
 #: (Still v2: the allocator fields below are additive with defaults, so
 #: v2 artifacts written before them round-trip unchanged.)
-SCHEMA_VERSION = 2
+#: v3: reports record the run's canonical identity (:func:`scenario_identity`),
+#: which resume compares as a whole.
+SCHEMA_VERSION = 3
 
 
 def scenario_digest(scenario) -> str:
@@ -45,13 +49,34 @@ def scenario_digest(scenario) -> str:
     )
 
 
-def scenario_platform_fingerprint(scenario) -> dict:
-    """JSON-safe platform record of one scenario (``None`` = paper
-    platform at the scenario's clock, matching the engine keys)."""
-    platform = getattr(scenario, "platform", None) or default_platform(
-        scenario.clock
+def scenario_identity(scenario) -> dict[str, str]:
+    """Identity of one scenario run: the digest of each top-level field
+    of its canonical encoding (:mod:`repro.identity`), so the record
+    every report carries stays small and :func:`~repro.identity.diff`
+    can still name the fields two runs differ in.
+
+    ``design_options``/``platform`` of ``None`` resolve exactly as in
+    :func:`scenario_digest`; that ``problem`` digest joins the record,
+    pinning the cache-key schema the results were computed under.
+    """
+    tree = canonical(scenario)
+    tree["design_options"] = tree["design_options"] or canonical(DesignOptions())
+    tree["platform"] = tree["platform"] or canonical(
+        default_platform(scenario.clock)
     )
-    return platform.fingerprint()
+    identity = {name: digest(value) for name, value in tree.items()}
+    identity["problem"] = scenario_digest(scenario)
+    return identity
+
+
+def write_artifact(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a sibling tmp file and an
+    atomic :meth:`~pathlib.Path.replace`: a crash mid-write leaves the
+    previous artifact (or none), never a torn one."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    tmp.replace(path)
 
 
 def _json_safe(value):
@@ -112,6 +137,9 @@ class RunReport:
     #: round-trip unchanged.
     dynamic: dict | None = None
     sim: dict | None = None
+    #: The run's :func:`scenario_identity` (empty for reports built by
+    #: hand or written before schema v3).
+    identity: dict[str, str] = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
 
     # ------------------------------------------------------------------
@@ -177,7 +205,9 @@ class RunReport:
             ),
             n_cores=scenario.n_cores,
             max_count_per_core=scenario.max_count_per_core,
-            platform=scenario_platform_fingerprint(scenario),
+            platform=(
+                scenario.platform or default_platform(scenario.clock)
+            ).fingerprint(),
             shared_cache=bool(getattr(scenario, "shared_cache", False)),
             n_apps=outcome.n_apps,
             problem=scenario_digest(scenario),
@@ -206,6 +236,7 @@ class RunReport:
                 if getattr(outcome, "sim", None) is not None
                 else None
             ),
+            identity=scenario_identity(scenario),
         )
 
     # ------------------------------------------------------------------
@@ -264,6 +295,7 @@ class RunReport:
                 else None
             ),
             sim=dict(data["sim"]) if data.get("sim") is not None else None,
+            identity=dict(data.get("identity", {})),
             schema_version=int(data.get("schema_version", SCHEMA_VERSION)),
         )
 

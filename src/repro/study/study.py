@@ -21,19 +21,17 @@ final report list.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import re
 import time
 from pathlib import Path
 from typing import Iterator
 
 from ..control.design import DesignOptions
+from ..identity import diff, digest
 from ..platform import Platform
 from ..sched.engine import EngineOptions
 from ..sched.engine.batch import Scenario, run_scenario, synthesize_scenarios
 from ..sched.schedule import PeriodicSchedule
-from ..sched.strategies import options_as_dict
 from ..sim.report import SimReport
 from .events import (
     ScenarioFinished,
@@ -44,12 +42,7 @@ from .events import (
     SimulationProgress,
     StudyEvent,
 )
-from .report import (
-    RunReport,
-    _json_safe,
-    scenario_digest,
-    scenario_platform_fingerprint,
-)
+from .report import RunReport, scenario_identity, write_artifact
 
 
 def _slug(text: str) -> str:
@@ -224,92 +217,47 @@ class Study:
         """Where one scenario's report persists (``None`` without a
         run directory).
 
-        The filename carries every run input that is not already in the
-        name/strategy/seed/cores prefix — starts, strategy options,
-        ``n_starts``, the per-core cap, the platform, the shared-cache
-        flag and the partition allocator (name plus its options) — as a
-        short digest, so differently-configured
-        runs of one scenario never collide on (and thrash) a single
-        artifact.  The *raw* scenario name is part of the digest too:
-        the human-readable prefix is slugged for the filesystem, so
-        near-identical names (``"synth 000"`` vs ``"synth_000"``)
-        collapse to one slug and would otherwise share a path.
+        The filename is a readable name/strategy/seed/cores prefix plus
+        a short digest of the run's whole :func:`scenario_identity`, so
+        runs differing in any input — the design budget included —
+        never collide on (and thrash) a single artifact.
         """
         if self.run_dir is None:
             return None
-        spec_fields: list = [
-            scenario.name,
-            [list(s.counts) for s in scenario.starts]
-            if scenario.starts
-            else None,
-            _json_safe(options_as_dict(scenario.options)),
-            scenario.n_starts,
-            scenario.max_count_per_core,
-            scenario_platform_fingerprint(scenario),
-            scenario.shared_cache,
-            scenario.allocator,
-            _json_safe(options_as_dict(scenario.allocator_options)),
-        ]
-        if scenario.dynamic is not None:
-            # Appended only for dynamic scenarios, so every static
-            # artifact written before simulations existed keeps its
-            # historical digest (and stays resumable).
-            spec_fields.append(scenario.dynamic.to_dict())
-        spec = json.dumps(spec_fields, sort_keys=True)
-        tag = hashlib.sha256(spec.encode()).hexdigest()[:8]
+        tag = digest(scenario_identity(scenario))[:8]
         filename = (
             f"{_slug(scenario.name)}--{_slug(scenario.strategy)}"
             f"--seed{scenario.seed}--c{scenario.n_cores}--{tag}.json"
         )
         return self.run_dir / filename
 
-    def _resumable(self, scenario: Scenario, report: RunReport) -> bool:
-        """Whether a persisted report answers this exact scenario run.
-
-        Every search input is compared — scenario name, problem digest,
-        strategy and its options, seed, starts, core count, per-core
-        cap, platform, shared-cache flag, and the partition allocator
-        with its options — so a stale artifact can never shadow a
-        differently-configured run.
-        """
-        return (
-            report.schema_version == RunReport.schema_version
-            and report.scenario == scenario.name
-            and report.problem == scenario_digest(scenario)
-            and report.strategy == scenario.strategy
-            and report.options == _json_safe(options_as_dict(scenario.options))
-            and report.seed == scenario.seed
-            and report.n_starts == scenario.n_starts
-            and report.n_cores == scenario.n_cores
-            and report.max_count_per_core == scenario.max_count_per_core
-            and report.platform == scenario_platform_fingerprint(scenario)
-            and report.shared_cache == scenario.shared_cache
-            and report.allocator == scenario.allocator
-            and report.allocator_options
-            == _json_safe(options_as_dict(scenario.allocator_options))
-            and report.dynamic
-            == (
-                scenario.dynamic.to_dict()
-                if scenario.dynamic is not None
-                else None
-            )
-            and report.starts
-            == (
-                [list(s.counts) for s in scenario.starts]
-                if scenario.starts
-                else None
-            )
-        )
-
     def _load_existing(self, scenario: Scenario) -> RunReport | None:
+        """The persisted report answering this run, if any."""
+        return self._lookup(scenario, resume=True)[0]
+
+    def _lookup(
+        self, scenario: Scenario, resume: bool
+    ) -> tuple[RunReport | None, str | None]:
+        """The persisted report answering this run, else why not.
+
+        Returns ``(report, None)`` for a resumable artifact and
+        ``(None, reason)`` otherwise; the reason is ``None`` when no
+        artifact exists.  An artifact answers the run exactly when its
+        recorded identity equals the scenario's.
+        """
         path = self.report_path(scenario)
         if path is None or not path.exists():
-            return None
+            return None, None
+        if not resume:
+            return None, "resume disabled"
         try:
             report = RunReport.from_json(path.read_text())
-        except (ValueError, KeyError, TypeError):
-            return None  # corrupt or foreign artifact: recompute
-        return report if self._resumable(scenario, report) else None
+        except (ValueError, KeyError, TypeError) as exc:
+            return None, f"corrupt artifact: {type(exc).__name__}: {exc}"
+        differs = diff(report.identity, scenario_identity(scenario))
+        if differs:
+            return None, "differs in: " + ", ".join(differs)
+        return report, None
 
     def _run_one(
         self,
@@ -317,17 +265,18 @@ class Study:
         resume: bool,
         on_engine_event=None,
         on_sim_event=None,
-    ) -> tuple[RunReport, bool, float]:
+    ) -> tuple[RunReport, bool, float, str | None]:
         """Run (or resume) one scenario.
 
-        Returns ``(report, resumed, wall_time)``; ``on_engine_event``
+        Returns ``(report, resumed, wall_time, recompute_reason)`` (see
+        :meth:`_lookup` for the reason); ``on_engine_event``
         receives the engine's progress events while the search runs,
         ``on_sim_event`` the runtime events of a dynamic scenario's
         feedback-scheduling simulation.
         """
-        report = self._load_existing(scenario) if resume else None
+        report, reason = self._lookup(scenario, resume)
         if report is not None:
-            return report, True, 0.0
+            return report, True, 0.0, None
         started = time.perf_counter()
         outcome = run_scenario(
             scenario,
@@ -339,9 +288,8 @@ class Study:
         report = RunReport.from_outcome(scenario, outcome)
         path = self.report_path(scenario)
         if path is not None:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(report.to_json() + "\n")
-        return report, False, wall_time
+            write_artifact(path, report.to_json() + "\n")
+        return report, False, wall_time, reason
 
     def _started_event(self, index: int, scenario: Scenario) -> ScenarioStarted:
         return ScenarioStarted(
@@ -359,6 +307,7 @@ class Study:
         report: RunReport,
         resumed: bool,
         wall_time: float,
+        reason: str | None,
         n_computed_total: int,
         search_seconds_total: float,
     ) -> StudyEvent:
@@ -376,6 +325,7 @@ class Study:
                 if search_seconds_total > 0
                 else None
             ),
+            recompute_reason=reason,
             **common,
         )
 
@@ -410,7 +360,7 @@ class Study:
             else:
                 engine_cb = buffered.append
                 sim_cb = buffered_sim.append
-            report, resumed, wall_time = self._run_one(
+            report, resumed, wall_time, reason = self._run_one(
                 scenario, resume, on_engine_event=engine_cb, on_sim_event=sim_cb
             )
             for engine_event in buffered:
@@ -440,6 +390,7 @@ class Study:
                 report,
                 resumed,
                 wall_time,
+                reason,
                 n_computed_total,
                 search_seconds_total,
             )
@@ -449,8 +400,9 @@ class Study:
 
         With a run directory, reports persist as JSON after each
         scenario, and (``resume=True``) scenarios whose persisted
-        report matches — same problem digest, strategy, seed, starts
-        and core count — are served from disk without re-searching.
+        report records the same identity (every scenario input; see
+        :func:`~repro.study.report.scenario_identity`) are served from
+        disk without re-searching.
 
         ``on_event`` receives the study's typed progress events
         (:mod:`repro.study.events`) *live*: scenario started /

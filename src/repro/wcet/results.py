@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..cache.abstract import MayCache, MustCache
 from ..cache.icache import InstructionCache
+from ..identity import NON_IDENTITY
 from ..units import Clock
 
 
@@ -78,7 +79,8 @@ class TaskWcets:
     (the guaranteed reduction ``E_gu``).
     """
 
-    name: str  # lint: fingerprint-exempt(label only; app_fingerprint keys on app.name)
+    #: Label only: an application's identity carries its own name.
+    name: str = field(metadata=NON_IDENTITY)
     cold_cycles: int
     warm_cycles: int
 

@@ -1,7 +1,6 @@
 """Every rule fires on its seeded fixture — right rule id, right line."""
 
 from pathlib import Path
-from textwrap import dedent
 
 from repro.lint import LintConfig, run_lint
 
@@ -14,93 +13,6 @@ def line_of(path: Path, needle: str) -> int:
         if needle in line:
             return lineno
     raise AssertionError(f"{needle!r} not found in {path}")
-
-
-def fixture_config() -> LintConfig:
-    return LintConfig(fingerprint_required=("Gadget", "GadgetSpec"))
-
-
-class TestRPL001:
-    def test_uncovered_field_fires(self):
-        model = FIXTURES / "rpl001" / "model.py"
-        findings = run_lint(
-            [model], checkers=["cache-keys"], config=fixture_config()
-        )
-        assert [f.rule for f in findings] == ["RPL001"]
-        finding = findings[0]
-        assert finding.path.endswith("rpl001/model.py")
-        assert finding.line == line_of(model, "secret: int")
-        assert "'secret'" in finding.message
-        assert "'Gadget'" in finding.message
-
-    def test_exempt_marker_suppresses(self):
-        model = FIXTURES / "rpl001" / "model.py"
-        findings = run_lint(
-            [model], checkers=["cache-keys"], config=fixture_config()
-        )
-        assert not any("skipped" in f.message for f in findings)
-
-    def test_default_config_demands_repo_dataclasses(self):
-        # With the repo's own config, the fixture keys module is missing
-        # every required dataclass (ControlApplication, Platform, ...).
-        findings = run_lint([FIXTURES / "rpl001"], checkers=["cache-keys"])
-        missing = {
-            f.message.split("'")[1]
-            for f in findings
-            if "was not found" in f.message
-        }
-        assert missing == set(LintConfig().fingerprint_required)
-
-    def test_stale_marker_reported(self, tmp_path):
-        (tmp_path / "model.py").write_text(
-            dedent(
-                """\
-                from dataclasses import dataclass
-
-
-                @dataclass
-                class Widget:
-                    size: int  # lint: fingerprint-exempt(obsolete)
-
-
-                def widget_fingerprint(widget: Widget) -> dict:
-                    return {"size": widget.size}
-                """
-            )
-        )
-        findings = run_lint(
-            [tmp_path],
-            checkers=["cache-keys"],
-            config=LintConfig(fingerprint_required=()),
-        )
-        assert [f.rule for f in findings] == ["RPL001"]
-        assert "stale" in findings[0].message
-
-    def test_empty_reason_reported(self, tmp_path):
-        (tmp_path / "model.py").write_text(
-            dedent(
-                """\
-                from dataclasses import dataclass
-
-
-                @dataclass
-                class Widget:
-                    size: int
-                    hidden: int  # lint: fingerprint-exempt()
-
-
-                def widget_fingerprint(widget: Widget) -> dict:
-                    return {"size": widget.size}
-                """
-            )
-        )
-        findings = run_lint(
-            [tmp_path],
-            checkers=["cache-keys"],
-            config=LintConfig(fingerprint_required=()),
-        )
-        assert [f.rule for f in findings] == ["RPL001"]
-        assert "non-empty reason" in findings[0].message
 
 
 class TestRPL002:

@@ -11,7 +11,7 @@ from repro.lint import (
     unregister_checker,
 )
 
-BUILTINS = {"cache-keys", "determinism", "registry-contract", "broad-except"}
+BUILTINS = {"determinism", "registry-contract", "broad-except"}
 
 
 def test_builtins_registered():
@@ -20,7 +20,7 @@ def test_builtins_registered():
 
 def test_get_checker_returns_coded_checker():
     codes = {get_checker(name).code for name in BUILTINS}
-    assert codes == {"RPL001", "RPL002", "RPL003", "RPL004"}
+    assert codes == {"RPL002", "RPL003", "RPL004"}
 
 
 def test_unknown_checker_raises_configuration_error():
@@ -54,7 +54,7 @@ def test_register_and_unregister_roundtrip():
 
 def test_double_registration_rejected():
     class CloneChecker:
-        name = "cache-keys"
+        name = "determinism"
         code = "RPL999"
 
         def check(self, context):

@@ -277,7 +277,7 @@ class TestDigestDiscipline:
     def test_allocator_never_reaches_block_digests(
         self, three_apps, case_study, tiny_design_options
     ):
-        """RPL001 discipline: allocators change which blocks get
+        """Cache-key discipline: allocators change which blocks get
         evaluated, never what a block evaluates to — so the per-block
         evaluation digests (and the shared disk cache) are identical
         across allocators."""

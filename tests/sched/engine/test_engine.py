@@ -9,7 +9,9 @@ import multiprocessing
 import os
 import signal
 import sqlite3
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -285,6 +287,27 @@ class TestPersistentLayer:
             SearchEngine(make_evaluator(), cache_dir=tmp_path)
 
 
+def pid_gone(pid: int, timeout: float = 10.0) -> bool:
+    """Poll until process ``pid`` has exited (reaped, or a zombie).
+
+    The pool's management thread may reap a killed worker before the
+    test does, after which ``Process.is_alive()`` can misreport through
+    the shared handle (``waitpid`` then fails with ``ECHILD``); the pid
+    itself is the unambiguous witness.
+    """
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            os.kill(pid, 0)
+            stat = Path(f"/proc/{pid}/stat").read_text()
+        except (ProcessLookupError, FileNotFoundError):
+            return True  # reaped (the kernel may report either)
+        if stat.rsplit(")", 1)[1].split()[0] == "Z":
+            return True  # exited, not yet reaped
+        time.sleep(0.01)
+    return False
+
+
 class TestParallelBackend:
     @pytest.mark.parametrize("kind", KINDS)
     def test_parallel_matches_serial(self, kind, make_evaluator):
@@ -319,8 +342,7 @@ class TestParallelBackend:
             workers = multiprocessing.active_children()
             assert len(workers) == 2
             os.kill(workers[0].pid, signal.SIGKILL)
-            workers[0].join(timeout=10)
-            assert not workers[0].is_alive()
+            assert pid_gone(workers[0].pid)
             # Every 3-schedule batch puts work on both workers.
             with pytest.warns(RuntimeWarning, match="falling back to serial"):
                 results = batch(engine, kind, scale=2)

@@ -26,9 +26,9 @@ from repro.sched.schedule import PeriodicSchedule
 from repro.units import Clock
 from repro.wcet.results import TaskWcets
 
-GOLDEN_PROBLEM = "fa0be60aacfbb55ad2407b2a9885c4001efdefdf4f7ef015cce23bcb7674da82"
-GOLDEN_SUBPROBLEM = "9e25a28167a599a744b0b94ea01c98f436819513bd49f43b52160cb1dcefd0f9"
-GOLDEN_PLATFORM = "6eb0cd6bba66e2316a6bad54e56af96c69b18699d037455c38b12e68da3bdab4"
+GOLDEN_PROBLEM = "0e1f66636be1ea95115b0e8e9bf2f20947e4f4b360c47e25931b36a0da889062"
+GOLDEN_SUBPROBLEM = "0139b3f0157d7fe176c3e30f1be6ddaebc91492f0b1bf12c4295be4cc3a36936"
+GOLDEN_PLATFORM = "3fe678bdf2aa8386deccb848c0c04bb66da738937d54198fe08765207ac3e23b"
 
 
 @pytest.fixture
@@ -75,7 +75,7 @@ CLOCK = Clock(20e6)
 
 
 def test_schema_version_pinned():
-    assert SCHEMA_VERSION == 2
+    assert SCHEMA_VERSION == 3
 
 
 def test_problem_digest_golden(apps):

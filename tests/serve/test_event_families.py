@@ -6,6 +6,8 @@ only its own tags.  One example per registered event class is checked,
 and a guard fails when a class is registered without an example.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -32,6 +34,11 @@ def _examples(report) -> dict:
     )
     for event in events:
         examples.setdefault(type(event).__name__, event)
+    # A recomputed scenario says why its persisted report did not answer.
+    examples["ScenarioFinished"] = replace(
+        examples["ScenarioFinished"],
+        recompute_reason="differs in: design_options, problem",
+    )
     return examples
 
 

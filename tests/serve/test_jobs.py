@@ -155,7 +155,16 @@ class TestJobSpecDigest:
         base = JobSpec(strategy="hybrid")
         assert base.digest() != JobSpec(strategy="annealing").digest()
         assert base.digest() != JobSpec(strategy="hybrid", seed=1).digest()
-        assert base.digest() != JobSpec(strategy="hybrid", resume=False).digest()
+
+    def test_digest_ignores_how_a_job_computes(self):
+        # resume and eval_backend never change the report a job writes,
+        # so such specs share one digest (and one per-digest lock).
+        base = JobSpec(strategy="hybrid")
+        assert base.digest() == JobSpec(strategy="hybrid", resume=False).digest()
+        assert (
+            base.digest()
+            == JobSpec(strategy="hybrid", eval_backend="serial").digest()
+        )
 
 
 class TestJobRecord:

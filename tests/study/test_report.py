@@ -155,7 +155,7 @@ class TestSchema:
         "backend", "engine_stats", "best_schedule", "cores", "overall",
         "feasible", "apps", "wall_time", "created_at", "search_stats",
         "allocator", "allocator_options", "dynamic", "sim",
-        "schema_version",
+        "identity", "schema_version",
     }
 
     def test_stable_key_set(self):
@@ -166,4 +166,4 @@ class TestSchema:
         text = single_core_report().to_json()
         data = json.loads(text)
         assert list(data) == sorted(data)
-        assert data["schema_version"] == 2
+        assert data["schema_version"] == 3

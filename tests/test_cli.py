@@ -148,7 +148,7 @@ class TestCli:
         assert report.starts == [[2, 2, 2]]
         assert report.best_schedule is not None
         assert report.engine_stats["n_requested"] > 0
-        assert report.schema_version == 2
+        assert report.schema_version == 3
         assert report.platform["wcet_model"] == "static"
 
     def test_search_run_dir_persists_report(self, capsys, tmp_path):

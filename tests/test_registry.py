@@ -58,7 +58,7 @@ PLUGINS = {
     "checker": (
         CHECKERS,
         {"name": "probe", "code": "XYZ001", "check": _method},
-        "cache-keys",
+        "determinism",
     ),
     "allocator": (
         ALLOCATORS,
