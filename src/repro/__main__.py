@@ -1,88 +1,35 @@
-"""Top-level CLI: ``python -m repro <command>``.
+"""Top-level CLI: ``python -m repro <command>`` (``<command> --help``
+lists its flags).
 
-Commands
---------
-``info``
-    Case-study summary: Table I WCETs, Table II parameters, space size.
-``evaluate --schedule 3,2,3``
-    Evaluate one periodic schedule (timing, per-app settling, P_all).
-``strategies``
-    List the registered search strategies (the strategy registry).
-``allocators``
-    List the registered partition allocators (the allocator registry).
-``models``
-    List the registered WCET models (the platform registry).
-``experiments``
-    List the registered paper-artifact experiments (the experiment
-    registry).
-``experiment <name> [--json] [--run-dir DIR] [--out DIR]``
-    Regenerate one paper artifact through the experiment registry:
-    structured, schema-versioned ``ExperimentReport`` JSON with
-    ``--json``, persisted and resumed under ``--run-dir``.
-``lint [--format json] [--checkers a,b] [--list] [paths...]``
-    Run the repo-specific static-analysis suite (determinism,
-    registry contracts, exception hygiene; rules
-    RPL002-RPL004 via the lint-checker registry).  Exits 1 on findings.
-``search [--strategy hybrid] [--starts 4,2,2 1,2,1]``
-    Run a schedule-space search on the case study and print the result.
-``timeline --schedule 2,2,2``
-    Render the schedule's timing diagram (paper Figs. 2/4).
-``simulate [--stress 1.46] [--horizon 1.0] [--no-adapt]``
-    Simulate feedback scheduling on the case study: a load transient
-    plays through the discrete-event simulator (:mod:`repro.sim`) and
-    the feedback loop re-optimizes on every load change through the
-    ``online`` strategy (``--adapt-strategy`` picks another,
-    ``--no-adapt`` holds the static optimum).  Shares the search flag
-    set; ``--json`` prints the SimReport, which is byte-identical
-    across reruns with the same seed/scenario/platform.
-``batch [--suite-size 4] [--strategy hybrid] [--cores K]``
-    Sweep a suite of synthesized scenarios through the search engine
-    (``--cores >= 2`` makes every scenario a multicore co-design,
-    ``--jitter-platform`` draws a fresh cache/clock per scenario,
-    ``--dynamic`` gives every scenario a synthesized load transient
-    simulated after the search).
-``multicore [--cores 2] [--strategy exhaustive] [--shared-cache]``
-    Partition the case study across cores and jointly optimize the
-    partition and the per-core schedules — private caches by default,
-    or one way-partitioned shared cache with ``--shared-cache`` (the
-    way allocation is then co-optimized too).  ``--allocator`` picks a
-    registered partition allocator (``exhaustive`` ground truth, or
-    the ``greedy``/``scored`` heuristics for many cores); ``--apps N``
-    replicates the case-study workload so ``--cores`` can exceed the
-    three paper applications.
-``serve [--host --port --jobs --workers --queue-size --run-dir]``
-    Run the search service: a long-lived asyncio HTTP job queue over
-    the same ``Study`` machinery, with one shared persistent
-    evaluation cache and run directory across all jobs (every job
-    warm-starts from every prior job).  SIGINT/SIGTERM drain
-    gracefully; a restarted server resumes its ledger from disk.
-``submit [--server URL] [--strategy hybrid] [--starts 4,2,2] ...``
-    Submit a search job to a running server; validation happens
-    server-side (an unknown strategy fails over HTTP with the
-    registered list, exit code 2 like a direct run).
-``status [JOB] [--server URL] [--json]``
-    One job's record (or the full job listing without JOB).
-``watch JOB [--server URL] [--json]``
-    Stream a job's progress events live until it finishes
-    (``--json`` prints the raw NDJSON wire messages); a failed job
-    exits 2 with its error.
+Listings and one-offs: ``info`` (case-study summary), ``strategies``,
+``allocators``, ``models`` and ``experiments`` (the plugin
+registries), ``lint`` (the repo's static-analysis rules RPL002 and
+RPL004; exits 1 on findings), ``evaluate --schedule 3,2,3`` and
+``timeline --schedule 2,2,2``.
 
-``search``, ``batch`` and ``multicore`` all run through the unified
-:class:`repro.study.Study` facade and share one flag set:
-``--strategy`` picks any registered search strategy, ``--json``
-prints the structured :class:`~repro.study.RunReport` artifact(s) to
-stdout instead of tables, ``--run-dir DIR`` persists every report as
-JSON (matching reruns resume from disk), ``--workers N`` evaluates
-candidates on worker processes and ``--cache-dir DIR`` persists every
-evaluation so reruns warm-start.  The platform flags — ``--wcet-model``,
-``--cache-sets``, ``--cache-ways``, ``--miss-cycles``,
-``--clock-mhz`` — rebuild the problem on a different execution
-platform (see ``python -m repro models``); the platform is recorded in
-every report and keyed into the persistent evaluation cache.
+Runs: ``search`` (the case-study schedule search), ``multicore``
+(partition the case study across cores; ``--shared-cache``
+co-optimizes the way allocation, ``--allocator``/``--apps`` scale to
+many cores), ``batch`` (a synthesized suite) and ``simulate`` (a load
+transient through the feedback loop of :mod:`repro.sim`) each
+describe one :class:`~repro.study.RunSpec`.  Their run flags are
+generated from its field metadata
+(:func:`~repro.study.spec.add_run_flags`), read back by
+:func:`~repro.study.spec.spec_from_args` and run through
+:meth:`~repro.study.Study.from_spec`.  They share the engine flags:
+``--json`` (the RunReport artifact on stdout; ``simulate`` prints its
+byte-reproducible SimReport), ``--run-dir`` (persist reports; matching
+reruns resume from disk), ``--workers``, ``--cache-dir``,
+``--eval-backend`` and ``--progress`` (a live progress line on stderr,
+automatic on a TTY).  ``experiment <name>`` regenerates one paper
+artifact through the experiment registry with the same strategy,
+platform and engine flags.
 
-Long runs are observable: ``batch`` and ``experiment`` render a live
-progress line on stderr from the engines' typed progress events
-(automatic on a TTY; ``--progress`` forces it, e.g. under a pager).
+Service: ``serve`` runs the HTTP job queue over the same ``Study``
+machinery, with one shared warm cache and run directory.  ``submit``
+sends it a run — it takes every run flag (``--suite-size`` makes the
+run a suite), and the server validates it exactly like a direct run —
+and ``status``/``watch`` follow jobs.
 
 The controller-design budget follows ``REPRO_PROFILE``.
 """
@@ -92,6 +39,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, replace
 
 from .apps import build_case_study
 from .core.report import format_seconds_ms, render_table
@@ -99,6 +47,7 @@ from .errors import ReproError
 from .experiments.profiles import current_profile, design_options_for_profile
 from .sched import PeriodicSchedule, enumerate_idle_feasible
 from .sched.strategies.base import STRATEGIES
+from .study.spec import RunSpec, add_run_flags, platform_from_args, spec_from_args
 from .units import Clock
 from .viz import render_schedule_timeline
 
@@ -296,7 +245,7 @@ def cmd_experiment(args: argparse.Namespace) -> None:
     # resolves the profile itself), so CLI and library runs of one
     # experiment share their persisted --run-dir artifacts.
     request = ExperimentRequest(
-        platform=_platform_from_args(
+        platform=platform_from_args(
             args, shared=callable(getattr(spec, "default_platform", None))
         ),
         strategy=args.strategy,
@@ -323,70 +272,6 @@ def cmd_experiment(args: argparse.Namespace) -> None:
             progress.close()
 
 
-def _platform_from_args(
-    args: argparse.Namespace, shared: bool = False
-):
-    """The :class:`~repro.platform.Platform` the flags describe.
-
-    ``None`` when every flag is at its default and no shared cache is
-    requested — the paper platform, leaving digests/reports identical
-    to runs that never declared a platform.  ``--shared-cache`` without
-    explicit geometry defaults to
-    :func:`~repro.platform.shared_paper_platform` (the paper capacity
-    as 32 sets x 4 ways), since the paper's direct-mapped cache has no
-    ways to partition.
-    """
-    from dataclasses import replace
-
-    from .cache.config import CacheConfig
-    from .platform import Platform, shared_paper_platform
-
-    flags = (
-        args.wcet_model,
-        args.cache_sets,
-        args.cache_ways,
-        args.miss_cycles,
-        args.clock_mhz,
-    )
-    if not shared and all(value is None for value in flags):
-        return None
-    default = shared_paper_platform().cache if shared else CacheConfig()
-    cache = replace(
-        default,
-        n_sets=args.cache_sets if args.cache_sets is not None else default.n_sets,
-        associativity=(
-            args.cache_ways if args.cache_ways is not None else default.associativity
-        ),
-        miss_cycles=(
-            args.miss_cycles if args.miss_cycles is not None else default.miss_cycles
-        ),
-    )
-    clock = Clock(args.clock_mhz * 1e6) if args.clock_mhz is not None else Clock(20e6)
-    return Platform(
-        cache=cache, clock=clock, wcet_model=args.wcet_model or "static"
-    )
-
-
-def _engine_options(args: argparse.Namespace):
-    from .sched.engine import EngineOptions
-
-    return EngineOptions(
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        eval_backend=args.eval_backend,
-    )
-
-
-def _run_study(study, args: argparse.Namespace):
-    """Run a study with the live progress line the flags ask for."""
-    progress = _progress_line(args)
-    try:
-        return study.run(on_event=progress)
-    finally:
-        if progress is not None:
-            progress.close()
-
-
 def _format_schedule_counts(counts: list[int]) -> str:
     return "(" + ", ".join(str(m) for m in counts) + ")"
 
@@ -400,19 +285,56 @@ def _format_report_schedule(report) -> str:
     return _format_schedule_counts(report.best_schedule)
 
 
-def cmd_search(args: argparse.Namespace) -> None:
+def cmd_run(args: argparse.Namespace) -> None:
+    """``search``/``simulate``/``batch``/``multicore``: the run the flags
+    describe, as one :class:`~repro.study.RunSpec` through one
+    :class:`~repro.study.Study`, rendered per command."""
+    from .sched.engine import EngineOptions
     from .study import Study
 
-    starts = [_parse_schedule(s) for s in args.starts] if args.starts else None
-    study = Study.from_case_study(
-        design_options_for_profile(),
-        strategy=args.strategy,
-        starts=starts,
-        platform=_platform_from_args(args),
-        engine_options=_engine_options(args),
-        run_dir=args.run_dir,
+    spec = RunSpec(**spec_from_args(args))
+    name = "casestudy"
+    if args.command == "simulate":
+        from .sim import load_transient
+
+        spec = replace(
+            spec,
+            dynamic=load_transient(
+                spec.app_count,
+                horizon=args.horizon,
+                stress=args.stress,
+                disturb_at=args.disturb_at,
+                recover_at=args.recover_at,
+                adapt=not args.no_adapt,
+                adapt_strategy=args.adapt_strategy,
+            ),
+        )
+        name = "casestudy-sim"
+    engine_options = EngineOptions(
+        workers=args.workers, cache_dir=args.cache_dir, eval_backend=args.eval_backend
     )
-    report = _run_study(study, args)[0]
+    study = Study.from_spec(
+        spec, design_options_for_profile(), engine_options, args.run_dir, name
+    )
+    progress = _progress_line(args)
+    try:
+        reports = study.run(on_event=progress)
+    finally:
+        if progress is not None:
+            progress.close()
+    args.render(reports, args)
+
+
+def _print_engine_split(stats: dict) -> None:
+    print(
+        f"engine: {stats['n_requested']} requested = "
+        f"{stats['n_computed']} computed + {stats['n_memo_hits']} memo + "
+        f"{stats['n_disk_hits']} disk + {stats['n_duplicates']} duplicate"
+    )
+
+
+def _render_search(reports, args: argparse.Namespace) -> None:
+    report = reports[0]
     if args.json:
         print(report.to_json())
         return
@@ -442,31 +364,10 @@ def cmd_search(args: argparse.Namespace) -> None:
     )
 
 
-def cmd_simulate(args: argparse.Namespace) -> None:
-    from .sim import SimReport, load_transient
-    from .study import Study
+def _render_simulate(reports, args: argparse.Namespace) -> None:
+    from .sim import SimReport
 
-    platform = _platform_from_args(args)
-    case = build_case_study(platform=platform)
-    profile = load_transient(
-        len(case.apps),
-        horizon=args.horizon,
-        stress=args.stress,
-        disturb_at=args.disturb_at,
-        recover_at=args.recover_at,
-        adapt=not args.no_adapt,
-        adapt_strategy=args.adapt_strategy,
-    )
-    study = Study.from_case_study(
-        design_options_for_profile(),
-        strategy=args.strategy,
-        platform=platform,
-        dynamic=profile,
-        engine_options=_engine_options(args),
-        run_dir=args.run_dir,
-        name="casestudy-sim",
-    )
-    report = _run_study(study, args)[0]
+    report = reports[0]
     sim = SimReport.from_dict(report.sim)
     if args.json:
         # The SimReport is the simulation artifact: wall-clock-free, so
@@ -523,32 +424,10 @@ def cmd_simulate(args: argparse.Namespace) -> None:
             else " (adaptation disabled)"
         )
     )
-    stats = report.engine_stats
-    print(
-        f"engine: {stats['n_requested']} requested = "
-        f"{stats['n_computed']} computed + {stats['n_memo_hits']} memo + "
-        f"{stats['n_disk_hits']} disk + {stats['n_duplicates']} duplicate"
-    )
+    _print_engine_split(report.engine_stats)
 
 
-def cmd_batch(args: argparse.Namespace) -> None:
-    from .study import Study
-
-    study = Study.from_suite(
-        args.suite_size,
-        seed=args.seed,
-        strategy=args.strategy,
-        design_options=design_options_for_profile(),
-        n_cores=args.cores,
-        platform=_platform_from_args(args, shared=args.shared_cache),
-        jitter_platform=args.jitter_platform,
-        shared_cache=args.shared_cache,
-        allocator=args.allocator,
-        dynamic=args.dynamic,
-        engine_options=_engine_options(args),
-        run_dir=args.run_dir,
-    )
-    reports = _run_study(study, args)
+def _render_batch(reports, args: argparse.Namespace) -> None:
     if args.json:
         print(
             json.dumps(
@@ -594,22 +473,8 @@ def cmd_batch(args: argparse.Namespace) -> None:
     print(f"\ntotal search time: {total_wall:.2f} s over {len(reports)} scenarios")
 
 
-def cmd_multicore(args: argparse.Namespace) -> None:
-    from .study import Study
-
-    study = Study.from_case_study(
-        design_options_for_profile(),
-        strategy=args.strategy,
-        n_cores=args.cores,
-        max_count_per_core=args.max_count_per_core,
-        platform=_platform_from_args(args, shared=args.shared_cache),
-        shared_cache=args.shared_cache,
-        allocator=args.allocator,
-        n_apps=args.apps,
-        engine_options=_engine_options(args),
-        run_dir=args.run_dir,
-    )
-    report = _run_study(study, args)[0]
+def _render_multicore(reports, args: argparse.Namespace) -> None:
+    report = reports[0]
     if args.json:
         print(report.to_json())
         return
@@ -644,7 +509,7 @@ def cmd_multicore(args: argparse.Namespace) -> None:
         render_table(
             headers,
             rows,
-            title=f"multicore co-design ({args.cores} cores, {cache_kind}, "
+            title=f"multicore co-design ({args.n_cores} cores, {cache_kind}, "
                   f"{report.backend} backend)",
         )
     )
@@ -657,12 +522,7 @@ def cmd_multicore(args: argparse.Namespace) -> None:
             else ""
         )
         print(f"allocator: {report.allocator}{streamed}")
-    stats = report.engine_stats
-    print(
-        f"engine: {stats['n_requested']} requested = "
-        f"{stats['n_computed']} computed + {stats['n_memo_hits']} memo + "
-        f"{stats['n_disk_hits']} disk + {stats['n_duplicates']} duplicate"
-    )
+    _print_engine_split(report.engine_stats)
 
 
 def cmd_serve(args: argparse.Namespace) -> None:
@@ -689,41 +549,18 @@ def cmd_serve(args: argparse.Namespace) -> None:
         pass
 
 
-def _submit_spec(args: argparse.Namespace):
-    """The :class:`~repro.serve.JobSpec` the submit flags describe.
-
-    Deliberately *not* validated here — the server owns validation, so
-    an unknown strategy fails over HTTP with the registry message.
-    """
+def cmd_submit(args: argparse.Namespace) -> None:
+    from .serve.client import ServeClient
     from .serve.jobs import JobSpec
 
-    platform = _platform_from_args(args, shared=args.shared_cache)
-    starts = (
-        tuple(_parse_schedule(text).counts for text in args.starts)
-        if args.starts
-        else None
-    )
-    return JobSpec(
-        kind="suite" if args.suite_size is not None else "search",
-        strategy=args.strategy,
-        starts=starts,
-        n_starts=args.n_starts,
-        seed=args.seed,
-        n_cores=args.cores,
-        max_count_per_core=args.max_count_per_core,
-        shared_cache=args.shared_cache,
-        allocator=args.allocator,
-        suite_size=args.suite_size if args.suite_size is not None else 4,
-        platform=platform.fingerprint() if platform is not None else None,
+    # Deliberately *not* validated here — the server owns validation,
+    # so an unknown strategy fails over HTTP with the registry message.
+    spec = JobSpec(
+        **spec_from_args(args),
         eval_backend=args.eval_backend,
         resume=not args.no_resume,
     )
-
-
-def cmd_submit(args: argparse.Namespace) -> None:
-    from .serve.client import ServeClient
-
-    record = ServeClient(args.server).submit(_submit_spec(args))
+    record = ServeClient(args.server).submit(spec)
     if args.json:
         print(json.dumps(record.to_dict(), indent=2, sort_keys=True))
         return
@@ -876,7 +713,35 @@ def cmd_timeline(args: argparse.Namespace) -> None:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
+#: Run command -> (help, the RunSpec fields it takes as flags, flag
+#: defaults that differ from the field defaults, report renderer).
+_RUN_COMMANDS = {
+    "search": ("schedule-space search", ("strategy", "starts", "platform"), {}, _render_search),
+    "simulate": (
+        "simulate feedback scheduling under a load transient",
+        ("strategy", "platform"),
+        {},
+        _render_simulate,
+    ),
+    "batch": (
+        "sweep a suite of synthesized scenarios",
+        ("strategy", "suite_size", "seed", "n_cores", "jitter_platform", "shared_cache",
+         "random_dynamic", "allocator", "platform"),
+        {},
+        _render_batch,
+    ),
+    "multicore": (
+        "partition the case study across private-cache cores",
+        ("strategy", "n_cores", "max_count_per_core", "shared_cache", "n_apps", "allocator",
+         "platform"),
+        {"n_cores": 2},
+        _render_multicore,
+    ),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``python -m repro`` argument parser."""
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Cache-aware task scheduling for maximizing control performance.",
@@ -897,7 +762,7 @@ def main(argv: list[str] | None = None) -> int:
 
     lint = sub.add_parser(
         "lint",
-        help="run the repo's AST invariant checkers (rules RPL002-RPL004)",
+        help="run the repo's AST invariant checkers (rules RPL002, RPL004)",
     )
     lint.add_argument(
         "paths",
@@ -935,128 +800,19 @@ def main(argv: list[str] | None = None) -> int:
         help="output directory for experiments that write files "
         "(fig6 CSVs; rejected elsewhere)",
     )
-    experiment.add_argument(
-        "--max-count-per-core",
-        type=int,
-        default=6,
-        help="burst-length cap per core for the multicore experiments",
-    )
-    _add_search_arguments(experiment)
-
-    search = sub.add_parser("search", help="schedule-space search")
-    search.add_argument("--starts", nargs="*", help="e.g. --starts 4,2,2 1,2,1")
-    _add_search_arguments(search)
+    add_run_flags(experiment, ("strategy", "max_count_per_core", "platform"))
+    _add_engine_arguments(experiment)
 
     timeline = sub.add_parser("timeline", help="render a schedule timeline")
     timeline.add_argument("--schedule", required=True, help="e.g. 2,2,2")
 
-    simulate = sub.add_parser(
-        "simulate",
-        help="simulate feedback scheduling under a load transient",
-    )
-    simulate.add_argument(
-        "--horizon",
-        type=float,
-        default=1.0,
-        help="simulated duration in seconds",
-    )
-    simulate.add_argument(
-        "--stress",
-        type=float,
-        default=1.46,
-        help="demand factor of the overload burst (1.0 = nominal; the "
-        "default pushes the case study's static optimum past its "
-        "scaled idle budget)",
-    )
-    simulate.add_argument(
-        "--disturb-at",
-        type=float,
-        default=None,
-        help="overload onset in seconds (default: 25%% of the horizon)",
-    )
-    simulate.add_argument(
-        "--recover-at",
-        type=float,
-        default=None,
-        help="recovery instant in seconds (default: 70%% of the horizon)",
-    )
-    simulate.add_argument(
-        "--adapt-strategy",
-        default=None,
-        help="registered strategy the feedback loop re-invokes on load "
-        "changes (default: online)",
-    )
-    simulate.add_argument(
-        "--no-adapt",
-        action="store_true",
-        help="hold the static optimum for the whole horizon (the "
-        "baseline the feedback experiment compares against)",
-    )
-    _add_search_arguments(simulate)
-
-    batch = sub.add_parser(
-        "batch", help="sweep a suite of synthesized scenarios"
-    )
-    batch.add_argument(
-        "--suite-size", type=int, default=4, help="number of synthesized scenarios"
-    )
-    batch.add_argument("--seed", type=int, default=2018, help="synthesis seed")
-    batch.add_argument(
-        "--cores",
-        type=int,
-        default=1,
-        help="co-design every scenario over this many cores (1 = single-core)",
-    )
-    batch.add_argument(
-        "--jitter-platform",
-        action="store_true",
-        help="draw a fresh cache geometry and clock per scenario",
-    )
-    batch.add_argument(
-        "--shared-cache",
-        action="store_true",
-        help="multicore scenarios way-partition one shared cache "
-        "(needs --cores >= 2)",
-    )
-    batch.add_argument(
-        "--dynamic",
-        action="store_true",
-        help="draw a load-transient profile per scenario and simulate "
-        "the feedback loop after each search (single-core only)",
-    )
-    _add_allocator_argument(batch)
-    _add_search_arguments(batch)
-
-    multicore = sub.add_parser(
-        "multicore",
-        help="partition the case study across private-cache cores",
-    )
-    multicore.add_argument(
-        "--cores", type=int, default=2, help="number of cores to partition onto"
-    )
-    multicore.add_argument(
-        "--max-count-per-core",
-        type=int,
-        default=6,
-        help="burst-length cap per core (bounds lone-app schedule spaces)",
-    )
-    multicore.add_argument(
-        "--shared-cache",
-        action="store_true",
-        help="cores share one set-associative cache; the way allocation "
-        "is co-optimized with the partition (default geometry: 32 sets "
-        "x 4 ways, the paper capacity)",
-    )
-    multicore.add_argument(
-        "--apps",
-        type=int,
-        default=None,
-        help="replicate the case-study workload to this many applications "
-        "(round-robin copies, re-normalized weights) so --cores can "
-        "exceed the three paper applications",
-    )
-    _add_allocator_argument(multicore)
-    _add_search_arguments(multicore)
+    for command, (help, names, defaults, render) in _RUN_COMMANDS.items():
+        run = sub.add_parser(command, help=help)
+        add_run_flags(run, names, **defaults)
+        _add_engine_arguments(run)
+        run.set_defaults(render=render)
+        if command == "simulate":
+            _add_simulate_arguments(run)
 
     serve = sub.add_parser(
         "serve",
@@ -1103,53 +859,20 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     submit = sub.add_parser(
-        "submit", help="submit a search job to a running server"
+        "submit",
+        help="submit a run to a running server (the run commands' flags; "
+        "--suite-size makes it a batch suite)",
     )
     _add_server_argument(submit)
-    submit.add_argument(
-        "--starts", nargs="*", help="e.g. --starts 4,2,2 1,2,1"
-    )
-    submit.add_argument(
-        "--n-starts",
-        type=int,
-        default=2,
-        help="deterministic start schedules when --starts is omitted",
-    )
-    submit.add_argument("--seed", type=int, default=2018, help="search seed")
-    submit.add_argument(
-        "--cores",
-        type=int,
-        default=1,
-        help="co-design over this many cores (1 = single-core search)",
-    )
-    submit.add_argument(
-        "--max-count-per-core",
-        type=int,
-        default=6,
-        help="burst-length cap per core for multicore jobs",
-    )
-    submit.add_argument(
-        "--shared-cache",
-        action="store_true",
-        help="way-partition one shared cache (needs --cores >= 2)",
-    )
-    _add_allocator_argument(submit)
-    submit.add_argument(
-        "--suite-size",
-        type=int,
-        default=None,
-        help="sweep a synthesized suite of this size instead of the "
-        "case study",
+    add_run_flags(
+        submit,
+        tuple(item.name for item in fields(RunSpec) if item.metadata["cli"]),
+        suite_size=None,
     )
     submit.add_argument(
         "--no-resume",
         action="store_true",
         help="recompute even if the server holds a matching report",
-    )
-    submit.add_argument(
-        "--strategy",
-        default=None,
-        help="registered search strategy (validated by the server)",
     )
     submit.add_argument(
         "--eval-backend",
@@ -1162,7 +885,6 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="print the submitted job record JSON instead of a summary",
     )
-    _add_platform_arguments(submit)
 
     status = sub.add_parser(
         "status", help="job status from a running server"
@@ -1185,43 +907,39 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="print the raw NDJSON wire messages instead of summaries",
     )
+    return parser
 
-    args = parser.parse_args(argv)
-    command = {
-        "info": cmd_info,
-        "evaluate": cmd_evaluate,
-        "strategies": cmd_strategies,
-        "allocators": cmd_allocators,
-        "models": cmd_models,
-        "experiments": cmd_experiments,
-        "lint": cmd_lint,
-        "experiment": cmd_experiment,
-        "search": cmd_search,
-        "timeline": cmd_timeline,
-        "simulate": cmd_simulate,
-        "batch": cmd_batch,
-        "multicore": cmd_multicore,
-        "serve": cmd_serve,
-        "submit": cmd_submit,
-        "status": cmd_status,
-        "watch": cmd_watch,
-    }[args.command]
+
+_COMMANDS = {
+    "info": cmd_info,
+    "evaluate": cmd_evaluate,
+    "strategies": cmd_strategies,
+    "allocators": cmd_allocators,
+    "models": cmd_models,
+    "experiments": cmd_experiments,
+    "lint": cmd_lint,
+    "experiment": cmd_experiment,
+    "timeline": cmd_timeline,
+    **{command: cmd_run for command in _RUN_COMMANDS},
+    "serve": cmd_serve,
+    "submit": cmd_submit,
+    "status": cmd_status,
+    "watch": cmd_watch,
+}
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        command(args)
+        _COMMANDS[args.command](args)
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
 
 
-def _add_search_arguments(parser: argparse.ArgumentParser) -> None:
-    """The flag set shared by ``search``, ``batch`` and ``multicore``."""
-    parser.add_argument(
-        "--strategy",
-        default=None,
-        help="registered search strategy (see `python -m repro strategies`); "
-        "default: hybrid (exhaustive per core for multicore)",
-    )
+def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
+    """How a run command computes and reports (never what it computes)."""
     parser.add_argument(
         "--json",
         action="store_true",
@@ -1253,7 +971,6 @@ def _add_search_arguments(parser: argparse.ArgumentParser) -> None:
         "'serial' keeps the per-candidate oracle loop; both produce "
         "bit-identical results (default: vectorized)",
     )
-    _add_platform_arguments(parser)
     parser.add_argument(
         "--progress",
         action="store_true",
@@ -1263,48 +980,36 @@ def _add_search_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_platform_arguments(parser: argparse.ArgumentParser) -> None:
-    """The platform flag set (shared by the search commands and
-    ``submit``, which ships them to the server as a fingerprint)."""
-    parser.add_argument(
-        "--wcet-model",
-        default=None,
-        help="registered WCET model to (re)analyze the programs with "
-        "(see `python -m repro models`); default: static",
-    )
-    parser.add_argument(
-        "--cache-sets",
-        type=int,
-        default=None,
-        help="instruction-cache sets (default: 128; 32 with --shared-cache)",
-    )
-    parser.add_argument(
-        "--cache-ways",
-        type=int,
-        default=None,
-        help="instruction-cache ways (default: 1; 4 with --shared-cache)",
-    )
-    parser.add_argument(
-        "--miss-cycles",
-        type=int,
-        default=None,
-        help="cache-miss latency in cycles (default: 100)",
-    )
-    parser.add_argument(
-        "--clock-mhz",
-        type=float,
-        default=None,
-        help="processor clock in MHz (default: 20)",
-    )
-
-
-def _add_allocator_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--allocator",
-        default=None,
-        help="registered partition allocator for multicore co-designs "
-        "(see `python -m repro allocators`); default: exhaustive",
-    )
+def _add_simulate_arguments(parser: argparse.ArgumentParser) -> None:
+    """The load transient ``simulate`` plays (its DynamicProfile)."""
+    for flag, kwargs in (
+        ("--horizon", dict(type=float, default=1.0, help="simulated duration in seconds")),
+        ("--stress", dict(
+            type=float,
+            default=1.46,
+            help="demand factor of the overload burst (1.0 = nominal; the default "
+            "pushes the case study's static optimum past its scaled idle budget)",
+        )),
+        ("--disturb-at", dict(
+            type=float, default=None,
+            help="overload onset in seconds (default: 25%% of the horizon)",
+        )),
+        ("--recover-at", dict(
+            type=float, default=None,
+            help="recovery instant in seconds (default: 70%% of the horizon)",
+        )),
+        ("--adapt-strategy", dict(
+            default=None,
+            help="registered strategy the feedback loop re-invokes on load "
+            "changes (default: online)",
+        )),
+        ("--no-adapt", dict(
+            action="store_true",
+            help="hold the static optimum for the whole horizon (the baseline "
+            "the feedback experiment compares against)",
+        )),
+    ):
+        parser.add_argument(flag, **kwargs)
 
 
 def _add_server_argument(parser: argparse.ArgumentParser) -> None:

@@ -31,11 +31,6 @@ class CodesignResult:
     search: SearchResult
 
     @property
-    def method(self) -> str:
-        """Deprecated alias of :attr:`strategy`."""
-        return self.strategy
-
-    @property
     def best_schedule(self) -> PeriodicSchedule:
         """The optimal schedule found."""
         return self.search.best_schedule

@@ -148,8 +148,7 @@ def _ensure_builtins() -> None:
 EXPERIMENTS: Registry[ExperimentSpec] = Registry(
     "experiment",
     "experiments",
-    attributes=("name", "supports_out"),
-    methods=("build", "render"),
+    protocol=ExperimentSpec,
     check=_check_outputs,
     builtins=_ensure_builtins,
 )

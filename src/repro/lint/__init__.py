@@ -1,10 +1,12 @@
 """``repro.lint`` — AST-based invariant checkers for this repository.
 
 The reproduction has invariants no generic linter knows about: design
-and evaluation code must be deterministic, the plugin registries must
-obey their fail-fast contract, and errors must never be silently
-swallowed.  (Cache-key completeness needs no checker: every key is the
-canonical encoding of all dataclass fields, see :mod:`repro.identity`.)
+and evaluation code must be deterministic, and errors must never be
+silently swallowed.  (Cache-key completeness needs no checker — every
+key is the canonical encoding of all dataclass fields, see
+:mod:`repro.identity` — and neither do registry contracts: each
+:class:`~repro.registry.Registry` checks its ``Protocol`` at
+registration.)
 This package turns each one into a checker over the stdlib :mod:`ast`
 (no third-party dependencies) with stable rule ids:
 
@@ -13,7 +15,6 @@ rule      checker name         invariant
 ========  ===================  ===============================================
 RPL000    (runner)             files must parse
 RPL002    ``determinism``      no global RNG / wall-clock in evaluation code
-RPL003    ``registry-contract``  plugins satisfy protocols; lookups fail typed
 RPL004    ``broad-except``     no swallowed ``except Exception``
 ========  ===================  ===============================================
 

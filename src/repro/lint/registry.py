@@ -10,10 +10,12 @@ CLI (``python -m repro lint``) resolve names through
 registered checkers — the one :class:`~repro.registry.Registry`
 contract shared by every plugin registry.
 
-Three checkers are builtin, one per repo invariant: ``determinism``
-(RPL002), ``registry-contract`` (RPL003) and ``broad-except`` (RPL004).
-(RPL001, cache-key completeness, is retired: cache keys encode every
-dataclass field by construction — see :mod:`repro.identity`.)
+Two checkers are builtin, one per repo invariant no runtime check
+covers: ``determinism`` (RPL002) and ``broad-except`` (RPL004).
+RPL001 (cache-key completeness) and RPL003 (registry contracts) are
+retired: cache keys encode every dataclass field by construction (see
+:mod:`repro.identity`), and every :class:`~repro.registry.Registry`
+checks the members of its ``Protocol`` when a plugin registers.
 """
 
 from __future__ import annotations
@@ -53,15 +55,14 @@ def _check_code(checker: LintChecker) -> None:
 
 def _ensure_builtins() -> None:
     """Import the builtin checker modules (each registers itself)."""
-    from . import determinism, exceptions, registries  # noqa: F401
+    from . import determinism, exceptions  # noqa: F401
 
 
 #: The lint-checker registry (see :class:`repro.registry.Registry`).
 CHECKERS: Registry[LintChecker] = Registry(
     "lint checker",
     "checkers",
-    attributes=("name", "code"),
-    methods=("check",),
+    protocol=LintChecker,
     check=_check_code,
     builtins=_ensure_builtins,
 )

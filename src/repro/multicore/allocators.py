@@ -106,8 +106,7 @@ class PartitionAllocator(Protocol):
 ALLOCATORS: Registry[PartitionAllocator] = Registry(
     "partition allocator",
     "allocators",
-    attributes=("name", "options_type"),
-    methods=("partitions",),
+    protocol=PartitionAllocator,
 )
 
 register_allocator = ALLOCATORS.register

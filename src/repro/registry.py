@@ -10,15 +10,13 @@ search strategies (:mod:`repro.sched.strategies`), WCET models
 functions (``register_strategy``, ``get_wcet_model``, ...) are bindings
 to the instance's methods.  The contract is the same everywhere:
 
-1. registration validates the declared protocol members — attributes
-   present, methods callable — so a broken plugin fails when it is
-   registered, not deep inside a study run;
+1. registration validates the members of the registry's ``Protocol``
+   — its annotated attributes present, its methods callable — so a
+   broken plugin fails when it is registered, not deep inside a study
+   run.  The members are read off the Protocol itself, so each
+   contract is written exactly once;
 2. lookups fail fast with :class:`~repro.errors.ConfigurationError`
    naming the registered entries.
-
-The static twin of promise 1 is lint rule RPL003
-(:mod:`repro.lint.registries`), whose ``CONTRACTS`` table is tested to
-equal the members each registry declares.
 
 :class:`TaggedEvent` is the base of the three typed event families —
 engine (:mod:`repro.sched.engine.events`), study
@@ -31,6 +29,7 @@ family.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import asdict
 from types import MappingProxyType
@@ -58,9 +57,11 @@ class Registry(Generic[T]):
     kind, plural:
         Labels of the error messages (``unknown <kind> 'x'; registered
         <plural>: a, b``).
-    attributes, methods:
-        Protocol members every plugin must provide (``name`` always
-        among the attributes); checked at registration.
+    protocol:
+        The ``Protocol`` every plugin satisfies; its annotated names
+        become :attr:`attributes` and its public functions
+        :attr:`methods`, both checked at registration (``name`` is
+        always required).
     check:
         Optional extra validation of a named instance; raises
         :class:`~repro.errors.ConfigurationError`.
@@ -74,15 +75,13 @@ class Registry(Generic[T]):
         kind: str,
         plural: str,
         *,
-        attributes: tuple[str, ...] = ("name",),
-        methods: tuple[str, ...] = (),
+        protocol: type,
         check: Callable[[Any], None] | None = None,
         builtins: Callable[[], None] | None = None,
     ) -> None:
         self.kind = kind
         self.plural = plural
-        self.attributes = attributes
-        self.methods = methods
+        self.attributes, self.methods = protocol_members(protocol)
         self._check = check
         self._builtins = builtins
         self._entries: dict[str, T] = {}
@@ -168,6 +167,23 @@ class Registry(Generic[T]):
         loader, self._builtins = self._builtins, None
         if loader is not None:
             loader()
+
+
+def protocol_members(protocol: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """``(attributes, methods)`` a ``Protocol`` declares: its annotated
+    names and its public functions, bases included, in definition order."""
+    attributes: dict[str, None] = {}
+    methods: dict[str, None] = {}
+    for klass in reversed(protocol.__mro__):
+        if not getattr(klass, "_is_protocol", False) or klass.__module__ == "typing":
+            continue
+        attributes.update(dict.fromkeys(inspect.get_annotations(klass)))
+        methods.update(
+            (name, None)
+            for name, value in vars(klass).items()
+            if inspect.isfunction(value) and not name.startswith("_")
+        )
+    return tuple(attributes), tuple(methods)
 
 
 class TaggedEvent:

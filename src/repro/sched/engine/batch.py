@@ -156,14 +156,6 @@ class ScenarioOutcome:
     sim: "SimReport | None" = None
 
     @property
-    def method(self) -> str:
-        """Deprecated label kept for old callers: the strategy name, or
-        ``multicore[K]`` for partition sweeps."""
-        if self.multicore is not None:
-            return f"multicore[{self.n_cores}]"
-        return self.strategy
-
-    @property
     def best_schedule(self):
         """The optimal schedule — or the per-core schedules (multicore)."""
         if self.multicore is not None:

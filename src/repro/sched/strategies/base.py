@@ -88,8 +88,7 @@ class SearchStrategy(Protocol):
 STRATEGIES: Registry[SearchStrategy] = Registry(
     "search strategy",
     "strategies",
-    attributes=("name", "options_type"),
-    methods=("run",),
+    protocol=SearchStrategy,
 )
 
 register_strategy = STRATEGIES.register

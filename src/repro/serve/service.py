@@ -36,7 +36,9 @@ from pathlib import Path
 from typing import AsyncIterator, Optional
 
 from ..errors import ConfigurationError, ReproError, ServeError
+from ..experiments.profiles import design_options_for_profile
 from ..sched.engine import EngineOptions
+from ..study import Study
 from ..study.events import StudyEvent
 from ..study.report import write_artifact
 from .jobs import JobRecord, JobSpec
@@ -336,7 +338,10 @@ class JobService:
             eval_backend=record.spec.eval_backend,
         )
         try:
-            study = record.spec.build_study(engine_options, run_dir=self.runs_dir)
+            # The design budget follows REPRO_PROFILE like the CLI's, so
+            # served and direct runs share run-dir artifacts.
+            design = design_options_for_profile()
+            study = Study.from_spec(record.spec, design, engine_options, self.runs_dir)
             reports = await asyncio.wait_for(
                 loop.run_in_executor(
                     self._executor,

@@ -1,9 +1,9 @@
 """Unified study API: one front door for every search run.
 
-:class:`Study` builds a run — from the paper case study
-(:meth:`Study.from_case_study`), a synthesized suite
-(:meth:`Study.from_suite`) or an explicit scenario list
-(:meth:`Study.from_scenarios`) — and drives single-core, batch and
+:class:`Study` builds a run — from a :class:`RunSpec`
+(:meth:`Study.from_spec`; :meth:`Study.from_case_study` and
+:meth:`Study.from_suite` are its keyword spellings) or an explicit
+scenario list (:meth:`Study.from_scenarios`) — and drives single-core, batch and
 multicore scenarios through one code path: the strategy registry
 (:mod:`repro.sched.strategies`) over the batch search engine
 (:mod:`repro.sched.engine`).  Every scenario yields a
@@ -38,10 +38,12 @@ from .events import (
     StudyEvent,
 )
 from .report import RunReport, scenario_digest
+from .spec import RunSpec
 from .study import Study
 
 __all__ = [
     "RunReport",
+    "RunSpec",
     "ScenarioFinished",
     "ScenarioProgress",
     "ScenarioResumed",

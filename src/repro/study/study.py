@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import re
 import time
+from dataclasses import fields
 from pathlib import Path
-from typing import Iterator
+from typing import Any, Iterator
 
 from ..control.design import DesignOptions
 from ..identity import diff, digest
-from ..platform import Platform
 from ..sched.engine import EngineOptions
 from ..sched.engine.batch import Scenario, run_scenario, synthesize_scenarios
 from ..sched.schedule import PeriodicSchedule
@@ -43,6 +43,7 @@ from .events import (
     StudyEvent,
 )
 from .report import RunReport, scenario_identity, write_artifact
+from .spec import RunSpec
 
 
 def _slug(text: str) -> str:
@@ -79,126 +80,105 @@ class Study:
     # Builders
     # ------------------------------------------------------------------
     @classmethod
-    def from_case_study(
+    def from_spec(
         cls,
+        spec: RunSpec,
         design_options: DesignOptions | None = None,
-        strategy: str | None = None,
-        starts: list[PeriodicSchedule] | None = None,
-        n_starts: int = 2,
-        seed: int = 2018,
-        n_cores: int = 1,
-        options: object | None = None,
-        max_count_per_core: int = 6,
-        platform: Platform | None = None,
-        shared_cache: bool = False,
-        allocator: str | None = None,
-        allocator_options: object | None = None,
-        n_apps: int | None = None,
-        dynamic: object | None = None,
         engine_options: EngineOptions | None = None,
         run_dir: str | Path | None = None,
         name: str = "casestudy",
     ) -> "Study":
-        """One-scenario study over the paper's automotive case study.
+        """The study a :class:`~repro.study.spec.RunSpec` describes.
 
-        ``n_cores > 1`` makes it a multicore co-design of the case
-        study (the CLI's ``multicore`` command); otherwise it is the
-        single-core search (the CLI's ``search`` command).
-
-        ``platform`` rebuilds the case study on a different execution
-        platform (cache geometry, clock, WCET model); the WCETs are
-        re-analyzed under it.  ``shared_cache=True`` makes the
-        multicore co-design way-partition that platform's shared cache.
-
-        ``allocator`` selects the partition allocator of a multicore
-        co-design (see :mod:`repro.multicore.allocators`).  ``n_apps``
-        replicates the case-study workload up to that many applications
-        (round-robin copies with re-normalized weights) so many-core
-        runs — where ``n_cores`` must not exceed the application
-        count — have enough work to partition.
-
-        ``dynamic`` attaches a
-        :class:`~repro.sim.profiles.DynamicProfile`: after the static
-        search the feedback-scheduling simulation runs on the same warm
-        engine and the report carries its
-        :class:`~repro.sim.report.SimReport` (the CLI's ``simulate``
-        command; single-core only).
+        The spec is validated first, so a bad run fails before anything
+        is built.  A ``kind="search"`` spec is one scenario over the
+        paper's case study, called ``name`` — rebuilt on the spec's
+        platform (WCETs re-analyzed under it) and replicated to
+        ``n_apps`` applications when set; ``n_cores > 1`` makes it a
+        multicore co-design.  A ``kind="suite"`` spec is the
+        deterministic synthesized suite of
+        :func:`~repro.sched.engine.batch.synthesize_scenarios`.
         """
+        spec.validate()
+        if spec.kind == "suite":
+            scenarios = synthesize_scenarios(
+                spec.suite_size,
+                seed=spec.seed,
+                strategy=spec.strategy,
+                design_options=design_options,
+                n_apps_choices=spec.n_apps_choices,
+                n_cores=spec.n_cores,
+                platform=spec.platform,
+                jitter_platform=spec.jitter_platform,
+                shared_cache=spec.shared_cache,
+                allocator=spec.allocator,
+                allocator_options=spec.allocator_options,
+                dynamic=spec.random_dynamic,
+            )
+            return cls(scenarios, engine_options=engine_options, run_dir=run_dir)
         # Imported lazily: repro.apps builds on repro.sched.
         from ..apps import build_case_study
 
-        case = build_case_study(platform=platform)
+        case = build_case_study(platform=spec.platform)
         apps = case.apps
-        if n_apps is not None:
+        if spec.n_apps is not None:
             # Lazily imported: repro.multicore builds on repro.sched.
             from ..multicore.allocators import replicate_apps
 
-            apps = replicate_apps(apps, n_apps)
+            apps = replicate_apps(apps, spec.n_apps)
+        # Every spec field a Scenario shares is passed through by name.
+        names = {item.name for item in fields(spec)}
+        shared = {
+            item.name: getattr(spec, item.name)
+            for item in fields(Scenario)
+            if item.name in names
+        }
+        shared["starts"] = (
+            tuple(PeriodicSchedule(counts) for counts in spec.starts)
+            if spec.starts
+            else None
+        )
         scenario = Scenario(
             name=name,
             apps=apps,
             clock=case.clock,
             design_options=design_options,
-            strategy=strategy,
-            starts=tuple(starts) if starts else None,
-            n_starts=n_starts,
-            seed=seed,
-            n_cores=n_cores,
-            options=options,
-            max_count_per_core=max_count_per_core,
-            platform=platform,
-            shared_cache=shared_cache,
-            allocator=allocator,
-            allocator_options=allocator_options,
-            dynamic=dynamic,
+            **shared,
         )
         return cls([scenario], engine_options=engine_options, run_dir=run_dir)
+
+    @classmethod
+    def from_case_study(
+        cls,
+        design_options: DesignOptions | None = None,
+        *,
+        starts: list[PeriodicSchedule] | None = None,
+        engine_options: EngineOptions | None = None,
+        run_dir: str | Path | None = None,
+        name: str = "casestudy",
+        **run: Any,
+    ) -> "Study":
+        """:meth:`from_spec` of the case-study :class:`RunSpec` with the
+        fields ``run`` (``starts`` given as schedules)."""
+        if starts:
+            run["starts"] = tuple(start.counts for start in starts)
+        return cls.from_spec(RunSpec(**run), design_options, engine_options, run_dir, name)
 
     @classmethod
     def from_suite(
         cls,
         suite_size: int,
-        seed: int = 2018,
-        strategy: str | None = None,
+        *,
         design_options: DesignOptions | None = None,
-        n_apps_choices: tuple[int, ...] = (2, 3),
-        n_cores: int = 1,
-        platform: Platform | None = None,
-        jitter_platform: bool = False,
-        shared_cache: bool = False,
-        allocator: str | None = None,
-        allocator_options: object | None = None,
-        dynamic: bool = False,
         engine_options: EngineOptions | None = None,
         run_dir: str | Path | None = None,
+        dynamic: bool = False,
+        **run: Any,
     ) -> "Study":
-        """Study over a deterministic synthesized workload suite.
-
-        ``platform``/``jitter_platform``/``shared_cache`` open the
-        platform axis of the synthesis — see
-        :func:`~repro.sched.engine.batch.synthesize_scenarios`.
-        ``allocator`` selects the partition allocator of the multicore
-        scenarios (ignored by scenarios the synthesis clamps down to a
-        single core).  ``dynamic=True`` attaches a seeded random
-        :class:`~repro.sim.profiles.DynamicProfile` to every scenario,
-        so each static search is followed by a feedback-scheduling
-        simulation on the same warm engine (single-core suites only).
-        """
-        scenarios = synthesize_scenarios(
-            suite_size,
-            seed=seed,
-            strategy=strategy,
-            design_options=design_options,
-            n_apps_choices=n_apps_choices,
-            n_cores=n_cores,
-            platform=platform,
-            jitter_platform=jitter_platform,
-            shared_cache=shared_cache,
-            allocator=allocator,
-            allocator_options=allocator_options,
-            dynamic=dynamic,
-        )
-        return cls(scenarios, engine_options=engine_options, run_dir=run_dir)
+        """:meth:`from_spec` of the ``kind="suite"`` :class:`RunSpec` with
+        the fields ``run`` (``dynamic`` is its ``random_dynamic``)."""
+        spec = RunSpec(kind="suite", suite_size=suite_size, random_dynamic=dynamic, **run)
+        return cls.from_spec(spec, design_options, engine_options, run_dir)
 
     @classmethod
     def from_scenarios(

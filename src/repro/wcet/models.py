@@ -55,7 +55,7 @@ class WcetModel(Protocol):
 
 #: The WCET-model registry (see :class:`repro.registry.Registry`).
 WCET_MODELS: Registry[WcetModel] = Registry(
-    "WCET model", "models", methods=("analyze",)
+    "WCET model", "models", protocol=WcetModel
 )
 
 register_wcet_model = WCET_MODELS.register

@@ -43,7 +43,6 @@ class TestStageTwo:
             starts=[PeriodicSchedule.of(2, 2, 2)],
         )
         assert result.strategy == "hybrid"
-        assert result.method == "hybrid"  # deprecated alias
         assert result.search.best.feasible
         assert result.best_overall >= problem.evaluate(PeriodicSchedule.of(2, 2, 2)).overall - 1e-12
 

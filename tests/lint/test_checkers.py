@@ -53,24 +53,6 @@ class TestRPL002:
         assert len(findings) == 2
 
 
-class TestRPL003:
-    def test_contract_and_accessor_violations(self):
-        plugins = FIXTURES / "rpl003" / "plugins.py"
-        findings = run_lint([FIXTURES / "rpl003"], checkers=["registry-contract"])
-        assert all(f.rule == "RPL003" for f in findings)
-        messages = "\n".join(f.message for f in findings)
-        assert "'options_type'" in messages
-        assert "'run'" in messages
-        assert "'partitions'" in messages
-        assert "raises KeyError" in messages
-        assert "_REGISTRY[...]" in messages
-        assert len(findings) == 6
-        class_line = line_of(plugins, "class HalfStrategy")
-        assert sum(1 for f in findings if f.line == class_line) == 2
-        allocator_line = line_of(plugins, "class HalfAllocator")
-        assert sum(1 for f in findings if f.line == allocator_line) == 2
-
-
 class TestRPL004:
     def test_swallowing_handlers_fire(self):
         worker = FIXTURES / "rpl004" / "worker.py"

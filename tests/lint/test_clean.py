@@ -58,7 +58,8 @@ def test_cli_unknown_checker_fails_fast(capsys):
 def test_cli_list(capsys):
     assert main(["lint", "--list"]) == 0
     out = capsys.readouterr().out
-    for name in ("determinism", "registry-contract", "broad-except"):
+    for name in ("determinism", "broad-except"):
         assert name in out
-    for code in ("RPL002", "RPL003", "RPL004"):
+    for code in ("RPL002", "RPL004"):
         assert code in out
+    assert "registry-contract" not in out  # RPL003 is retired

@@ -11,7 +11,7 @@ from repro.lint import (
     unregister_checker,
 )
 
-BUILTINS = {"determinism", "registry-contract", "broad-except"}
+BUILTINS = {"determinism", "broad-except"}
 
 
 def test_builtins_registered():
@@ -20,7 +20,7 @@ def test_builtins_registered():
 
 def test_get_checker_returns_coded_checker():
     codes = {get_checker(name).code for name in BUILTINS}
-    assert codes == {"RPL002", "RPL003", "RPL004"}
+    assert codes == {"RPL002", "RPL004"}
 
 
 def test_unknown_checker_raises_configuration_error():

@@ -198,7 +198,6 @@ class TestRunBatch:
         assert [o.name for o in outcomes] == ["synth-000", "synth-001"]
         for outcome in outcomes:
             assert outcome.strategy == "hybrid"
-            assert outcome.method == "hybrid"  # deprecated alias
             assert outcome.result.best.feasible
             assert outcome.wall_time > 0
             assert outcome.n_space > 0
@@ -222,7 +221,6 @@ class TestRunBatch:
         )[0]
         cold = run_scenario(scenario, EngineOptions(cache_dir=tmp_path))
         assert cold.strategy == "exhaustive"
-        assert cold.method == "multicore[2]"  # deprecated alias
         assert cold.result is None
         assert cold.multicore is not None
         assert cold.multicore.feasible

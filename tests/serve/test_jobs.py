@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.serve.jobs import JobRecord, JobSpec
+from repro.sim import load_transient
 
 
 class TestJobSpecRoundTrip:
@@ -12,10 +13,10 @@ class TestJobSpecRoundTrip:
         assert JobSpec.from_json(spec.to_json()) == spec
 
     def test_full_round_trip(self):
-        spec = JobSpec(
+        spec = JobSpec.from_dict(dict(
             kind="search",
             strategy="annealing",
-            starts=((4, 2, 2), (1, 2, 1)),
+            starts=[[4, 2, 2], [1, 2, 1]],
             n_starts=3,
             seed=7,
             n_cores=2,
@@ -36,7 +37,7 @@ class TestJobSpecRoundTrip:
             },
             eval_backend="serial",
             resume=False,
-        )
+        ))
         rebuilt = JobSpec.from_json(spec.to_json())
         assert rebuilt == spec
         assert rebuilt.starts == ((4, 2, 2), (1, 2, 1))  # tuples, not lists
@@ -89,13 +90,13 @@ class TestJobSpecValidation:
             "wcet_model": "quantum",
         }
         with pytest.raises(ConfigurationError) as exc:
-            JobSpec(platform=platform).validate()
+            JobSpec.from_dict({"platform": platform}).validate()
         message = str(exc.value)
         assert "quantum" in message and "static" in message
 
     def test_malformed_platform_fingerprint(self):
         with pytest.raises(ConfigurationError) as exc:
-            JobSpec(platform={"clock_hz": 20e6}).validate()
+            JobSpec.from_dict({"platform": {"clock_hz": 20e6}}).validate()
         assert "platform" in str(exc.value)
 
     def test_bad_kind_and_backend(self):
@@ -127,6 +128,36 @@ class TestJobSpecValidation:
         with pytest.raises(ConfigurationError):
             JobSpec(kind="suite", starts=((1, 1, 1),)).validate()
         JobSpec(kind="suite", suite_size=2).validate()
+
+    @pytest.mark.parametrize(
+        "kind, name, value",
+        [
+            ("search", "suite_size", 9),
+            ("search", "jitter_platform", True),
+            ("suite", "starts", ((1, 1, 1),)),
+            ("suite", "n_starts", 3),
+            ("suite", "max_count_per_core", 2),
+            ("suite", "n_apps", 4),
+        ],
+    )
+    def test_field_outside_its_kind_rejected(self, kind, name, value):
+        # Accepting it would change the job's digest, not its run.
+        with pytest.raises(ConfigurationError, match=f"{name} applies to"):
+            JobSpec(kind=kind, **{name: value}).validate()
+        JobSpec(kind=kind).validate()
+
+    def test_cores_bounded_by_case_study_applications(self):
+        with pytest.raises(ConfigurationError, match="n_cores=4 exceeds the 3"):
+            JobSpec(n_cores=4).validate()
+        JobSpec(n_cores=4, n_apps=4).validate()
+        JobSpec(kind="suite", n_cores=4).validate()  # clamped per scenario
+
+    def test_dynamic_is_single_core(self):
+        with pytest.raises(ConfigurationError, match="single-core"):
+            JobSpec(kind="suite", n_cores=2, random_dynamic=True).validate()
+        with pytest.raises(ConfigurationError, match="single-core"):
+            JobSpec(n_cores=2, dynamic=load_transient(3)).validate()
+        JobSpec(dynamic=load_transient(3)).validate()
 
     def test_bounds(self):
         with pytest.raises(ConfigurationError):

@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.errors import ConfigurationError, ServeError
+from repro.experiments.profiles import design_options_for_profile
 from repro.sched.engine import EngineOptions
 from repro.serve import (
     JobService,
@@ -79,6 +80,26 @@ class TestHttpBasics:
             assert response.status == 400
             assert payload["kind"] == "ConfigurationError"
 
+    def test_invalid_run_is_a_400_before_the_ledger(self, serve_dir):
+        # 4 cores for the case study's 3 applications fails at submit,
+        # naming the constraint, instead of failing the job at run time.
+        with ServerThread(run_dir=serve_dir) as server:
+            client = ServeClient(server.url)
+            conn = http.client.HTTPConnection(
+                client.host, client.port, timeout=30
+            )
+            try:
+                conn.request("POST", "/jobs", body=json.dumps({"n_cores": 4}))
+                response = conn.getresponse()
+                payload = json.loads(response.read())
+            finally:
+                conn.close()
+            assert response.status == 400
+            assert payload["kind"] == "ConfigurationError"
+            assert "n_cores=4 exceeds the 3 applications" in payload["error"]
+            assert client.jobs() == []
+        assert list((serve_dir / "jobs").iterdir()) == []
+
     def test_queue_bound_rejects_with_429(self, serve_dir):
         with ServerThread(run_dir=serve_dir, queue_size=0) as server:
             client = ServeClient(server.url)
@@ -104,7 +125,9 @@ class TestJobExecution:
         # A direct Study run pointed at the server's run dir and cache
         # resumes the server's persisted report byte-identically: the
         # service adds zero semantics on top of --run-dir/--cache-dir.
-        study = spec.build_study(
+        study = Study.from_spec(
+            spec,
+            design_options_for_profile(),
             EngineOptions(cache_dir=str(serve_dir / "cache")),
             run_dir=serve_dir / "runs",
         )

@@ -214,7 +214,16 @@ SUBJECTS = [
             "shared_cache": st.booleans(),
             "allocator": allocators,
             "suite_size": st.integers(1, 8),
-            "platform": st.none() | platforms.map(Platform.fingerprint),
+            "platform": st.none() | platforms,
+            "options": st.none() | st.builds(HybridOptions, max_steps=st.integers(1, 99)),
+            "allocator_options": st.none()
+            | st.builds(GreedyAllocatorOptions, max_partitions=st.integers(1, 99)),
+            "n_apps": st.none() | st.integers(3, 8),
+            "dynamic": st.none()
+            | st.builds(DynamicProfile, horizon=st.floats(0.1, 10.0), adapt=st.booleans()),
+            "n_apps_choices": st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple),
+            "jitter_platform": st.booleans(),
+            "random_dynamic": st.booleans(),
             "eval_backend": st.sampled_from(["serial", "vectorized"]),
             "resume": st.booleans(),
         },

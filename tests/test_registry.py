@@ -1,27 +1,27 @@
 """The one plugin-registry mechanism behind all five extension points.
 
-Every registry enforces its whole protocol at registration (a plugin
-missing any declared member fails with ``ConfigurationError`` instead
-of an ``AttributeError`` later), and the static RPL003 contract table
-equals the members each runtime registry declares.
+Every registry enforces its whole ``Protocol`` at registration (a
+plugin missing any member the Protocol declares fails with
+``ConfigurationError`` instead of an ``AttributeError`` later), and
+the members it checks are exactly the ones its Protocol declares.
 """
 
+import inspect
 from dataclasses import dataclass
 
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import registry as experiments_module
-from repro.experiments.registry import EXPERIMENTS
+from repro.experiments.registry import EXPERIMENTS, ExperimentSpec
 from repro.lint import registry as lint_module
-from repro.lint.registries import CONTRACTS, Contract
-from repro.lint.registry import CHECKERS
+from repro.lint.registry import CHECKERS, LintChecker
 from repro.multicore import allocators as allocators_module
-from repro.multicore.allocators import ALLOCATORS
+from repro.multicore.allocators import ALLOCATORS, PartitionAllocator
 from repro.sched.strategies import base as strategies_module
-from repro.sched.strategies.base import STRATEGIES
+from repro.sched.strategies.base import STRATEGIES, SearchStrategy
 from repro.wcet import models as wcet_module
-from repro.wcet.models import WCET_MODELS
+from repro.wcet.models import WCET_MODELS, WcetModel
 
 
 @dataclass(frozen=True)
@@ -68,14 +68,37 @@ PLUGINS = {
 }
 
 
+#: registry id -> (module binding its register_* decorator, decorator, Protocol).
+PROTOCOLS = {
+    "strategy": (strategies_module, "register_strategy", SearchStrategy),
+    "wcet-model": (wcet_module, "register_wcet_model", WcetModel),
+    "experiment": (experiments_module, "register_experiment", ExperimentSpec),
+    "checker": (lint_module, "register_checker", LintChecker),
+    "allocator": (allocators_module, "register_allocator", PartitionAllocator),
+}
+
+
+def declared_members(protocol: type) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """``(attributes, methods)`` written in a Protocol's class body."""
+    methods = tuple(
+        name
+        for name, value in vars(protocol).items()
+        if inspect.isfunction(value) and not name.startswith("_")
+    )
+    return tuple(inspect.get_annotations(protocol)), methods
+
+
 def _probe(members: dict) -> type:
     return type("Probe", (), {"__doc__": "A registration probe.", **members})
 
 
 def _broken_plugins():
-    """``(registry id, case, members)`` of plugins registration rejects."""
+    """``(registry id, case, members)`` of plugins registration rejects:
+    one per Protocol member left out, plus malformed members."""
     for key, (registry, members, builtin) in PLUGINS.items():
-        for member in members:
+        attributes, methods = declared_members(PROTOCOLS[key][2])
+        assert set(members) == {*attributes, *methods}, key  # probe is complete
+        for member in (*attributes, *methods):
             broken = {k: v for k, v in members.items() if k != member}
             yield key, f"missing-{member}", broken
         for method in registry.methods:
@@ -130,22 +153,15 @@ def test_options_resolution(key):
         registry.resolve_options(plugin, object())
 
 
-#: RPL003 decorator -> (module binding it, runtime registry).
-DECORATORS = {
-    "register_strategy": (strategies_module, STRATEGIES),
-    "register_wcet_model": (wcet_module, WCET_MODELS),
-    "register_experiment": (experiments_module, EXPERIMENTS),
-    "register_checker": (lint_module, CHECKERS),
-    "register_allocator": (allocators_module, ALLOCATORS),
-}
+def test_protocols_cover_every_registry():
+    assert set(PROTOCOLS) == set(PLUGINS)
 
 
-def test_lint_contracts_cover_every_registry():
-    assert set(CONTRACTS) == set(DECORATORS)
-
-
-@pytest.mark.parametrize("decorator", sorted(DECORATORS))
-def test_lint_contract_equals_runtime_contract(decorator):
-    module, registry = DECORATORS[decorator]
+@pytest.mark.parametrize(
+    "key", sorted(PROTOCOLS), ids=[PROTOCOLS[key][1] for key in sorted(PROTOCOLS)]
+)
+def test_registry_checks_exactly_its_protocol_members(key):
+    module, decorator, protocol = PROTOCOLS[key]
+    registry = PLUGINS[key][0]
     assert getattr(module, decorator).__self__ is registry
-    assert CONTRACTS[decorator] == Contract(registry.attributes, registry.methods)
+    assert (registry.attributes, registry.methods) == declared_members(protocol)
