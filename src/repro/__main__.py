@@ -19,8 +19,8 @@ generated from its field metadata
 :meth:`~repro.study.Study.from_spec`.  They share the engine flags:
 ``--json`` (the RunReport artifact on stdout; ``simulate`` prints its
 byte-reproducible SimReport), ``--run-dir`` (persist reports; matching
-reruns resume from disk), ``--workers``, ``--cache-dir``,
-``--eval-backend`` and ``--progress`` (a live progress line on stderr,
+reruns resume from disk), ``--workers``, ``--cache-dir`` and
+``--progress`` (a live progress line on stderr,
 automatic on a TTY).  ``experiment <name>`` regenerates one paper
 artifact through the experiment registry with the same strategy,
 platform and engine flags.
@@ -310,9 +310,7 @@ def cmd_run(args: argparse.Namespace) -> None:
             ),
         )
         name = "casestudy-sim"
-    engine_options = EngineOptions(
-        workers=args.workers, cache_dir=args.cache_dir, eval_backend=args.eval_backend
-    )
+    engine_options = EngineOptions(workers=args.workers, cache_dir=args.cache_dir)
     study = Study.from_spec(
         spec, design_options_for_profile(), engine_options, args.run_dir, name
     )
@@ -555,11 +553,7 @@ def cmd_submit(args: argparse.Namespace) -> None:
 
     # Deliberately *not* validated here — the server owns validation,
     # so an unknown strategy fails over HTTP with the registry message.
-    spec = JobSpec(
-        **spec_from_args(args),
-        eval_backend=args.eval_backend,
-        resume=not args.no_resume,
-    )
+    spec = JobSpec(**spec_from_args(args), resume=not args.no_resume)
     record = ServeClient(args.server).submit(spec)
     if args.json:
         print(json.dumps(record.to_dict(), indent=2, sort_keys=True))
@@ -875,12 +869,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="recompute even if the server holds a matching report",
     )
     submit.add_argument(
-        "--eval-backend",
-        choices=("vectorized", "serial"),
-        default="vectorized",
-        help="candidate-batch evaluation backend on the server",
-    )
-    submit.add_argument(
         "--json",
         action="store_true",
         help="print the submitted job record JSON instead of a summary",
@@ -961,15 +949,6 @@ def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
         "--cache-dir",
         default=None,
         help="persistent evaluation-cache directory (warm-starts reruns)",
-    )
-    parser.add_argument(
-        "--eval-backend",
-        choices=("vectorized", "serial"),
-        default="vectorized",
-        help="how candidate batches are evaluated: 'vectorized' stacks "
-        "the controller designs of a batch into array operations, "
-        "'serial' keeps the per-candidate oracle loop; both produce "
-        "bit-identical results (default: vectorized)",
     )
     parser.add_argument(
         "--progress",

@@ -77,14 +77,10 @@ class CaseStudy:
     platform: Platform | None = None
 
     def evaluator(
-        self,
-        design_options: DesignOptions | None = None,
-        eval_backend: str = "vectorized",
+        self, design_options: DesignOptions | None = None
     ) -> ScheduleEvaluator:
         """A fresh memoizing evaluator over this case study."""
-        return ScheduleEvaluator(
-            self.apps, self.clock, design_options, eval_backend=eval_backend
-        )
+        return ScheduleEvaluator(self.apps, self.clock, design_options)
 
     def app(self, name: str) -> ControlApplication:
         """Look up an application by name."""

@@ -13,7 +13,8 @@ Provides the control-theoretic machinery the co-design needs:
   simulation with intersample output checking;
 * :mod:`~repro.control.pso` — the particle-swarm optimizer;
 * :mod:`~repro.control.design` — the holistic controller design that
-  maximizes control performance for a given schedule timing.
+  maximizes control performance for a given schedule timing, computed
+  by the one design kernel :mod:`~repro.control.lockstep`.
 """
 
 from .lti import LtiPlant
@@ -21,7 +22,7 @@ from .discretize import zoh, zoh_delayed
 from .ackermann import controllability_matrix, place_poles_siso
 from .lifted import Segment, build_segments, lifted_closed_loop, feedforward_gain
 from .metrics import quadratic_cost, overshoot, settling_time_of_trajectory
-from .pso import PsoOptions, PsoResult, pso_minimize
+from .pso import PsoOptions, PsoResult, pso_minimize_many
 from .simulate import (
     SimulationPlan,
     TrackingResult,
@@ -53,7 +54,7 @@ __all__ = [
     "lifted_closed_loop",
     "overshoot",
     "place_poles_siso",
-    "pso_minimize",
+    "pso_minimize_many",
     "quadratic_cost",
     "settling_time_of_trajectory",
     "simulate_tracking",

@@ -35,12 +35,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ControlError, DesignInfeasibleError
+from ..errors import ControlError
 from .ackermann import place_poles_siso
-from .lifted import Segment, build_segments, lifted_closed_loop
+from .lifted import build_segments
 from .lti import LtiPlant
-from .pso import PsoOptions, pso_minimize
-from .simulate import SimulationPlan, build_simulation_plan, simulate_tracking
+from .pso import PsoOptions
+from .simulate import build_simulation_plan
+
+#: The design engines :class:`DesignOptions` accepts (module docstring).
+ENGINES = ("hybrid", "seeded", "uniform", "poles")
 
 
 @dataclass(frozen=True)
@@ -99,6 +102,15 @@ class DesignOptions:
     restarts: int = 3
     min_damping: float = 0.35
     max_damping: float = 1.4
+
+    def __post_init__(self) -> None:
+        if self.engine not in ENGINES:
+            raise ControlError(
+                f"unknown design engine {self.engine!r}; "
+                f"known engines: {', '.join(ENGINES)}"
+            )
+        if self.restarts < 1:
+            raise ControlError(f"restarts must be >= 1, got {self.restarts}")
 
 
 @dataclass
@@ -161,111 +173,44 @@ class ControllerDesign:
         )
 
 
-class _GainEvaluator:
-    """Batched objective: gains -> penalized worst-case settling."""
+class _DesignProblem:
+    """Gain-independent setup of one (plant, timing, spec) problem.
+
+    Segments, simulation plan, horizon, initial equilibrium, penalty
+    scale and feedforward operands: everything particle scoring needs
+    that the gains do not change.  It is read-only, so every restart of
+    a problem shares one instance; the scoring itself is
+    :class:`repro.control.lockstep.BatchGainEvaluator`.
+    """
 
     def __init__(
         self,
         plant: LtiPlant,
-        segments: list[Segment],
-        plan: SimulationPlan,
+        periods: list[float],
+        delays: list[float],
         spec: TrackingSpec,
-        horizon: float,
+        horizon_factor: float,
+        nsub: int,
     ) -> None:
         self.plant = plant
-        self.segments = segments
-        self.plan = plan
+        self.segments = build_segments(plant.a, plant.b, periods, delays)
+        self.plan = build_simulation_plan(
+            plant.a, plant.b, plant.c, periods, delays, nsub=nsub
+        )
         self.spec = spec
-        self.horizon = horizon
-        self.m = len(segments)
+        self.horizon = horizon_factor * spec.deadline + self.plan.idle_gap
+        self.m = len(self.segments)
         self.order = plant.order
         x_eq, u_eq = plant.equilibrium(spec.y0)
         self.x0 = x_eq
         self.u0 = u_eq
-        self.n_evaluations = 0
         # Penalty scales: large enough to dominate any real settling time
         # but graded so the swarm can descend toward feasibility.
         self.big = 50.0 * spec.deadline
         # Per-segment (I - Ad) and Gamma for feedforward computation.
         eye = np.eye(self.order)
-        self._ff_a = np.stack([eye - seg.ad for seg in segments])       # (m,l,l)
-        self._ff_b = np.stack([seg.b1 + seg.b2 for seg in segments])    # (m,l)
-
-    def feedforward_batch(self, gains: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Paper eq. (17) for a batch: returns ``(F, invalid_mask)``."""
-        n_batch = gains.shape[0]
-        f_out = np.zeros((n_batch, self.m))
-        invalid = np.zeros(n_batch, dtype=bool)
-        c = self.plant.c
-        for j in range(self.m):
-            # M_p = I - Ad_j - Gamma_j K_jp  for every particle p
-            mats = self._ff_a[j][None, :, :] - np.einsum(
-                "l,pk->plk", self._ff_b[j], gains[:, j, :]
-            )
-            dets = np.linalg.det(mats)
-            bad = np.abs(dets) < 1e-12
-            safe = mats.copy()
-            safe[bad] = np.eye(self.order)
-            solved = np.linalg.solve(safe, np.broadcast_to(
-                self._ff_b[j], (n_batch, self.order)
-            )[..., None])[..., 0]
-            denom = solved @ c
-            bad |= np.abs(denom) < 1e-12
-            f_out[:, j] = np.where(bad, 0.0, 1.0 / np.where(bad, 1.0, denom))
-            invalid |= bad
-        return f_out, invalid
-
-    def spectral_radii(self, gains: np.ndarray, feedforward: np.ndarray) -> np.ndarray:
-        """Spectral radius of ``A_hol`` for every particle."""
-        radii = np.empty(gains.shape[0])
-        for p in range(gains.shape[0]):
-            a_hol, _ = lifted_closed_loop(self.segments, gains[p], feedforward[p])
-            radii[p] = np.abs(np.linalg.eigvals(a_hol)).max()
-        return radii
-
-    def evaluate(self, gains: np.ndarray) -> dict[str, np.ndarray]:
-        """Objective and diagnostics for a batch of gain sets."""
-        gains = np.asarray(gains, dtype=float)
-        if gains.ndim == 2:
-            gains = gains[None]
-        self.n_evaluations += gains.shape[0]
-        feedforward, invalid = self.feedforward_batch(gains)
-        radii = self.spectral_radii(gains, feedforward)
-        tracking = simulate_tracking(
-            self.plan,
-            gains,
-            feedforward,
-            r=self.spec.r,
-            x0=self.x0,
-            u0=self.u0,
-            horizon=self.horizon,
-            band=self.spec.band,
-        )
-        settling = tracking.settling
-        u_peak = tracking.u_peak
-
-        objective = np.where(np.isfinite(settling), settling, self.big)
-        unstable = radii >= 1.0
-        objective = objective + np.where(
-            unstable, self.big * (1.0 + np.minimum(radii - 1.0, 10.0)), 0.0
-        )
-        saturated = u_peak > self.spec.u_max
-        with np.errstate(divide="ignore", invalid="ignore"):
-            excess = np.where(
-                saturated, np.minimum(u_peak / self.spec.u_max - 1.0, 100.0), 0.0
-            )
-        objective = objective + np.where(
-            saturated, 0.2 * self.big * (1.0 + excess), 0.0
-        )
-        objective = objective + np.where(invalid, 2.0 * self.big, 0.0)
-        return {
-            "objective": objective,
-            "settling": settling,
-            "u_peak": u_peak,
-            "rho": radii,
-            "feedforward": feedforward,
-            "invalid": invalid,
-        }
+        self._ff_a = np.stack([eye - seg.ad for seg in self.segments])       # (m,l,l)
+        self._ff_b = np.stack([seg.b1 + seg.b2 for seg in self.segments])    # (m,l)
 
 
 def _continuous_poles(theta: np.ndarray, order: int) -> np.ndarray:
@@ -298,14 +243,13 @@ def _continuous_poles(theta: np.ndarray, order: int) -> np.ndarray:
 class _StageA:
     """Pole-target parametrization: theta -> per-task Ackermann gains."""
 
-    def __init__(self, evaluator: _GainEvaluator, options: DesignOptions) -> None:
-        self.evaluator = evaluator
-        self.options = options
-        self.order = evaluator.order
-        self.m = evaluator.m
-        hyper = sum(seg.h for seg in evaluator.segments)
+    def __init__(self, problem: _DesignProblem, options: DesignOptions) -> None:
+        self.problem = problem
+        self.order = problem.order
+        self.m = problem.m
+        hyper = sum(seg.h for seg in problem.segments)
         h_mean = hyper / self.m
-        self.w_min = 0.25 / evaluator.spec.deadline
+        self.w_min = 0.25 / problem.spec.deadline
         self.w_max = math.pi / h_mean
         lower = []
         upper = []
@@ -320,33 +264,15 @@ class _StageA:
 
     def gains_for(self, theta: np.ndarray) -> np.ndarray | None:
         """Per-task gains realizing the pole targets, or ``None``."""
-        return self._gains_for_poles(_continuous_poles(theta, self.order))
-
-    def _gains_for_poles(self, poles_ct: np.ndarray) -> np.ndarray | None:
+        poles_ct = _continuous_poles(theta, self.order)
         gains = np.empty((self.m, self.order))
-        for j, seg in enumerate(self.evaluator.segments):
+        for j, seg in enumerate(self.problem.segments):
             desired = np.exp(poles_ct * seg.h)
             try:
                 gains[j] = place_poles_siso(seg.ad, seg.b1 + seg.b2, desired)
             except ControlError:
                 return None
         return gains
-
-    def objective(self, thetas: np.ndarray) -> np.ndarray:
-        batch = []
-        bad = np.zeros(thetas.shape[0], dtype=bool)
-        poles_ct = _continuous_poles(thetas, self.order)
-        for p in range(thetas.shape[0]):
-            gains = self._gains_for_poles(poles_ct[p])
-            if gains is None:
-                bad[p] = True
-                batch.append(np.zeros((self.m, self.order)))
-            else:
-                batch.append(gains)
-        result = self.evaluator.evaluate(np.stack(batch))
-        objective = result["objective"]
-        objective[bad] = 4.0 * self.evaluator.big
-        return objective
 
     def default_seeds(self) -> np.ndarray:
         """A spread of aggressiveness levels as deterministic seeds."""
@@ -371,155 +297,15 @@ def design_controller(
 ) -> ControllerDesign:
     """Design the holistic controller for one application and timing.
 
-    Returns the best design found; it may be infeasible (unstable or
-    saturating) only when the engine could not find any feasible point,
-    in which case :attr:`ControllerDesign.satisfies` is ``False``.
+    A batch of one for :func:`repro.control.lockstep.design_controllers_batch`,
+    the one design kernel.  Returns the best design found; it may be
+    infeasible (unstable or saturating) only when the engine could not
+    find any feasible point, in which case
+    :attr:`ControllerDesign.satisfies` is ``False``.
     """
-    options = options or DesignOptions()
-    if options.engine not in ("hybrid", "seeded", "uniform", "poles"):
-        raise ControlError(f"unknown design engine {options.engine!r}")
-    if options.restarts < 1:
-        raise ControlError(f"restarts must be >= 1, got {options.restarts}")
-    segments = build_segments(plant.a, plant.b, periods, delays)
-    plan = build_simulation_plan(
-        plant.a, plant.b, plant.c, periods, delays, nsub=options.nsub
+    from .lockstep import DesignRequest, design_controllers_batch
+
+    request = DesignRequest(
+        plant, tuple(periods), tuple(delays), spec, options or DesignOptions()
     )
-    horizon = options.horizon_factor * spec.deadline + plan.idle_gap
-    evaluator = _GainEvaluator(plant, segments, plan, spec, horizon)
-
-    best: ControllerDesign | None = None
-    for restart in range(options.restarts):
-        rng = np.random.default_rng(options.seed + 104729 * restart)
-        design = _design_once(plant, evaluator, options, rng)
-        if best is None or design.objective < best.objective:
-            best = design
-    assert best is not None
-    return best
-
-
-def _design_once(
-    plant: LtiPlant,
-    evaluator: _GainEvaluator,
-    options: DesignOptions,
-    rng: np.random.Generator,
-) -> ControllerDesign:
-    """One swarm run of the selected engine."""
-    if options.engine == "poles":
-        from .polesearch import design_poles_engine
-
-        return design_poles_engine(evaluator, options, rng)
-
-    if options.engine == "uniform":
-        best_gains = _design_uniform(evaluator, options, rng)
-    else:
-        stage_a = _StageA(evaluator, options)
-        result_a = pso_minimize(
-            stage_a.objective,
-            stage_a.lower,
-            stage_a.upper,
-            options.stage_a,
-            rng,
-            seeds=stage_a.default_seeds(),
-        )
-        best_gains = stage_a.gains_for(result_a.best_position)
-        if best_gains is None:
-            raise DesignInfeasibleError(
-                f"no pole target is realizable for plant {plant.name!r}"
-            )
-        if options.engine == "hybrid":
-            best_gains = _refine_gains(evaluator, best_gains, options, rng)
-
-    return _finalize(evaluator, best_gains, options.engine)
-
-
-def _refine_gains(
-    evaluator: _GainEvaluator,
-    center: np.ndarray,
-    options: DesignOptions,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Stage B: direct PSO over all gain entries around ``center``."""
-    flat = center.reshape(-1)
-    spread = 2.5 * np.abs(flat) + 0.5 * (np.abs(flat).mean() + 1e-9)
-    lower = flat - spread
-    upper = flat + spread
-
-    def objective(batch_flat: np.ndarray) -> np.ndarray:
-        batch = batch_flat.reshape(-1, evaluator.m, evaluator.order)
-        return evaluator.evaluate(batch)["objective"]
-
-    result = pso_minimize(
-        objective, lower, upper, options.stage_b, rng, seeds=flat[None, :]
-    )
-    refined = result.best_position.reshape(evaluator.m, evaluator.order)
-    # Keep whichever of (center, refined) evaluates better — PSO noise
-    # must never make the final design worse than its seed.
-    both = evaluator.evaluate(np.stack([center, refined]))
-    if both["objective"][1] <= both["objective"][0]:
-        return refined
-    return center
-
-
-def _design_uniform(
-    evaluator: _GainEvaluator,
-    options: DesignOptions,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Non-holistic ablation: one average-period design for all tasks."""
-    from .discretize import zoh
-
-    order = evaluator.order
-    m = evaluator.m
-    h_mean = sum(seg.h for seg in evaluator.segments) / m
-    ad, gamma = zoh(evaluator.plant.a, evaluator.plant.b, h_mean)
-    spec = evaluator.spec
-    w_min = 0.25 / spec.deadline
-    w_max = math.pi / h_mean
-    lower = []
-    upper = []
-    for _ in range(order // 2):
-        lower += [w_min, options.min_damping]
-        upper += [w_max, options.max_damping]
-    if order % 2:
-        lower.append(w_min)
-        upper.append(w_max)
-
-    def objective(thetas: np.ndarray) -> np.ndarray:
-        batch = np.empty((thetas.shape[0], m, order))
-        bad = np.zeros(thetas.shape[0], dtype=bool)
-        poles_ct = _continuous_poles(thetas, order)
-        for p in range(thetas.shape[0]):
-            desired = np.exp(poles_ct[p] * h_mean)
-            try:
-                k_row = place_poles_siso(ad, gamma, desired)
-            except ControlError:
-                bad[p] = True
-                k_row = np.zeros(order)
-            batch[p] = np.tile(k_row, (m, 1))
-        values = evaluator.evaluate(batch)["objective"]
-        values[bad] = 4.0 * evaluator.big
-        return values
-
-    result = pso_minimize(
-        objective, np.array(lower), np.array(upper), options.stage_a, rng
-    )
-    desired = np.exp(_continuous_poles(result.best_position, order) * h_mean)
-    k_row = place_poles_siso(ad, gamma, desired)
-    return np.tile(k_row, (m, 1))
-
-
-def _finalize(
-    evaluator: _GainEvaluator, gains: np.ndarray, engine: str
-) -> ControllerDesign:
-    """Evaluate the final gain set once and package the result."""
-    result = evaluator.evaluate(gains[None])
-    return ControllerDesign(
-        gains=gains,
-        feedforward=result["feedforward"][0],
-        settling=float(result["settling"][0]),
-        u_peak=float(result["u_peak"][0]),
-        spectral_radius=float(result["rho"][0]),
-        objective=float(result["objective"][0]),
-        n_evaluations=evaluator.n_evaluations,
-        engine=engine,
-    )
+    return design_controllers_batch([request])[0]

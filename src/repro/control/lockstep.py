@@ -1,22 +1,29 @@
-"""Vectorized batch controller design (lockstep across design units).
+"""The controller-design kernel: many design problems in lockstep.
 
-The schedule search spends essentially all of its time inside
-:func:`repro.control.design.design_controller`: PSO over pole targets,
-Ackermann placement per task, a lifted-eigenvalue stability check and a
-switched closed-loop simulation, all repeated per (application, timing)
-pair and per restart.  This module runs *many* of those design problems
-at once: one "design unit" per (problem, restart), all swarms advanced
-in lockstep by :func:`repro.control.pso.pso_minimize_many`, and every
-per-particle numerical stage replaced by a stacked-array twin that
-processes the whole unit batch per call.
+The schedule search spends essentially all of its time designing
+controllers: PSO over pole targets, Ackermann placement per task, a
+lifted-eigenvalue stability check and a switched closed-loop
+simulation, per (application, timing) pair and per restart.
+:func:`design_controllers_batch` is the one place that work happens
+(:func:`repro.control.design.design_controller` is a batch of one).
+It runs one "design unit" per (problem, restart), advances every swarm
+in lockstep through :func:`repro.control.pso.pso_minimize_many`, and
+scores the particles of all units with stacked array operations
+(:class:`BatchGainEvaluator`).
 
-Serial-oracle contract
-----------------------
-The serial path (``design_controller`` and everything under it) is the
-oracle; this module never replaces it and must reproduce it exactly.
-The batched twins re-execute the *same* floating-point operations in the
-same order, so on any one machine the two paths agree bit-for-bit and
-tests assert exact equality, not tolerances.  What a speedup here may
+Batch contract
+--------------
+A design's bits never depend on the batch it rides in: designing a
+problem alone, with other problems, in any order or with any batch
+split gives the same gains, feedforwards, diagnostics and evaluation
+counts, so tests assert exact equality, not tolerances, and the designs
+pinned by ``tests/control/test_golden_designs.py`` hold whatever the
+batch.  Each numerical stage is checked against an independent
+reference that stays in the library for its own callers
+(:func:`~repro.control.simulate.simulate_tracking`,
+:func:`~repro.control.lifted.lifted_closed_loop`,
+:func:`~repro.control.ackermann.place_poles_siso`,
+:func:`~repro.control.lifted.feedforward_gain`).  What a speedup here may
 and may not do follows from that.
 
 It may:
@@ -30,16 +37,16 @@ It may:
   element-wise work across units and particles: single-rounded IEEE
   operations give the same bits whatever the array shape or layout.
 
-It may not:
+It may not, without re-pinning the golden designs:
 
 * change the per-slice shape or layout of any BLAS/LAPACK call: every
-  matmul, solve, determinant and eigenvalue problem runs on the same
-  ``(P, l)``-style blocks the serial path uses, as stacked gufunc
-  batches whose per-slice kernels match the serial calls;
+  matmul, solve, determinant and eigenvalue problem runs on one unit's
+  ``(P, l)``-style blocks, as stacked gufunc batches whose per-slice
+  kernels do not depend on which other units are stacked alongside;
 * re-derive ``np.convolve``: ``np.poly``'s recurrence is repeated call
   by call per particle, because its complex kernel is length-dependent;
 * reorder an accumulation: sums, products and the simulation clock add
-  their terms in the serial order.
+  their terms in a fixed per-unit order.
 """
 
 from __future__ import annotations
@@ -50,20 +57,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ControlError, DesignInfeasibleError
-from .ackermann import controllability_matrix
+from .ackermann import controllability_matrix, place_poles_siso
 from .design import (
     ControllerDesign,
     DesignOptions,
     TrackingSpec,
     _continuous_poles,
-    _GainEvaluator,
+    _DesignProblem,
     _StageA,
-    design_controller,
 )
-from .lifted import Segment, build_segments
+from .discretize import zoh
+from .lifted import Segment
 from .lti import LtiPlant
+from .polesearch import PoleSearch
 from .pso import pso_minimize_many
-from .simulate import build_simulation_plan
 
 
 @dataclass(frozen=True)
@@ -121,7 +128,7 @@ class _SegmentPlacer:
         )
         if self.uncontrollable:
             return
-        # Powers eye, A, A^2, ... exactly as the serial phi(A) loop
+        # Powers eye, A, A^2, ... exactly as place_poles_siso's phi(A) loop
         # generates them (eye @ A, then repeated right-multiplication).
         powers = [np.eye(order)]
         for _ in range(order):
@@ -139,7 +146,7 @@ class _SegmentPlacer:
         poly = _poly_batch(desired)
         # np.poly casts conjugate-closed rows to real; the others must
         # pass place_poles_siso's imaginary-residue test (np.fmax, like
-        # the serial max(1.0, .), ignores a NaN magnitude).
+        # place_poles_siso's max(1.0, .), ignores a NaN magnitude).
         conjugate_closed = np.all(
             np.sort(desired, axis=1) == np.sort(desired.conjugate(), axis=1),
             axis=1,
@@ -161,14 +168,20 @@ class _SegmentPlacer:
 
 
 class _BatchedStageA:
-    """Stacked twin of ``_StageA``'s per-particle gain construction."""
+    """The ``hybrid``/``seeded`` swarm space: pole targets, placed per task.
 
-    def __init__(self, stage_a: _StageA) -> None:
-        self.stage_a = stage_a
-        evaluator = stage_a.evaluator
-        self.order = evaluator.order
-        self.m = evaluator.m
-        self.placers = [_SegmentPlacer(seg) for seg in evaluator.segments]
+    Stacked form of ``_StageA``'s per-particle gain construction.
+    """
+
+    def __init__(self, problem: _DesignProblem, options: DesignOptions) -> None:
+        self.stage_a = _StageA(problem, options)
+        self.lower = self.stage_a.lower
+        self.upper = self.stage_a.upper
+        self.seeds = self.stage_a.default_seeds()
+        self.order = problem.order
+        self.m = problem.m
+        self.plant_name = problem.plant.name
+        self.placers = [_SegmentPlacer(seg) for seg in problem.segments]
 
     def gains_batch(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-task gains ``(P, m, l)`` and the infeasible-particle mask."""
@@ -184,6 +197,63 @@ class _BatchedStageA:
         gains[bad] = 0.0
         return gains, bad
 
+    def best_gains(self, theta: np.ndarray) -> np.ndarray:
+        gains = self.stage_a.gains_for(theta)
+        if gains is None:
+            raise DesignInfeasibleError(
+                f"no pole target is realizable for plant {self.plant_name!r}"
+            )
+        return gains
+
+
+class _UniformSearch:
+    """The ``uniform`` swarm space: one average-period design for all tasks.
+
+    The non-holistic ablation baseline: pole targets (stage A's box) are
+    placed on the ZOH model at the mean sampling period and the one gain
+    row is reused for every task.
+    """
+
+    seeds = None
+
+    def __init__(self, problem: _DesignProblem, options: DesignOptions) -> None:
+        stage_a = _StageA(problem, options)
+        self.lower = stage_a.lower
+        self.upper = stage_a.upper
+        self.order = problem.order
+        self.m = problem.m
+        self.h_mean = sum(seg.h for seg in problem.segments) / self.m
+        self.ad, self.gamma = zoh(problem.plant.a, problem.plant.b, self.h_mean)
+
+    def _row(self, pole_row: np.ndarray) -> np.ndarray:
+        return place_poles_siso(self.ad, self.gamma, np.exp(pole_row * self.h_mean))
+
+    def gains_batch(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Tied gains ``(P, m, l)`` and the unplaceable-particle mask."""
+        gains = np.zeros((thetas.shape[0], self.m, self.order))
+        bad = np.zeros(thetas.shape[0], dtype=bool)
+        for p, pole_row in enumerate(_continuous_poles(thetas, self.order)):
+            try:
+                gains[p] = self._row(pole_row)
+            except ControlError:
+                bad[p] = True
+        return gains, bad
+
+    def best_gains(self, theta: np.ndarray) -> np.ndarray:
+        return np.tile(self._row(_continuous_poles(theta, self.order)), (self.m, 1))
+
+
+#: Engine name -> its stage-A swarm space (``hybrid`` refines further).
+#: Each space has box bounds ``lower``/``upper``, ``seeds`` (initial
+#: positions, or ``None``), ``gains_batch(thetas) -> (gains, bad)`` and
+#: ``best_gains(theta)`` for the swarm's final position.
+_SEARCHES = {
+    "hybrid": _BatchedStageA,
+    "seeded": _BatchedStageA,
+    "uniform": _UniformSearch,
+    "poles": PoleSearch,
+}
+
 
 class _FeedforwardGroup:
     """Fused feedforward gains (paper eq. 17) across units of one order.
@@ -191,27 +261,28 @@ class _FeedforwardGroup:
     Stacks every (unit, segment) pair into one flat axis so the whole
     batch needs a single outer product, one stacked determinant, one
     stacked solve and one stacked matrix-vector product — all gufuncs
-    whose per-slice kernels are exactly the serial
-    ``_GainEvaluator.feedforward_batch`` calls.
+    whose per-slice kernels are the per-segment ``(P, l, l)`` calls of
+    one unit, whatever else is stacked (reference:
+    :func:`repro.control.lifted.feedforward_gain`).
     """
 
-    def __init__(self, evaluators: list[_GainEvaluator], unit_indices: list[int]) -> None:
+    def __init__(self, problems: list[_DesignProblem], unit_indices: list[int]) -> None:
         self.unit_indices = unit_indices
-        self.m_list = [ge.m for ge in evaluators]
+        self.m_list = [problem.m for problem in problems]
         offsets = [0]
         for m in self.m_list:
             offsets.append(offsets[-1] + m)
         self.offsets = offsets
-        order = evaluators[0].order
+        order = problems[0].order
         self.order = order
-        self.ff_a = np.concatenate([ge._ff_a for ge in evaluators], axis=0)
-        self.ff_b = np.concatenate([ge._ff_b for ge in evaluators], axis=0)
+        self.ff_a = np.concatenate([problem._ff_a for problem in problems], axis=0)
+        self.ff_b = np.concatenate([problem._ff_b for problem in problems], axis=0)
         self.c = np.concatenate(
             [
                 np.ascontiguousarray(
-                    np.broadcast_to(ge.plant.c, (m, order))
+                    np.broadcast_to(problem.plant.c, (m, order))
                 )
-                for ge, m in zip(evaluators, self.m_list)
+                for problem, m in zip(problems, self.m_list)
             ],
             axis=0,
         )
@@ -225,8 +296,8 @@ class _FeedforwardGroup:
         for u, lo in enumerate(self.offsets[:-1]):
             g[lo:lo + self.m_list[u]] = gains[u].transpose(1, 0, 2)
         # M = I - Ad - Gamma K per (unit, segment, particle); the einsum
-        # is a pure outer product, element-wise identical to the serial
-        # per-segment call.
+        # is a pure outer product, element-wise identical to
+        # feedforward_gain's per-segment np.outer.
         mats = self.ff_a[:, None, :, :] - np.einsum(
             "fl,fpk->fplk", self.ff_b, g
         )
@@ -256,7 +327,7 @@ class _LiftedBatch:
     ``(m, l)`` and their inner-actuation pattern, so the term structure
     is common and only the segment matrices differ, and those are
     repeated per particle row.  Matrix products become stacked gufunc
-    matmuls (per-slice kernels identical to the serial 2-D calls), outer
+    matmuls (per-slice kernels identical to its 2-D calls), outer
     products and additions stay element-wise and fuse across rows.
     """
 
@@ -405,45 +476,46 @@ class _TrackingGroup:
     inside their own horizon at step ``k`` are always the prefix
     ``[:n_active]`` and the loop works on prefix views: a unit past its
     horizon is never computed again.  The two per-segment matrix products
-    keep their serial shapes (one per active unit on its contiguous
+    keep their per-unit shapes (one per active unit on its contiguous
     ``(P, l)`` block), while the input law, intersample band checks,
     state updates and settling bookkeeping fuse across the active units
     via gathered per-step coefficient tables.  The segment clock does
     not depend on the gains, so the absolute observation times are
-    accumulated once, here, with the serial additions.
+    accumulated once, here, with the additions of
+    :func:`repro.control.simulate.simulate_tracking`.
     """
 
-    def __init__(self, evaluators: list[_GainEvaluator], unit_indices: list[int]) -> None:
+    def __init__(self, problems: list[_DesignProblem], unit_indices: list[int]) -> None:
         steps = []
-        for ge in evaluators:
-            gap = ge.plan.idle_gap
-            hyper = ge.plan.hyperperiod
-            n_hyper = max(1, math.ceil((ge.horizon - gap) / hyper))
-            steps.append(n_hyper * ge.plan.n_phases)
-        rank = sorted(range(len(evaluators)), key=lambda u: -steps[u])
-        evaluators = [evaluators[u] for u in rank]
+        for problem in problems:
+            gap = problem.plan.idle_gap
+            hyper = problem.plan.hyperperiod
+            n_hyper = max(1, math.ceil((problem.horizon - gap) / hyper))
+            steps.append(n_hyper * problem.plan.n_phases)
+        rank = sorted(range(len(problems)), key=lambda u: -steps[u])
+        problems = [problems[u] for u in rank]
         steps = [steps[u] for u in rank]
         self.unit_indices = [unit_indices[u] for u in rank]
-        self.n_units = len(evaluators)
-        order = evaluators[0].plan.order
+        self.n_units = len(problems)
+        order = problems[0].plan.order
         self.order = order
-        m_list = [ge.plan.n_phases for ge in evaluators]
+        m_list = [problem.plan.n_phases for problem in problems]
         offsets = [0]
         for m in m_list:
             offsets.append(offsets[-1] + m)
         self.offsets = offsets
         total_m = offsets[-1]
 
-        self.r = np.array([float(ge.spec.r) for ge in evaluators])
-        self.band = np.array([ge.spec.band for ge in evaluators])
-        self.gap = np.array([ge.plan.idle_gap for ge in evaluators])
-        self.u0 = np.array([float(ge.u0) for ge in evaluators])
+        self.r = np.array([float(problem.spec.r) for problem in problems])
+        self.band = np.array([problem.spec.band for problem in problems])
+        self.gap = np.array([problem.plan.idle_gap for problem in problems])
+        self.u0 = np.array([float(problem.u0) for problem in problems])
         self.x0 = np.stack(
-            [np.asarray(ge.x0, dtype=float).reshape(-1) for ge in evaluators]
+            [np.asarray(problem.x0, dtype=float).reshape(-1) for problem in problems]
         )
-        self.c_list = [ge.plan.c for ge in evaluators]
+        self.c_list = [problem.plan.c for problem in problems]
 
-        segment_objs = [seg for ge in evaluators for seg in ge.plan.segments]
+        segment_objs = [seg for problem in problems for seg in problem.plan.segments]
         n_obs = [len(seg.obs_times) for seg in segment_objs]
         s_max = max(n_obs)
         self.s_max = s_max
@@ -455,7 +527,7 @@ class _TrackingGroup:
         # Padded observation slots carry t = -inf so whatever garbage the
         # padded output rows hold can never become a violation time.
         obs_t = np.full((total_m, s_max), -np.inf)
-        periods = [h for ge in evaluators for h in ge.plan.periods]
+        periods = [h for problem in problems for h in problem.plan.periods]
         for flat, seg in enumerate(segment_objs):
             count = n_obs[flat]
             ad[flat] = seg.ad
@@ -467,7 +539,7 @@ class _TrackingGroup:
 
         # The step pattern is static, so gather it once per step: stacked
         # A_d used through a transpose view so each slice presents the
-        # same layout as the serial ``x @ ad.T`` call, and observation-map
+        # same layout as ``simulate_tracking``'s ``x @ ad.T`` call, and observation-map
         # stacks sub-grouped by grid size so the fused matmul never pads a
         # GEMM shape (a group spanning a contiguous run of units is
         # addressed by a slice, not a gather).
@@ -604,13 +676,13 @@ class _TrackingGroup:
 class _StackedTracking:
     """Order-grouped dispatcher over :class:`_TrackingGroup`."""
 
-    def __init__(self, evaluators: list[_GainEvaluator]) -> None:
-        self.n_units = len(evaluators)
+    def __init__(self, problems: list[_DesignProblem]) -> None:
+        self.n_units = len(problems)
         by_order: dict[int, list[int]] = {}
-        for i, ge in enumerate(evaluators):
-            by_order.setdefault(ge.plan.order, []).append(i)
+        for i, problem in enumerate(problems):
+            by_order.setdefault(problem.plan.order, []).append(i)
         self.groups = [
-            _TrackingGroup([evaluators[i] for i in indices], indices)
+            _TrackingGroup([problems[i] for i in indices], indices)
             for indices in by_order.values()
         ]
 
@@ -630,41 +702,43 @@ class _StackedTracking:
 
 
 class BatchGainEvaluator:
-    """Fused twin of ``_GainEvaluator.evaluate`` across design units.
+    """Penalized worst-case settling of gain particles, across design units.
 
     Takes one gain batch per unit (all with the same particle count) and
-    returns one result dict per unit, identical to what each unit's own
-    ``_GainEvaluator.evaluate`` would have produced.  Feedforward gains
-    fuse per plant order; the stability check builds and solves the
-    lifted-matrix eigenvalue problems once per group of units sharing
-    ``(m, l)`` and inner-actuation pattern; the tracking simulations run
-    through one fused time loop per plant order.  Evaluation counters on
-    the unit evaluators advance exactly as in serial runs.
+    returns one result dict per unit (objective, settling, input peak,
+    spectral radius, feedforward, invalid mask), whatever other units
+    share the call.  Feedforward gains fuse per plant order; the
+    stability check builds and solves the lifted-matrix eigenvalue
+    problems once per group of units sharing ``(m, l)`` and
+    inner-actuation pattern; the tracking simulations run through one
+    fused time loop per plant order.  ``n_evaluations[i]`` counts the
+    particles scored for unit ``i``.
     """
 
-    def __init__(self, evaluators: list[_GainEvaluator]) -> None:
-        self.evaluators = evaluators
-        self._tracking = _StackedTracking(evaluators)
+    def __init__(self, problems: list[_DesignProblem]) -> None:
+        self.problems = problems
+        self.n_evaluations = [0] * len(problems)
+        self._tracking = _StackedTracking(problems)
         by_pattern: dict[tuple, list[int]] = {}
-        for i, ge in enumerate(evaluators):
-            key = (ge.m, ge.order) + tuple(
-                seg.has_inner_actuation for seg in ge.segments
+        for i, problem in enumerate(problems):
+            key = (problem.m, problem.order) + tuple(
+                seg.has_inner_actuation for seg in problem.segments
             )
             by_pattern.setdefault(key, []).append(i)
         self._lift_groups = [
-            (indices, _LiftedBatch([evaluators[i].segments for i in indices]))
+            (indices, _LiftedBatch([problems[i].segments for i in indices]))
             for indices in by_pattern.values()
         ]
         by_order: dict[int, list[int]] = {}
-        for i, ge in enumerate(evaluators):
-            by_order.setdefault(ge.order, []).append(i)
+        for i, problem in enumerate(problems):
+            by_order.setdefault(problem.order, []).append(i)
         self._ff_groups = [
-            _FeedforwardGroup([evaluators[i] for i in indices], indices)
+            _FeedforwardGroup([problems[i] for i in indices], indices)
             for indices in by_order.values()
         ]
 
     def _spectral_radii(self, gains: list[np.ndarray], feedforwards: list[np.ndarray]):
-        radii = [None] * len(self.evaluators)
+        radii = [None] * len(self.problems)
         for indices, lift in self._lift_groups:
             a_hol = lift.build(
                 np.concatenate([gains[i] for i in indices]),
@@ -680,10 +754,10 @@ class BatchGainEvaluator:
 
     def evaluate(self, gains_list: list[np.ndarray]) -> list[dict[str, np.ndarray]]:
         gains_list = [np.asarray(gains, dtype=float) for gains in gains_list]
-        for ge, gains in zip(self.evaluators, gains_list):
-            ge.n_evaluations += gains.shape[0]
-        feedforwards: list = [None] * len(self.evaluators)
-        invalids: list = [None] * len(self.evaluators)
+        for i, gains in enumerate(gains_list):
+            self.n_evaluations[i] += gains.shape[0]
+        feedforwards: list = [None] * len(self.problems)
+        invalids: list = [None] * len(self.problems)
         for group in self._ff_groups:
             group.run(
                 [gains_list[i] for i in group.unit_indices],
@@ -695,27 +769,27 @@ class BatchGainEvaluator:
             gains_list, feedforwards
         )
         results = []
-        for i, ge in enumerate(self.evaluators):
+        for i, problem in enumerate(self.problems):
             objective = np.where(
-                np.isfinite(settling[i]), settling[i], ge.big
+                np.isfinite(settling[i]), settling[i], problem.big
             )
             unstable = radii[i] >= 1.0
             objective = objective + np.where(
                 unstable,
-                ge.big * (1.0 + np.minimum(radii[i] - 1.0, 10.0)),
+                problem.big * (1.0 + np.minimum(radii[i] - 1.0, 10.0)),
                 0.0,
             )
-            saturated = u_peak[i] > ge.spec.u_max
+            saturated = u_peak[i] > problem.spec.u_max
             with np.errstate(divide="ignore", invalid="ignore"):
                 excess = np.where(
                     saturated,
-                    np.minimum(u_peak[i] / ge.spec.u_max - 1.0, 100.0),
+                    np.minimum(u_peak[i] / problem.spec.u_max - 1.0, 100.0),
                     0.0,
                 )
             objective = objective + np.where(
-                saturated, 0.2 * ge.big * (1.0 + excess), 0.0
+                saturated, 0.2 * problem.big * (1.0 + excess), 0.0
             )
-            objective = objective + np.where(invalids[i], 2.0 * ge.big, 0.0)
+            objective = objective + np.where(invalids[i], 2.0 * problem.big, 0.0)
             results.append(
                 {
                     "objective": objective,
@@ -732,22 +806,14 @@ class BatchGainEvaluator:
 class _DesignUnit:
     """One (request, restart) pair advancing through the lockstep stages."""
 
-    def __init__(self, request_index, restart, request, segments, plan, horizon):
+    def __init__(self, request_index, restart, request, problem):
         self.request_index = request_index
-        self.restart = restart
-        self.plant = request.plant
-        self.options = request.options
+        self.problem = problem
         self.rng = np.random.default_rng(
             request.options.seed + 104729 * restart
         )
-        self.evaluator = _GainEvaluator(
-            request.plant, segments, plan, request.spec, horizon
-        )
-        self.stage_a = _StageA(self.evaluator, request.options)
-        self.batched_a = _BatchedStageA(self.stage_a)
+        self.search = _SEARCHES[request.options.engine](problem, request.options)
         self.gains: np.ndarray | None = None
-        self.refined: np.ndarray | None = None
-        self.design: ControllerDesign | None = None
 
 
 def _design_lockstep_group(
@@ -755,74 +821,59 @@ def _design_lockstep_group(
     indices: list[int],
     designs_out: list[ControllerDesign | None],
 ) -> None:
+    """Design ``requests[indices]`` (one engine and swarm budget) together."""
     units: list[_DesignUnit] = []
     for i in indices:
         request = requests[i]
-        plant = request.plant
         options = request.options
-        segments = build_segments(
-            plant.a, plant.b, list(request.periods), list(request.delays)
-        )
-        plan = build_simulation_plan(
-            plant.a,
-            plant.b,
-            plant.c,
+        problem = _DesignProblem(
+            request.plant,
             list(request.periods),
             list(request.delays),
-            nsub=options.nsub,
+            request.spec,
+            options.horizon_factor,
+            options.nsub,
         )
-        horizon = options.horizon_factor * request.spec.deadline + plan.idle_gap
         for restart in range(options.restarts):
-            units.append(
-                _DesignUnit(i, restart, request, segments, plan, horizon)
-            )
-    options = units[0].options
-    batch_eval = BatchGainEvaluator([unit.evaluator for unit in units])
+            units.append(_DesignUnit(i, restart, request, problem))
+    options = requests[indices[0]].options
+    batch_eval = BatchGainEvaluator([unit.problem for unit in units])
 
     def stage_a_objective(positions_list):
         built = [
-            unit.batched_a.gains_batch(positions)
+            unit.search.gains_batch(positions)
             for unit, positions in zip(units, positions_list)
         ]
         results = batch_eval.evaluate([gains for gains, _bad in built])
         values = []
         for unit, (_gains, bad), result in zip(units, built, results):
             objective = result["objective"]
-            objective[bad] = 4.0 * unit.evaluator.big
+            objective[bad] = 4.0 * unit.problem.big
             values.append(objective)
         return values
 
-    problems = [
-        (
-            unit.stage_a.lower,
-            unit.stage_a.upper,
-            unit.rng,
-            unit.stage_a.default_seeds(),
-        )
+    swarms = [
+        (unit.search.lower, unit.search.upper, unit.rng, unit.search.seeds)
         for unit in units
     ]
-    results_a = pso_minimize_many(stage_a_objective, problems, options.stage_a)
-
+    results_a = pso_minimize_many(stage_a_objective, swarms, options.stage_a)
     for unit, result in zip(units, results_a):
-        unit.gains = unit.stage_a.gains_for(result.best_position)
-    for unit in units:
-        if unit.gains is None:
-            raise DesignInfeasibleError(
-                f"no pole target is realizable for plant {unit.plant.name!r}"
-            )
+        unit.gains = unit.search.best_gains(result.best_position)
 
     if options.engine == "hybrid":
-        refine_problems = []
+        # Stage B: direct PSO over all gain entries around the stage-A
+        # optimum, seeded with it.
+        refine_swarms = []
         for unit in units:
             flat = unit.gains.reshape(-1)
             spread = 2.5 * np.abs(flat) + 0.5 * (np.abs(flat).mean() + 1e-9)
-            refine_problems.append(
+            refine_swarms.append(
                 (flat - spread, flat + spread, unit.rng, flat[None, :])
             )
 
         def stage_b_objective(positions_list):
             batches = [
-                positions.reshape(-1, unit.evaluator.m, unit.evaluator.order)
+                positions.reshape(-1, unit.problem.m, unit.problem.order)
                 for unit, positions in zip(units, positions_list)
             ]
             return [
@@ -830,82 +881,71 @@ def _design_lockstep_group(
             ]
 
         results_b = pso_minimize_many(
-            stage_b_objective, refine_problems, options.stage_b
+            stage_b_objective, refine_swarms, options.stage_b
         )
-        pairs = []
-        for unit, result in zip(units, results_b):
-            unit.refined = result.best_position.reshape(
-                unit.evaluator.m, unit.evaluator.order
+        pairs = [
+            np.stack(
+                [
+                    unit.gains,
+                    result.best_position.reshape(unit.problem.m, unit.problem.order),
+                ]
             )
-            pairs.append(np.stack([unit.gains, unit.refined]))
-        comparisons = batch_eval.evaluate(pairs)
-        for unit, both in zip(units, comparisons):
+            for unit, result in zip(units, results_b)
+        ]
+        # Keep whichever of (center, refined) evaluates better — PSO noise
+        # must never make the final design worse than its seed.
+        for unit, pair, both in zip(units, pairs, batch_eval.evaluate(pairs)):
             if both["objective"][1] <= both["objective"][0]:
-                unit.gains = unit.refined
+                unit.gains = pair[1]
 
     finals = batch_eval.evaluate([unit.gains[None] for unit in units])
-    for unit, result in zip(units, finals):
-        unit.design = ControllerDesign(
-            gains=unit.gains,
-            feedforward=result["feedforward"][0],
-            settling=float(result["settling"][0]),
-            u_peak=float(result["u_peak"][0]),
-            spectral_radius=float(result["rho"][0]),
-            objective=float(result["objective"][0]),
-            n_evaluations=unit.evaluator.n_evaluations,
-            engine=options.engine,
+    best: dict[int, ControllerDesign] = {}
+    cumulative: dict[int, int] = {}
+    for u, (unit, result) in enumerate(zip(units, finals)):
+        # A request's restarts run one after another in its evaluation
+        # count: each restart's design records the cumulative count.
+        i = unit.request_index
+        cumulative[i] = cumulative.get(i, 0) + batch_eval.n_evaluations[u]
+        design = design_from_result(
+            unit.gains, result, cumulative[i], options.engine
         )
+        if i not in best or design.objective < best[i].objective:
+            best[i] = design
+    for i, design in best.items():
+        designs_out[i] = design
 
-    by_request: dict[int, list[_DesignUnit]] = {}
-    for unit in units:
-        by_request.setdefault(unit.request_index, []).append(unit)
-    for i, request_units in by_request.items():
-        # Serial restarts share one evaluator, so each restart's design
-        # records the cumulative evaluation count up to that restart.
-        best: ControllerDesign | None = None
-        cumulative = 0
-        for unit in request_units:
-            cumulative += unit.evaluator.n_evaluations
-            unit.design.n_evaluations = cumulative
-            if best is None or unit.design.objective < best.objective:
-                best = unit.design
-        designs_out[i] = best
+
+def design_from_result(
+    gains: np.ndarray, result: dict[str, np.ndarray], n_evaluations: int, engine: str
+) -> ControllerDesign:
+    """Package a final one-row :meth:`BatchGainEvaluator.evaluate` result."""
+    return ControllerDesign(
+        gains=gains,
+        feedforward=result["feedforward"][0],
+        settling=float(result["settling"][0]),
+        u_peak=float(result["u_peak"][0]),
+        spectral_radius=float(result["rho"][0]),
+        objective=float(result["objective"][0]),
+        n_evaluations=n_evaluations,
+        engine=engine,
+    )
 
 
 def design_controllers_batch(
     requests: list[DesignRequest],
 ) -> list[ControllerDesign]:
-    """Design controllers for many problems at once, serial-identical.
+    """Design controllers for many problems at once.
 
-    Problems whose engines support the lockstep path (``hybrid`` and
-    ``seeded``) are grouped by swarm budget and advanced together; the
-    rest fall back to per-problem :func:`design_controller` calls.  The
-    returned designs — gains, feedforwards, diagnostics and evaluation
-    counts — are bitwise identical to serial ``design_controller``
-    results for the same requests.
+    Requests sharing an engine and swarm budget advance together, every
+    restart of every request one lockstep unit.  Each returned design —
+    gains, feedforward, diagnostics and evaluation count — is the one
+    the request gets alone: batching never changes a design's bits.
     """
-    for request in requests:
-        options = request.options
-        if options.engine not in ("hybrid", "seeded", "uniform", "poles"):
-            raise ControlError(f"unknown design engine {options.engine!r}")
-        if options.restarts < 1:
-            raise ControlError(
-                f"restarts must be >= 1, got {options.restarts}"
-            )
     designs: list[ControllerDesign | None] = [None] * len(requests)
     groups: dict[tuple, list[int]] = {}
     for i, request in enumerate(requests):
         options = request.options
-        if options.engine not in ("hybrid", "seeded"):
-            designs[i] = design_controller(
-                request.plant,
-                list(request.periods),
-                list(request.delays),
-                request.spec,
-                options,
-            )
-            continue
-        key = (options.engine, options.restarts, options.stage_a, options.stage_b)
+        key = (options.engine, options.stage_a, options.stage_b)
         groups.setdefault(key, []).append(i)
     for indices in groups.values():
         _design_lockstep_group(requests, indices, designs)

@@ -17,11 +17,10 @@ import numpy as np
 from scipy.linalg import solve_discrete_are
 
 from ..errors import ControlError
-from .design import ControllerDesign, TrackingSpec, _GainEvaluator
+from .design import ControllerDesign, TrackingSpec, _DesignProblem
 from .discretize import zoh_delayed
-from .lifted import build_segments
+from .lockstep import BatchGainEvaluator, design_from_result
 from .lti import LtiPlant
-from .simulate import build_simulation_plan
 
 
 def lqr_gain_augmented(
@@ -78,13 +77,8 @@ def design_lqr(
     spectral radius, so it is directly comparable with the holistic
     designs.
     """
-    segments = build_segments(plant.a, plant.b, periods, delays)
-    plan = build_simulation_plan(
-        plant.a, plant.b, plant.c, periods, delays, nsub=nsub
-    )
-    horizon = horizon_factor * spec.deadline + plan.idle_gap
-    evaluator = _GainEvaluator(plant, segments, plan, spec, horizon)
-
+    problem = _DesignProblem(plant, periods, delays, spec, horizon_factor, nsub)
+    segments = problem.segments
     m = len(segments)
     h_mean = sum(seg.h for seg in segments) / m
     tau_mean = min(sum(seg.tau for seg in segments) / m, h_mean)
@@ -92,17 +86,8 @@ def design_lqr(
     k_row = lqr_gain_augmented(ad, b1, b2, plant.c, control_weight)
     gains = np.tile(k_row, (m, 1))
 
-    result = evaluator.evaluate(gains[None])
-    return ControllerDesign(
-        gains=gains,
-        feedforward=result["feedforward"][0],
-        settling=float(result["settling"][0]),
-        u_peak=float(result["u_peak"][0]),
-        spectral_radius=float(result["rho"][0]),
-        objective=float(result["objective"][0]),
-        n_evaluations=evaluator.n_evaluations,
-        engine="lqr",
-    )
+    [result] = BatchGainEvaluator([problem]).evaluate([gains[None]])
+    return design_from_result(gains, result, 1, "lqr")
 
 
 def sweep_control_weight(

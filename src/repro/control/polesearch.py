@@ -12,7 +12,8 @@ matching is to solve
 for the stacked gains — ``m·l`` polynomial equations in ``m·l``
 unknowns — which we do with Levenberg–Marquardt, warm-started from a
 per-segment Ackermann seed.  The outer PSO then searches the pole
-locations themselves, exactly as the paper describes.
+locations themselves, exactly as the paper describes
+(:class:`PoleSearch`; the lockstep designer runs its swarm).
 
 This engine is slower than the default ``hybrid`` engine and exists for
 fidelity and for the A5 ablation (`benchmarks/bench_ablation_engine.py`).
@@ -23,11 +24,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from ..errors import ControlError
+from .design import _StageA
 from .lifted import lifted_closed_loop
-from .pso import pso_minimize
 
 
 def characteristic_coefficients(matrix: np.ndarray) -> np.ndarray:
@@ -65,6 +65,10 @@ def gains_for_poles(
     polynomial matches the desired one, or ``None`` when the nonlinear
     solve does not converge to a satisfactory residual.
     """
+    # Imported here: scipy.optimize is slow to import and only this
+    # ablation engine needs it, so it stays off every other run's start-up.
+    from scipy.optimize import least_squares
+
     m = len(segments)
     order = segments[0].ad.shape[0]
     target = np.poly(np.asarray(desired_poles, dtype=complex))
@@ -99,73 +103,61 @@ def gains_for_poles(
     return None
 
 
-def design_poles_engine(evaluator, options, rng: np.random.Generator):
-    """Run the pole-space PSO engine on a prepared :class:`_GainEvaluator`.
+class PoleSearch:
+    """The ``poles`` engine's swarm space for one design problem.
 
+    Particles are lifted pole locations; each maps to gains through
+    :func:`gains_for_poles`, warm-started from a stage-A Ackermann seed.
     The lifted dimension is ``m·l`` for ``m >= 2`` and ``l + 1`` for
     ``m == 1`` (input augmentation); in the latter case only ``l`` gain
     degrees of freedom exist, so the match is least-squares rather than
     exact — the simulation-based objective judges the result either way.
     """
-    from .design import ControllerDesign, _StageA  # late import to avoid a cycle
 
-    m = evaluator.m
-    order = evaluator.order
-    dim = m * order if m >= 2 else order + 1
+    seeds = None
 
-    # Warm-start gains from a quick stage-A sweep.
-    stage_a = _StageA(evaluator, options)
-    seed_theta = stage_a.default_seeds()[2]
-    seed_gains = stage_a.gains_for(seed_theta)
-    if seed_gains is None:
-        seed_gains = np.zeros((m, order))
+    def __init__(self, problem, options) -> None:
+        self.segments = problem.segments
+        self.m = problem.m
+        self.order = problem.order
+        self.dim = self.m * self.order if self.m >= 2 else self.order + 1
+        stage_a = _StageA(problem, options)
+        seed_gains = stage_a.gains_for(stage_a.default_seeds()[2])
+        if seed_gains is None:
+            seed_gains = np.zeros((self.m, self.order))
+        self.seed_gains = seed_gains
+        lower = []
+        upper = []
+        for _ in range(self.dim // 2):
+            lower += [0.01, 0.0]
+            upper += [0.985, math.pi]
+        if self.dim % 2:
+            lower.append(-0.985)
+            upper.append(0.985)
+        self.lower = np.array(lower)
+        self.upper = np.array(upper)
+        self._cache: dict[bytes, np.ndarray | None] = {}
 
-    lower = []
-    upper = []
-    for _ in range(dim // 2):
-        lower += [0.01, 0.0]
-        upper += [0.985, math.pi]
-    if dim % 2:
-        lower.append(-0.985)
-        upper.append(0.985)
-    lower = np.array(lower)
-    upper = np.array(upper)
-
-    cache: dict[bytes, np.ndarray | None] = {}
-
-    def gains_of(params: np.ndarray) -> np.ndarray | None:
+    def _gains_of(self, params: np.ndarray) -> np.ndarray | None:
         key = params.tobytes()
-        if key not in cache:
-            poles = poles_from_parameters(params, dim)
-            cache[key] = gains_for_poles(evaluator.segments, poles, seed_gains)
-        return cache[key]
+        if key not in self._cache:
+            poles = poles_from_parameters(params, self.dim)
+            self._cache[key] = gains_for_poles(self.segments, poles, self.seed_gains)
+        return self._cache[key]
 
-    def objective(batch: np.ndarray) -> np.ndarray:
-        stacked = []
-        bad = np.zeros(batch.shape[0], dtype=bool)
-        for p in range(batch.shape[0]):
-            gains = gains_of(batch[p])
-            if gains is None:
+    def gains_batch(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Matched gains ``(P, m, l)`` and the unmatched-particle mask."""
+        gains = np.zeros((thetas.shape[0], self.m, self.order))
+        bad = np.zeros(thetas.shape[0], dtype=bool)
+        for p, params in enumerate(thetas):
+            matched = self._gains_of(params)
+            if matched is None:
                 bad[p] = True
-                stacked.append(np.zeros((m, order)))
             else:
-                stacked.append(gains)
-        values = evaluator.evaluate(np.stack(stacked))["objective"]
-        values[bad] = 4.0 * evaluator.big
-        return values
+                gains[p] = matched
+        return gains, bad
 
-    result = pso_minimize(objective, lower, upper, options.stage_a, rng)
-    best_gains = gains_of(result.best_position)
-    if best_gains is None:
-        best_gains = seed_gains
-    final = evaluator.evaluate(best_gains[None])
-    return ControllerDesign(
-        gains=best_gains,
-        feedforward=final["feedforward"][0],
-        settling=float(final["settling"][0]),
-        u_peak=float(final["u_peak"][0]),
-        spectral_radius=float(final["rho"][0]),
-        objective=float(final["objective"][0]),
-        n_evaluations=evaluator.n_evaluations,
-        engine="poles",
-    )
+    def best_gains(self, theta: np.ndarray) -> np.ndarray:
+        """Gains of the swarm's best particle (the seed if unmatched)."""
+        gains = self._gains_of(theta)
+        return self.seed_gains if gains is None else gains

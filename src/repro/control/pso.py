@@ -1,9 +1,11 @@
 """Vectorized particle swarm optimization (paper Section III, ref [14]).
 
 The paper uses PSO to pick pole locations for the holistic controller.
-This is a generic, deterministic (seeded) global-best PSO over a box;
-the objective is evaluated on the whole swarm at once, which lets the
-controller-design objective batch its closed-loop simulations.
+This is a generic, deterministic (seeded) global-best PSO over a box,
+run for many independent problems in lockstep: each iteration scores
+every swarm of every problem through one objective call, which lets the
+controller-design objective batch its closed-loop simulations across
+problems.  A single problem is a batch of one.
 """
 
 from __future__ import annotations
@@ -14,9 +16,6 @@ from typing import Callable
 import numpy as np
 
 from ..errors import ConfigurationError
-
-#: Objective: maps particle positions ``(P, d)`` to values ``(P,)``.
-BatchObjective = Callable[[np.ndarray], np.ndarray]
 
 #: Fused objective: maps per-problem positions ``[(P, d_i), ...]`` to
 #: per-problem values ``[(P,), ...]``.
@@ -59,84 +58,6 @@ class PsoResult:
     history: list[float] = field(default_factory=list)
 
 
-def pso_minimize(
-    objective: BatchObjective,
-    lower: np.ndarray,
-    upper: np.ndarray,
-    options: PsoOptions,
-    rng: np.random.Generator,
-    seeds: np.ndarray | None = None,
-) -> PsoResult:
-    """Minimize a batched objective over the box ``[lower, upper]``.
-
-    Parameters
-    ----------
-    objective:
-        Batched objective; must accept ``(P, d)`` and return ``(P,)``.
-    lower, upper:
-        Box bounds, shape ``(d,)`` each.
-    options:
-        Swarm hyper-parameters.
-    rng:
-        Random generator — passing it explicitly keeps every design
-        deterministic and reproducible.
-    seeds:
-        Optional ``(k, d)`` array of seed positions injected into the
-        initial swarm (clipped to the box).
-    """
-    lower = np.asarray(lower, dtype=float).reshape(-1)
-    upper = np.asarray(upper, dtype=float).reshape(-1)
-    if lower.shape != upper.shape or np.any(lower > upper):
-        raise ConfigurationError("invalid PSO bounds")
-    dim = lower.shape[0]
-    span = upper - lower
-    n = options.n_particles
-
-    positions = lower + rng.random((n, dim)) * span
-    if seeds is not None:
-        seeds = np.atleast_2d(np.asarray(seeds, dtype=float))
-        count = min(len(seeds), n)
-        positions[:count] = np.clip(seeds[:count], lower, upper)
-    velocity_cap = options.velocity_fraction * np.where(span > 0, span, 1.0)
-    velocities = (rng.random((n, dim)) - 0.5) * velocity_cap
-
-    values = np.asarray(objective(positions), dtype=float)
-    if values.shape != (n,):
-        raise ConfigurationError(
-            f"objective must return shape ({n},), got {values.shape}"
-        )
-    best_positions = positions.copy()
-    best_values = values.copy()
-    g_index = int(np.argmin(best_values))
-    history = [float(best_values[g_index])]
-    evaluations = n
-
-    for _ in range(options.n_iterations):
-        r_cognitive = rng.random((n, dim))
-        r_social = rng.random((n, dim))
-        velocities = (
-            options.inertia * velocities
-            + options.cognitive * r_cognitive * (best_positions - positions)
-            + options.social * r_social * (best_positions[g_index] - positions)
-        )
-        velocities = np.clip(velocities, -velocity_cap, velocity_cap)
-        positions = np.clip(positions + velocities, lower, upper)
-        values = np.asarray(objective(positions), dtype=float)
-        evaluations += n
-        improved = values < best_values
-        best_positions[improved] = positions[improved]
-        best_values[improved] = values[improved]
-        g_index = int(np.argmin(best_values))
-        history.append(float(best_values[g_index]))
-
-    return PsoResult(
-        best_position=best_positions[g_index].copy(),
-        best_value=float(best_values[g_index]),
-        n_evaluations=evaluations,
-        history=history,
-    )
-
-
 @dataclass
 class _SwarmState:
     """Per-problem swarm state of a lockstep :func:`pso_minimize_many`."""
@@ -159,15 +80,20 @@ def pso_minimize_many(
     problems: list[tuple[np.ndarray, np.ndarray, np.random.Generator, np.ndarray | None]],
     options: PsoOptions,
 ) -> list[PsoResult]:
-    """Run one swarm per problem in lockstep, sharing objective calls.
+    """Minimize one batched objective per problem, in lockstep.
 
-    Each problem is a ``(lower, upper, rng, seeds)`` tuple and follows
-    exactly the trajectory :func:`pso_minimize` would give it alone —
-    the same draws from its own ``rng`` and the same update arithmetic —
-    but the objectives of every problem are evaluated through one fused
-    ``objective_many`` call per iteration, so a batched objective can
-    stack its numerical work across problems.  All problems share the
-    swarm ``options`` (that is what keeps them in lockstep).
+    Each problem is a ``(lower, upper, rng, seeds)`` tuple: the box
+    bounds, shape ``(d_i,)`` each; the generator the swarm draws from
+    (passing it explicitly keeps every run deterministic); and an
+    optional ``(k, d_i)`` array of seed positions injected into the
+    initial swarm (clipped to the box).  ``objective_many`` maps the
+    per-problem positions ``[(P, d_i), ...]`` to per-problem values
+    ``[(P,), ...]``, so a batched objective can stack its numerical work
+    across problems.  A problem's trajectory — its draws from its own
+    ``rng`` and its update arithmetic — never depends on the other
+    problems in the call, so its result is the one it gets alone.  All
+    problems share the swarm ``options`` (that is what keeps them in
+    lockstep).
     """
     n = options.n_particles
     states: list[_SwarmState] = []

@@ -79,14 +79,11 @@ class CodesignProblem:
         workers: int = 0,
         cache_dir: str | Path | None = None,
         platform=None,
-        eval_backend: str = "vectorized",
     ) -> None:
         self.apps = list(apps)
         self.clock = clock
         self.platform = platform
-        self.evaluator = ScheduleEvaluator(
-            apps, clock, design_options, eval_backend=eval_backend
-        )
+        self.evaluator = ScheduleEvaluator(apps, clock, design_options)
         self.engine = SearchEngine(
             self.evaluator, workers=workers, cache_dir=cache_dir, platform=platform
         )

@@ -173,7 +173,6 @@ class MulticoreProblem:
         platform: Platform | None = None,
         shared_cache: bool = False,
         on_event=None,
-        eval_backend: str = "vectorized",
         allocator: str | None = None,
         allocator_options: object | None = None,
     ) -> None:
@@ -207,9 +206,7 @@ class MulticoreProblem:
         self.max_count_per_core = max_count_per_core
         self.platform = platform or default_platform(clock)
         self.engine = SearchEngine(
-            ScheduleEvaluator(
-                self.apps, clock, self.design_options, eval_backend=eval_backend
-            ),
+            ScheduleEvaluator(self.apps, clock, self.design_options),
             workers=workers,
             cache_dir=cache_dir,
             platform=self.platform,

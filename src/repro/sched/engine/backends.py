@@ -8,13 +8,13 @@ The engine hands a backend its de-duplicated misses as ``(sub-problem,
 schedule)`` tasks.  A sub-problem is one :class:`Block` of the
 engine's applications; the whole-problem block is the single-core
 problem itself.  Both backends evaluate each block's schedules as one
-batch, so the evaluator's vectorized path can stack their designs.
+batch, so the design kernel can stack their designs.
 
 Evaluations are deterministic functions of (apps, clock, design
 options, schedule) — all swarm randomness is seeded from the design
-options and the vectorized batch path is bitwise identical to the
-serial one — so a parallel run returns bit-identical results to a
-serial run, just sooner.
+options and a design's bits never depend on the batch it rides in —
+so a parallel run returns bit-identical results to a serial run, just
+sooner.
 """
 
 from __future__ import annotations
@@ -77,11 +77,7 @@ def block_evaluator(
         if apps is None:
             apps = variants[block.ways] = platform.reanalyze(root.apps, block.ways)
     return ScheduleEvaluator.for_subproblem(
-        apps,
-        root.clock,
-        root.design_options,
-        block.indices,
-        eval_backend=root.eval_backend,
+        apps, root.clock, root.design_options, block.indices
     )
 
 
@@ -164,12 +160,10 @@ _WORKER_EVALUATORS: dict[Block, ScheduleEvaluator] = {}
 _WORKER_VARIANTS: dict[int, list] = {}
 
 
-def _init_worker(apps, clock, design_options, eval_backend, platform) -> None:
+def _init_worker(apps, clock, design_options, platform) -> None:
     """Pool initializer: build the whole-problem evaluator, reset blocks."""
     global _WORKER_ROOT, _WORKER_PLATFORM
-    _WORKER_ROOT = ScheduleEvaluator(
-        apps, clock, design_options, eval_backend=eval_backend
-    )
+    _WORKER_ROOT = ScheduleEvaluator(apps, clock, design_options)
     _WORKER_PLATFORM = platform
     _WORKER_EVALUATORS.clear()
     _WORKER_VARIANTS.clear()
@@ -245,7 +239,6 @@ class ProcessPoolBackend:
             list(evaluator.apps),
             evaluator.clock,
             evaluator.design_options,
-            evaluator.eval_backend,
             platform or default_platform(evaluator.clock),
         )
         self._executors: list[ProcessPoolExecutor] | None = None

@@ -194,10 +194,7 @@ def run_scenario(
     if scenario.n_cores > 1:
         return _run_multicore_scenario(scenario, options, on_event)
     evaluator = ScheduleEvaluator(
-        scenario.apps,
-        scenario.clock,
-        scenario.design_options,
-        eval_backend=options.eval_backend,
+        scenario.apps, scenario.clock, scenario.design_options
     )
     with options.build(
         evaluator, platform=scenario.platform, on_event=on_event
@@ -265,7 +262,6 @@ def _run_multicore_scenario(
         platform=scenario.platform,
         shared_cache=scenario.shared_cache,
         on_event=on_event,
-        eval_backend=options.eval_backend,
         allocator=scenario.allocator,
         allocator_options=scenario.allocator_options,
     ) as problem:

@@ -62,17 +62,10 @@ class EngineOptions:
     cache_dir:
         Directory of the persistent evaluation cache; ``None`` disables
         the disk layer.
-    eval_backend:
-        How evaluators built from these options compute batches:
-        ``"vectorized"`` (default) stacks a batch's controller designs
-        through the lockstep array path, ``"serial"`` keeps the
-        per-candidate oracle loop.  Both return bitwise-identical
-        evaluations (see :class:`repro.sched.evaluator.ScheduleEvaluator`).
     """
 
     workers: int = 0
     cache_dir: str | Path | None = None
-    eval_backend: str = "vectorized"
 
     def build(
         self,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from ..control.design import ControllerDesign, DesignOptions, design_controller
+from ..control.design import ControllerDesign, DesignOptions
 from ..control.lockstep import DesignRequest, design_controllers_batch
 from ..core.application import ControlApplication
 from ..core.performance import check_weights, performance_index
@@ -60,23 +60,85 @@ class ScheduleEvaluation:
         return self.idle_ok and all(app.meets_deadline for app in self.apps)
 
 
+class DesignCache:
+    """Memo of controller designs per (application, timing), filled in batches.
+
+    The one place a schedule evaluator turns timings into design
+    requests: designs only depend on the timing, so the key is the
+    application index plus its periods and delays rounded to
+    femtoseconds (well below any WCET granularity, well above float
+    noise), and each application gets its own deterministic swarm seed
+    so results are reproducible and applications don't share swarm
+    randomness.
+    """
+
+    def __init__(
+        self, apps: list[ControlApplication], design_options: DesignOptions
+    ) -> None:
+        self.apps = apps
+        self.design_options = design_options
+        self._designs: dict[tuple, ControllerDesign] = {}
+
+    def __len__(self) -> int:
+        return len(self._designs)
+
+    @staticmethod
+    def _key(app_index: int, timing: AppTiming) -> tuple:
+        quantize = lambda values: tuple(round(v * 1e15) for v in values)
+        return (app_index, quantize(timing.periods), quantize(timing.delays))
+
+    def _request(self, app_index: int, timing: AppTiming) -> DesignRequest:
+        app = self.apps[app_index]
+        return DesignRequest(
+            plant=app.plant,
+            periods=tuple(timing.periods),
+            delays=tuple(timing.delays),
+            spec=app.spec,
+            options=replace(
+                self.design_options,
+                seed=self.design_options.seed + 7919 * app_index,
+            ),
+        )
+
+    def prefetch(self, pairs: list[tuple[int, AppTiming]]) -> None:
+        """Design every yet-unseen ``(app_index, timing)`` pair in one batch.
+
+        An infeasible design fails the whole batch; it is then left to
+        :meth:`get`, so the caller meets the error in its own order.
+        """
+        requests: dict[tuple, DesignRequest] = {}
+        for app_index, timing in pairs:
+            key = self._key(app_index, timing)
+            if key not in self._designs and key not in requests:
+                requests[key] = self._request(app_index, timing)
+        if not requests:
+            return
+        try:
+            designs = design_controllers_batch(list(requests.values()))
+        except DesignInfeasibleError:
+            return
+        self._designs.update(zip(requests, designs))
+
+    def get(self, app_index: int, timing: AppTiming) -> ControllerDesign:
+        """The design for one pair (designed alone on a miss)."""
+        key = self._key(app_index, timing)
+        design = self._designs.get(key)
+        if design is None:
+            [design] = design_controllers_batch([self._request(app_index, timing)])
+            self._designs[key] = design
+        return design
+
+
 class ScheduleEvaluator:
     """Memoizing evaluator of overall control performance.
 
-    Serial-oracle contract
-    ----------------------
-    ``eval_backend`` selects how *batches* of schedules are computed.
-    The per-schedule path (:meth:`evaluate` calling ``design_controller``
-    app by app) is the oracle; ``"serial"`` uses it for batches too.
-    The default ``"vectorized"`` backend first runs every yet-unseen
-    controller design of a batch through
-    :func:`repro.control.lockstep.design_controllers_batch`, which
-    advances all of them in lockstep through stacked array operations,
-    then scores the schedules from the warmed design cache.  The lockstep
-    path reproduces the serial designs *bitwise* (same floating-point
-    operations in the same order — see :mod:`repro.control.lockstep`),
-    so the two backends return identical evaluations, not merely close
-    ones, and tests assert exact equality between them.
+    Every evaluation goes through :meth:`evaluate_batch` (a single
+    :meth:`evaluate` is a batch of one): the batch's yet-unseen
+    controller designs are computed first, all at once, by the design
+    kernel :func:`repro.control.lockstep.design_controllers_batch`,
+    then the schedules are scored from the warmed design memo.  A
+    design's bits never depend on the batch it rides in, so a schedule
+    evaluates identically alone, in any batch and in any order.
     """
 
     def __init__(
@@ -84,22 +146,15 @@ class ScheduleEvaluator:
         apps: list[ControlApplication],
         clock: Clock,
         design_options: DesignOptions | None = None,
-        eval_backend: str = "vectorized",
     ) -> None:
         if not apps:
             raise ScheduleError("need at least one application")
-        if eval_backend not in ("vectorized", "serial"):
-            raise ScheduleError(
-                f"unknown eval backend {eval_backend!r}; "
-                "expected 'vectorized' or 'serial'"
-            )
         check_weights([app.weight for app in apps])
         self.apps = list(apps)
         self.clock = clock
         self.design_options = design_options or DesignOptions()
-        self.eval_backend = eval_backend
         self._schedule_cache: dict[tuple[int, ...], ScheduleEvaluation] = {}
-        self._design_cache: dict[tuple, ControllerDesign] = {}
+        self._designs = DesignCache(self.apps, self.design_options)
 
     @classmethod
     def for_subproblem(
@@ -108,7 +163,6 @@ class ScheduleEvaluator:
         clock: Clock,
         design_options: DesignOptions | None,
         indices: tuple[int, ...],
-        eval_backend: str = "vectorized",
     ) -> "ScheduleEvaluator":
         """Evaluator over the sub-problem ``[apps[i] for i in indices]``.
 
@@ -130,7 +184,7 @@ class ScheduleEvaluator:
         if total <= 0:
             raise ScheduleError(f"block weights must be positive, got {total}")
         normalized = [replace(app, weight=app.weight / total) for app in block]
-        return cls(normalized, clock, design_options, eval_backend=eval_backend)
+        return cls(normalized, clock, design_options)
 
     @property
     def n_schedule_evaluations(self) -> int:
@@ -140,37 +194,50 @@ class ScheduleEvaluator:
     @property
     def n_designs(self) -> int:
         """Number of distinct (application, timing) designs performed."""
-        return len(self._design_cache)
-
-    def _design_key(self, app_index: int, timing: AppTiming) -> tuple:
-        # Round to femtoseconds: well below any WCET granularity, well
-        # above float noise.
-        quantize = lambda values: tuple(round(v * 1e15) for v in values)
-        return (app_index, quantize(timing.periods), quantize(timing.delays))
-
-    def _design_for(self, app_index: int, timing: AppTiming) -> ControllerDesign:
-        key = self._design_key(app_index, timing)
-        design = self._design_cache.get(key)
-        if design is None:
-            app = self.apps[app_index]
-            # Per-app deterministic seed so results are reproducible and
-            # applications don't share swarm randomness.
-            options = replace(
-                self.design_options,
-                seed=self.design_options.seed + 7919 * app_index,
-            )
-            design = design_controller(
-                app.plant,
-                list(timing.periods),
-                list(timing.delays),
-                app.spec,
-                options,
-            )
-            self._design_cache[key] = design
-        return design
+        return len(self._designs)
 
     def evaluate(self, schedule: PeriodicSchedule) -> ScheduleEvaluation:
         """Evaluate one schedule (cached)."""
+        return self.evaluate_batch([schedule])[0]
+
+    def evaluate_batch(
+        self, schedules: list[PeriodicSchedule]
+    ) -> list[ScheduleEvaluation]:
+        """Evaluate many schedules, preserving order.
+
+        The batch's controller designs are computed first, all at once
+        (see the class docstring), then each schedule is scored; errors
+        surface in schedule order.
+        :class:`repro.sched.engine.SearchEngine` overrides this entry
+        point with parallel workers and a persistent cache.  Search
+        algorithms submit candidates through :func:`evaluate_many` so
+        either implementation can serve them.
+        """
+        self._prefetch_designs(schedules)
+        return [self._score(schedule) for schedule in schedules]
+
+    def _prefetch_designs(self, schedules: list[PeriodicSchedule]) -> None:
+        """Batch-design every yet-unseen (app, timing) pair of a batch.
+
+        Skips cached schedules, mismatched schedules and schedules whose
+        timing cannot even be derived: those raise in :meth:`_score`, in
+        order.
+        """
+        pairs: list[tuple[int, AppTiming]] = []
+        wcets = [app.wcets for app in self.apps]
+        for schedule in schedules:
+            if schedule.counts in self._schedule_cache:
+                continue
+            if schedule.n_apps != len(self.apps):
+                continue
+            try:
+                timing = derive_timing(schedule, wcets, self.clock)
+            except ScheduleError:
+                continue
+            pairs.extend((i, timing.for_app(i)) for i in range(len(self.apps)))
+        self._designs.prefetch(pairs)
+
+    def _score(self, schedule: PeriodicSchedule) -> ScheduleEvaluation:
         key = schedule.counts
         cached = self._schedule_cache.get(key)
         if cached is not None:
@@ -189,7 +256,7 @@ class ScheduleEvaluator:
         evaluations = []
         for i, app in enumerate(self.apps):
             app_timing = timing.for_app(i)
-            design = self._design_for(i, app_timing)
+            design = self._designs.get(i, app_timing)
             settling = design.settling if design.satisfies(app.spec) else math.inf
             performance = performance_index(settling, app.spec.deadline)
             evaluations.append(
@@ -217,77 +284,6 @@ class ScheduleEvaluator:
         )
         self._schedule_cache[key] = result
         return result
-
-    def _prefetch_designs(self, schedules: list[PeriodicSchedule]) -> None:
-        """Batch-design every yet-unseen (app, timing) pair of a batch.
-
-        Collects the controller-design problems the per-schedule loop
-        would solve one by one — skipping cached schedules, mismatched
-        schedules and schedules whose timing cannot even be derived
-        (those raise in :meth:`evaluate`, in order) — and runs them all
-        through the lockstep vectorized designer, seeding the design
-        cache the serial loop then hits.
-        """
-        requests: list[DesignRequest] = []
-        keys: list[tuple] = []
-        pending: set[tuple] = set()
-        wcets = [app.wcets for app in self.apps]
-        for schedule in schedules:
-            if schedule.counts in self._schedule_cache:
-                continue
-            if schedule.n_apps != len(self.apps):
-                continue
-            try:
-                timing = derive_timing(schedule, wcets, self.clock)
-            except ScheduleError:
-                continue
-            for i, app in enumerate(self.apps):
-                app_timing = timing.for_app(i)
-                key = self._design_key(i, app_timing)
-                if key in self._design_cache or key in pending:
-                    continue
-                pending.add(key)
-                keys.append(key)
-                requests.append(
-                    DesignRequest(
-                        plant=app.plant,
-                        periods=app_timing.periods,
-                        delays=app_timing.delays,
-                        spec=app.spec,
-                        options=replace(
-                            self.design_options,
-                            seed=self.design_options.seed + 7919 * i,
-                        ),
-                    )
-                )
-        if not requests:
-            return
-        try:
-            designs = design_controllers_batch(requests)
-        except DesignInfeasibleError:
-            # Let the per-schedule loop hit the infeasible design (or an
-            # earlier schedule's error) in the serial order.
-            return
-        for key, design in zip(keys, designs):
-            self._design_cache[key] = design
-
-    def evaluate_batch(
-        self, schedules: list[PeriodicSchedule]
-    ) -> list[ScheduleEvaluation]:
-        """Evaluate many schedules, preserving order.
-
-        With the default ``eval_backend="vectorized"`` the batch's
-        controller designs are computed first, all at once, through the
-        lockstep vectorized path (bitwise identical to the serial
-        designs — see the class docstring); ``"serial"`` simply loops.
-        :class:`repro.sched.engine.SearchEngine` overrides this entry
-        point with parallel workers and a persistent cache.  Search
-        algorithms submit candidates through :func:`evaluate_many` so
-        either implementation can serve them.
-        """
-        if self.eval_backend == "vectorized":
-            self._prefetch_designs(schedules)
-        return [self.evaluate(schedule) for schedule in schedules]
 
     def adopt(self, evaluation: ScheduleEvaluation) -> None:
         """Seed the memo with an externally computed evaluation.

@@ -17,14 +17,15 @@ the price of a much larger search space.  This module provides:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
-from ..control.design import ControllerDesign, DesignOptions, design_controller
+from ..control.design import DesignOptions
 from ..core.application import ControlApplication
 from ..core.performance import performance_index
 from ..errors import ScheduleError
 from ..units import Clock
+from .evaluator import DesignCache
 from .schedule import InterleavedSchedule, PeriodicSchedule
 from .timing import ScheduleTiming, derive_timing_interleaved
 
@@ -47,7 +48,11 @@ class InterleavedEvaluation:
 
 
 class InterleavedEvaluator:
-    """Memoizing evaluator for interleaved schedules."""
+    """Memoizing evaluator for interleaved schedules.
+
+    Each schedule's controller designs are computed as one batch through
+    the periodic evaluator's :class:`~repro.sched.evaluator.DesignCache`.
+    """
 
     def __init__(
         self,
@@ -58,23 +63,7 @@ class InterleavedEvaluator:
         self.apps = list(apps)
         self.clock = clock
         self.design_options = design_options or DesignOptions()
-        self._design_cache: dict[tuple, ControllerDesign] = {}
-
-    def _design(self, app_index: int, periods, delays) -> ControllerDesign:
-        quantize = lambda values: tuple(round(v * 1e15) for v in values)
-        key = (app_index, quantize(periods), quantize(delays))
-        design = self._design_cache.get(key)
-        if design is None:
-            app = self.apps[app_index]
-            options = replace(
-                self.design_options,
-                seed=self.design_options.seed + 7919 * app_index,
-            )
-            design = design_controller(
-                app.plant, list(periods), list(delays), app.spec, options
-            )
-            self._design_cache[key] = design
-        return design
+        self._designs = DesignCache(self.apps, self.design_options)
 
     def evaluate(self, schedule: InterleavedSchedule) -> InterleavedEvaluation:
         """Holistic design + performance for one interleaved schedule."""
@@ -85,11 +74,12 @@ class InterleavedEvaluator:
             app_timing.max_period <= app.max_idle + 1e-15
             for app_timing, app in zip(timing.apps, self.apps)
         )
+        pairs = [(i, timing.for_app(i)) for i in range(len(self.apps))]
+        self._designs.prefetch(pairs)
         settling = []
         performances = []
-        for i, app in enumerate(self.apps):
-            app_timing = timing.for_app(i)
-            design = self._design(i, app_timing.periods, app_timing.delays)
+        for (i, app_timing), app in zip(pairs, self.apps):
+            design = self._designs.get(i, app_timing)
             settled = design.settling if design.satisfies(app.spec) else math.inf
             settling.append(settled)
             performances.append(performance_index(settled, app.spec.deadline))

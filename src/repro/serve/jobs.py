@@ -32,23 +32,23 @@ RECORD_SCHEMA_VERSION = 1
 #: The job state machine, in lifecycle order.
 JOB_STATES = ("queued", "running", "done", "failed")
 
+#: Spec keys older ledgers carry that no longer exist.  They never
+#: changed a report, so a persisted record drops them on load; a new
+#: submission naming one is rejected like any unknown field.
+_RETIRED_SPEC_KEYS = ("eval_backend",)
+
 
 @dataclass(frozen=True)
 class JobSpec(RunSpec):
     """A :class:`~repro.study.spec.RunSpec` the server runs.
 
-    ``eval_backend`` picks the candidate-batch evaluation backend and
     ``resume=False`` forces recomputation even when a matching report
-    is persisted in the server's shared run directory.  Both change
-    how a job computes its report, never the report, so they are no
-    part of its identity: two specs differing only there write the
-    same run-dir artifact and share one :meth:`digest`.
+    is persisted in the server's shared run directory.  That changes
+    how a job computes its report, never the report, so it is no part
+    of its identity: two specs differing only there write the same
+    run-dir artifact and share one :meth:`digest`.
     """
 
-    eval_backend: str = field(
-        default="vectorized",
-        metadata={**NON_IDENTITY, "choices": ("vectorized", "serial")},
-    )
     resume: bool = field(default=True, metadata=NON_IDENTITY)
 
     def digest(self) -> str:
@@ -106,8 +106,9 @@ class JobRecord:
     @classmethod
     def from_dict(cls, data: dict) -> "JobRecord":
         """Rebuild a record from its :meth:`to_dict` form (strict,
-        like :meth:`JobSpec.from_dict`; ``reports`` may be absent —
-        the summary form omits it)."""
+        like :meth:`JobSpec.from_dict`, except that the spec's retired
+        keys are dropped; ``reports`` may be absent — the summary form
+        omits it)."""
         payload = strict_payload(cls, data, RECORD_SCHEMA_VERSION)
         state = payload.get("state", "queued")
         if state not in JOB_STATES:
@@ -115,7 +116,10 @@ class JobRecord:
                 f"unknown job state {state!r}; "
                 f"known states: {', '.join(JOB_STATES)}"
             )
-        payload["spec"] = JobSpec.from_dict(payload.get("spec"))
+        spec = payload.get("spec")
+        if isinstance(spec, dict):
+            spec = {k: v for k, v in spec.items() if k not in _RETIRED_SPEC_KEYS}
+        payload["spec"] = JobSpec.from_dict(spec)
         try:
             return cls(**payload)
         except TypeError as exc:

@@ -335,7 +335,6 @@ class JobService:
         engine_options = EngineOptions(
             workers=self.engine_workers,
             cache_dir=str(self.cache_dir),
-            eval_backend=record.spec.eval_backend,
         )
         try:
             # The design budget follows REPRO_PROFILE like the CLI's, so

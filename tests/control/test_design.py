@@ -123,3 +123,14 @@ class TestDesign:
                 plant(), periods, delays, spec(),
                 replace(DesignOptions(), restarts=0),
             )
+
+
+class TestDesignOptions:
+    """Options are checked when built, not at the first design."""
+
+    @pytest.mark.parametrize(
+        "bad", [dict(engine="bogus"), dict(restarts=0), dict(engine="bogus", restarts=0)]
+    )
+    def test_invalid_options_rejected_at_construction(self, bad):
+        with pytest.raises(ControlError):
+            DesignOptions(**bad)

@@ -1,9 +1,12 @@
-"""Bitwise identity of the lockstep batch designer vs the serial oracle.
+"""The lockstep design kernel: batch independence and stage references.
 
-``design_controllers_batch`` must reproduce serial ``design_controller``
-results *exactly* — same gains, feedforwards, objectives, settling times
-and evaluation counts — because the schedule search compares overall
-performances across candidates and any drift would reorder them.
+``design_controllers_batch`` must give every request *exactly* the
+design it gets alone — same gains, feedforwards, objectives, settling
+times and evaluation counts — whatever batch it rides in, because the
+schedule search compares overall performances across candidates and any
+drift would reorder them.  Each numerical stage is checked against an
+independent reference kept in the library for its own callers; the
+designs themselves are pinned by ``test_golden_designs.py``.
 """
 
 import math
@@ -20,30 +23,40 @@ from repro.control.design import (
     DesignOptions,
     TrackingSpec,
     _continuous_poles,
-    _GainEvaluator,
+    _DesignProblem,
     _StageA,
     design_controller,
 )
-from repro.control.lifted import Segment, build_segments
+from repro.control.lifted import (
+    Segment,
+    build_segments,
+    feedforward_gains,
+    lifted_closed_loop,
+)
 from repro.control.lockstep import (
+    BatchGainEvaluator,
     DesignRequest,
     _poly_batch,
     _SegmentPlacer,
     _StackedTracking,
     design_controllers_batch,
 )
-from repro.control.pso import PsoOptions, pso_minimize, pso_minimize_many
-from repro.control.simulate import build_simulation_plan
+from repro.control.pso import PsoOptions, pso_minimize_many
 from repro.errors import ControlError
 from repro.sched import PeriodicSchedule, derive_timing
 
 
-def _assert_designs_identical(serial, batched):
-    assert np.array_equal(serial.gains, batched.gains)
-    assert np.array_equal(serial.feedforward, batched.feedforward)
-    assert serial.objective == batched.objective
-    assert serial.settling == batched.settling
-    assert serial.n_evaluations == batched.n_evaluations
+ENGINES = ("hybrid", "seeded", "uniform", "poles")
+
+
+def _assert_designs_identical(alone, batched):
+    assert np.array_equal(alone.gains, batched.gains)
+    assert np.array_equal(alone.feedforward, batched.feedforward)
+    assert alone.objective == batched.objective
+    assert alone.settling == batched.settling
+    assert alone.spectral_radius == batched.spectral_radius
+    assert alone.n_evaluations == batched.n_evaluations
+    assert alone.engine == batched.engine
 
 
 def _case_requests(case_study, options, counts_list):
@@ -68,7 +81,8 @@ def _case_requests(case_study, options, counts_list):
     return requests
 
 
-def _serial_designs(requests):
+def _alone_designs(requests):
+    """Each request designed in a batch of its own."""
     return [
         design_controller(
             r.plant, list(r.periods), list(r.delays), r.spec, r.options
@@ -128,18 +142,42 @@ def _mixed_requests(case_study, options):
     return requests
 
 
-def _evaluators(requests):
-    """One unit evaluator per request, built as the lockstep designer does."""
-    evaluators = []
-    for r in requests:
-        periods, delays = list(r.periods), list(r.delays)
-        segments = build_segments(r.plant.a, r.plant.b, periods, delays)
-        plan = build_simulation_plan(
-            r.plant.a, r.plant.b, r.plant.c, periods, delays, nsub=r.options.nsub
+def _problems(requests):
+    """One design problem per request, built as the lockstep designer does."""
+    return [
+        _DesignProblem(
+            r.plant,
+            list(r.periods),
+            list(r.delays),
+            r.spec,
+            r.options.horizon_factor,
+            r.options.nsub,
         )
-        horizon = r.options.horizon_factor * r.spec.deadline + plan.idle_gap
-        evaluators.append(_GainEvaluator(r.plant, segments, plan, r.spec, horizon))
-    return evaluators
+        for r in requests
+    ]
+
+
+def _gain_batches(problems, rng, n_batch=5):
+    """Placed stage-A gains per problem plus reference feedforwards."""
+    gains, feedforwards = [], []
+    for problem in problems:
+        stage_a = _StageA(problem, DesignOptions())
+        rows = []
+        while len(rows) < n_batch:
+            theta = rng.uniform(stage_a.lower, stage_a.upper)
+            rows.append(stage_a.gains_for(theta))
+        batch = np.stack(rows)
+        batch[-1] *= 3.0  # an aggressive row that may never settle
+        gains.append(batch)
+        feedforwards.append(
+            np.stack(
+                [
+                    feedforward_gains(problem.plant.c, problem.segments, row)
+                    for row in batch
+                ]
+            )
+        )
+    return gains, feedforwards
 
 
 def _scalar_continuous_poles(theta, order):
@@ -289,60 +327,50 @@ class TestSegmentPlacer:
 
 
 class TestPsoMinimizeMany:
-    def _problems(self, dims, seed):
+    """A problem's swarm never depends on the problems sharing its call."""
+
+    def _problems(self, dims, seed, seeds=None):
         problems = []
         for i, dim in enumerate(dims):
             lower = -np.ones(dim) * (i + 1)
             upper = np.ones(dim) * (i + 2)
             problems.append(
-                (lower, upper, np.random.default_rng(seed + i), None)
+                (lower, upper, np.random.default_rng(seed + i), seeds)
             )
         return problems
 
     @staticmethod
-    def _objective(positions):
-        return np.sum(positions**2, axis=1) + 0.1 * np.sin(positions[:, 0])
+    def _objective(batches):
+        return [
+            np.sum(positions**2, axis=1) + 0.1 * np.sin(positions[:, 0])
+            for positions in batches
+        ]
 
     def test_lockstep_matches_individual_runs(self):
         options = PsoOptions(n_particles=8, n_iterations=12)
+        dims = [2, 3, 2]
         many = pso_minimize_many(
-            lambda batches: [self._objective(p) for p in batches],
-            self._problems([2, 3, 2], seed=7),
-            options,
+            self._objective, self._problems(dims, seed=7), options
         )
-        for i, dim in enumerate([2, 3, 2]):
-            lower = -np.ones(dim) * (i + 1)
-            upper = np.ones(dim) * (i + 2)
-            alone = pso_minimize(
-                self._objective,
-                lower,
-                upper,
-                options,
-                np.random.default_rng(7 + i),
-            )
+        for i, problem in enumerate(self._problems(dims, seed=7)):
+            [alone] = pso_minimize_many(self._objective, [problem], options)
             assert np.array_equal(many[i].best_position, alone.best_position)
             assert many[i].best_value == alone.best_value
+            assert many[i].history == alone.history
             assert many[i].n_evaluations == alone.n_evaluations
 
     def test_seed_positions_respected(self):
         options = PsoOptions(n_particles=6, n_iterations=8)
         seeds = np.array([[0.1, -0.2], [0.3, 0.4]])
-        lower, upper = -np.ones(2), np.ones(2)
         many = pso_minimize_many(
-            lambda batches: [self._objective(p) for p in batches],
-            [(lower, upper, np.random.default_rng(3), seeds)],
-            options,
+            self._objective, self._problems([2, 2], 3, seeds), options
         )
-        alone = pso_minimize(
-            self._objective,
-            lower,
-            upper,
-            options,
-            np.random.default_rng(3),
-            seeds=seeds,
+        [alone] = pso_minimize_many(
+            self._objective, self._problems([2], 3, seeds), options
         )
         assert np.array_equal(many[0].best_position, alone.best_position)
         assert many[0].best_value == alone.best_value
+        assert alone.history[0] <= self._objective([seeds])[0].min()
 
 
 class TestBatchDesignIdentity:
@@ -351,8 +379,8 @@ class TestBatchDesignIdentity:
             case_study, tiny_design_options, [(1, 1, 1), (2, 1, 1)]
         )
         batched = design_controllers_batch(requests)
-        for serial, got in zip(_serial_designs(requests), batched):
-            _assert_designs_identical(serial, got)
+        for alone, got in zip(_alone_designs(requests), batched):
+            _assert_designs_identical(alone, got)
 
     def test_multi_restart_case_study(self, case_study):
         options = DesignOptions(
@@ -360,19 +388,13 @@ class TestBatchDesignIdentity:
         )
         requests = _case_requests(case_study, options, [(2, 2, 2)])
         batched = design_controllers_batch(requests)
-        for serial, got in zip(_serial_designs(requests), batched):
-            _assert_designs_identical(serial, got)
+        for alone, got in zip(_alone_designs(requests), batched):
+            _assert_designs_identical(alone, got)
 
-    def test_mixed_engines_fall_back_serially(self, case_study):
-        """Engines without a lockstep path defer to design_controller."""
-        lockstep = DesignOptions(
+    def test_mixed_engines_in_one_batch(self, case_study):
+        """Every engine, and restarts of one request, share one call."""
+        base = DesignOptions(
             restarts=1, stage_a=PsoOptions(6, 6), stage_b=PsoOptions(6, 6)
-        )
-        fallback = DesignOptions(
-            engine="uniform",
-            restarts=1,
-            stage_a=PsoOptions(6, 6),
-            stage_b=PsoOptions(6, 6),
         )
         wcets = [app.wcets for app in case_study.apps]
         timing = derive_timing(
@@ -386,44 +408,26 @@ class TestBatchDesignIdentity:
                 periods=app_timing.periods,
                 delays=app_timing.delays,
                 spec=app.spec,
-                options=options,
+                options=replace(base, engine=engine, restarts=restarts),
             )
-            for options in (lockstep, fallback)
+            for engine in ENGINES
+            for restarts in (1, 2)
         ]
         batched = design_controllers_batch(requests)
-        for serial, got in zip(_serial_designs(requests), batched):
-            _assert_designs_identical(serial, got)
+        assert [d.engine for d in batched] == [r.options.engine for r in requests]
+        for alone, got in zip(_alone_designs(requests), batched):
+            _assert_designs_identical(alone, got)
 
     def test_empty_batch(self):
         assert design_controllers_batch([]) == []
 
-    def test_unknown_engine_rejected(self, case_study, tiny_design_options):
-        request = _case_requests(
-            case_study, tiny_design_options, [(1, 1, 1)]
-        )[0]
-        bad = DesignRequest(
-            plant=request.plant,
-            periods=request.periods,
-            delays=request.delays,
-            spec=request.spec,
-            options=DesignOptions(engine="gradient"),
-        )
-        with pytest.raises(ControlError):
-            design_controllers_batch([bad])
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(ControlError, match="gradient"):
+            DesignOptions(engine="gradient")
 
-    def test_invalid_restarts_rejected(self, case_study, tiny_design_options):
-        request = _case_requests(
-            case_study, tiny_design_options, [(1, 1, 1)]
-        )[0]
-        bad = DesignRequest(
-            plant=request.plant,
-            periods=request.periods,
-            delays=request.delays,
-            spec=request.spec,
-            options=DesignOptions(restarts=0),
-        )
-        with pytest.raises(ControlError):
-            design_controllers_batch([bad])
+    def test_invalid_restarts_rejected(self):
+        with pytest.raises(ControlError, match="restarts"):
+            DesignOptions(restarts=0)
 
     def test_mixed_orders_and_horizons(self, case_study):
         options = DesignOptions(
@@ -434,8 +438,8 @@ class TestBatchDesignIdentity:
             requests[2], options=replace(requests[2].options, restarts=2)
         )
         batched = design_controllers_batch(requests)
-        for serial, got in zip(_serial_designs(requests), batched):
-            _assert_designs_identical(serial, got)
+        for alone, got in zip(_alone_designs(requests), batched):
+            _assert_designs_identical(alone, got)
 
     def test_one_unit_batch(self, case_study):
         options = DesignOptions(
@@ -443,53 +447,38 @@ class TestBatchDesignIdentity:
         )
         request = _mixed_requests(case_study, options)[2]
         (got,) = design_controllers_batch([request])
-        _assert_designs_identical(_serial_designs([request])[0], got)
+        _assert_designs_identical(_alone_designs([request])[0], got)
 
 
 class TestStackedTracking:
     """The fused, prefix-compacted tracking loop vs ``simulate_tracking``."""
 
-    @staticmethod
-    def _gain_batches(evaluators, rng, n_batch=5):
-        gains, feedforwards = [], []
-        for ge in evaluators:
-            stage_a = _StageA(ge, DesignOptions())
-            rows = []
-            while len(rows) < n_batch:
-                theta = rng.uniform(stage_a.lower, stage_a.upper)
-                rows.append(stage_a.gains_for(theta))
-            batch = np.stack(rows)
-            batch[-1] *= 3.0  # an aggressive row that may never settle
-            gains.append(batch)
-            feedforwards.append(ge.feedforward_batch(batch)[0])
-        return gains, feedforwards
-
-    def _assert_matches_serial(self, evaluators, rng):
-        gains, feedforwards = self._gain_batches(evaluators, rng)
-        tracking = _StackedTracking(evaluators)
+    def _assert_matches_reference(self, problems, rng):
+        gains, feedforwards = _gain_batches(problems, rng)
+        tracking = _StackedTracking(problems)
         settling, u_peak, final_error = tracking.run(gains, feedforwards)
-        for i, ge in enumerate(evaluators):
-            serial = simulate_tracking(
-                ge.plan,
+        for i, problem in enumerate(problems):
+            reference = simulate_tracking(
+                problem.plan,
                 gains[i],
                 feedforwards[i],
-                r=ge.spec.r,
-                x0=ge.x0,
-                u0=ge.u0,
-                horizon=ge.horizon,
-                band=ge.spec.band,
+                r=problem.spec.r,
+                x0=problem.x0,
+                u0=problem.u0,
+                horizon=problem.horizon,
+                band=problem.spec.band,
             )
-            assert np.array_equal(settling[i], serial.settling)
-            assert np.array_equal(u_peak[i], serial.u_peak, equal_nan=True)
+            assert np.array_equal(settling[i], reference.settling)
+            assert np.array_equal(u_peak[i], reference.u_peak, equal_nan=True)
             assert np.array_equal(
-                final_error[i], serial.final_error, equal_nan=True
+                final_error[i], reference.final_error, equal_nan=True
             )
         return tracking
 
     def test_units_freezing_at_different_steps(self, case_study, rng):
         options = DesignOptions(restarts=1)
-        evaluators = _evaluators(_mixed_requests(case_study, options))
-        tracking = self._assert_matches_serial(evaluators, rng)
+        problems = _problems(_mixed_requests(case_study, options))
+        tracking = self._assert_matches_reference(problems, rng)
         assert len(tracking.groups) == 3
         steps = [step for group in tracking.groups for step in group.steps]
         # Some units freeze before others, and both observation-group
@@ -504,37 +493,75 @@ class TestStackedTracking:
 
     def test_one_unit(self, case_study, rng):
         options = DesignOptions(restarts=1)
-        evaluators = _evaluators(_mixed_requests(case_study, options)[2:3])
-        self._assert_matches_serial(evaluators, rng)
+        problems = _problems(_mixed_requests(case_study, options)[2:3])
+        self._assert_matches_reference(problems, rng)
+
+
+class TestStageReferences:
+    """Feedforward and stability stages vs the per-gain library functions."""
+
+    def test_feedforward_matches_feedforward_gain(self, case_study, rng):
+        problems = _problems(_mixed_requests(case_study, DesignOptions()))
+        gains, reference = _gain_batches(problems, rng)
+        results = BatchGainEvaluator(problems).evaluate(gains)
+        for result, expected in zip(results, reference):
+            assert not result["invalid"].any()
+            np.testing.assert_allclose(
+                result["feedforward"], expected, rtol=1e-9
+            )
+
+    def test_spectral_radii_match_lifted_closed_loop(self, case_study, rng):
+        problems = _problems(_mixed_requests(case_study, DesignOptions()))
+        gains, feedforwards = _gain_batches(problems, rng)
+        radii = BatchGainEvaluator(problems)._spectral_radii(gains, feedforwards)
+        for problem, rows, ffs, rho in zip(problems, gains, feedforwards, radii):
+            for row, ff, value in zip(rows, ffs, rho):
+                a_hol, _ = lifted_closed_loop(problem.segments, row, ff)
+                assert value == np.abs(np.linalg.eigvals(a_hol)).max()
+
+    def test_counts_evaluations_per_unit(self, case_study, rng):
+        problems = _problems(_mixed_requests(case_study, DesignOptions())[:2])
+        gains, _ = _gain_batches(problems, rng, n_batch=3)
+        evaluator = BatchGainEvaluator(problems)
+        evaluator.evaluate(gains)
+        evaluator.evaluate([batch[:1] for batch in gains])
+        assert evaluator.n_evaluations == [4, 4]
 
 
 @pytest.fixture(scope="module")
 def composition_case(case_study):
-    """Small mixed request list plus its serial-oracle designs."""
+    """Small mixed request list plus each request's alone design per engine."""
     options = DesignOptions(
-        restarts=1, stage_a=PsoOptions(4, 3), stage_b=PsoOptions(4, 3)
+        restarts=1, stage_a=PsoOptions(3, 2), stage_b=PsoOptions(3, 2)
     )
     requests = _mixed_requests(case_study, options)
-    requests[1] = replace(
-        requests[1], options=replace(requests[1].options, engine="seeded")
-    )
     requests[4] = replace(
         requests[4], options=replace(requests[4].options, restarts=2)
     )
-    return requests, _serial_designs(requests)
+    variants = {
+        (i, engine): replace(r, options=replace(r.options, engine=engine))
+        for i, r in enumerate(requests)
+        for engine in ENGINES
+    }
+    keys = list(variants)
+    alone = _alone_designs([variants[key] for key in keys])
+    return variants, dict(zip(keys, alone)), len(requests)
 
 
 class TestBatchComposition:
     @given(data=st.data())
     @settings(max_examples=15, deadline=None)
     def test_designs_do_not_depend_on_batch(self, composition_case, data):
-        requests, reference = composition_case
-        n = len(requests)
+        variants, reference, n = composition_case
         order = data.draw(st.permutations(range(n)), label="order")
+        engines = data.draw(
+            st.lists(st.sampled_from(ENGINES), min_size=n, max_size=n),
+            label="engines",
+        )
         cuts = data.draw(st.sets(st.integers(1, n - 1)), label="cuts")
         bounds = [0, *sorted(cuts), n]
         for lo, hi in zip(bounds, bounds[1:]):
-            chunk = order[lo:hi]
-            designs = design_controllers_batch([requests[i] for i in chunk])
-            for i, design in zip(chunk, designs):
-                _assert_designs_identical(reference[i], design)
+            chunk = [(i, engines[i]) for i in order[lo:hi]]
+            designs = design_controllers_batch([variants[key] for key in chunk])
+            for key, design in zip(chunk, designs):
+                _assert_designs_identical(reference[key], design)

@@ -1,10 +1,20 @@
-"""Tests for the particle swarm optimizer."""
+"""Tests for the particle swarm optimizer (single-problem runs)."""
 
 import numpy as np
 import pytest
 
-from repro.control import PsoOptions, pso_minimize
+from repro.control import PsoOptions, pso_minimize_many
 from repro.errors import ConfigurationError
+
+
+def pso_minimize(objective, lower, upper, options, rng, seeds=None):
+    """One problem through the lockstep optimizer: a batch of one."""
+    [result] = pso_minimize_many(
+        lambda batches: [objective(positions) for positions in batches],
+        [(lower, upper, rng, seeds)],
+        options,
+    )
+    return result
 
 
 def sphere(x: np.ndarray) -> np.ndarray:

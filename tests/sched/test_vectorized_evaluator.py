@@ -1,9 +1,9 @@
-"""The vectorized batch backend vs the serial oracle (exact equality).
+"""Batch evaluation vs one schedule at a time (exact equality).
 
-``evaluate_batch`` with the default ``eval_backend="vectorized"`` must
-return the *same* evaluations as the serial per-candidate loop — the
-lockstep designer reproduces serial floating point bitwise, so these
-tests assert ``==``, never ``approx``.
+``evaluate_batch`` designs a whole batch's controllers in one lockstep
+kernel call; it must return the *same* evaluations as evaluating each
+schedule on its own — a design's bits never depend on the batch it
+rides in, so these tests assert ``==``, never ``approx``.
 """
 
 import math
@@ -17,9 +17,9 @@ from repro.sched import PeriodicSchedule, ScheduleEvaluator
 from repro.sched.engine import SearchEngine
 
 
-def _assert_batches_identical(serial, vectorized):
-    assert len(serial) == len(vectorized)
-    for expected, got in zip(serial, vectorized):
+def _assert_batches_identical(one_by_one, batched):
+    assert len(one_by_one) == len(batched)
+    for expected, got in zip(one_by_one, batched):
         assert got.schedule.counts == expected.schedule.counts
         assert got.overall == expected.overall
         assert got.idle_ok == expected.idle_ok
@@ -41,110 +41,80 @@ def case():
 
 
 def _pair(case, options):
-    """Fresh (serial, vectorized) evaluators over the same problem."""
+    """Fresh (one-by-one, batched) evaluators over the same problem."""
     return (
-        ScheduleEvaluator(
-            case.apps, case.clock, options, eval_backend="serial"
-        ),
+        ScheduleEvaluator(case.apps, case.clock, options),
         ScheduleEvaluator(case.apps, case.clock, options),
     )
 
 
-class TestBackendSelection:
-    def test_unknown_backend_rejected(self, case, tiny_design_options):
-        with pytest.raises(ScheduleError):
-            ScheduleEvaluator(
-                case.apps,
-                case.clock,
-                tiny_design_options,
-                eval_backend="gpu",
-            )
-
-    def test_backend_recorded(self, case, tiny_design_options):
-        serial, vectorized = _pair(case, tiny_design_options)
-        assert serial.eval_backend == "serial"
-        assert vectorized.eval_backend == "vectorized"
-
-    def test_for_subproblem_propagates_backend(self, case, tiny_design_options):
-        sub = ScheduleEvaluator.for_subproblem(
-            case.apps,
-            case.clock,
-            tiny_design_options,
-            (0, 2),
-            eval_backend="serial",
-        )
-        assert sub.eval_backend == "serial"
-        assert (
-            ScheduleEvaluator.for_subproblem(
-                case.apps, case.clock, tiny_design_options, (0, 2)
-            ).eval_backend
-            == "vectorized"
-        )
+def _one_by_one(evaluator, schedules):
+    return [evaluator.evaluate(schedule) for schedule in schedules]
 
 
 class TestBatchEdgeCases:
     def test_empty_batch(self, case, tiny_design_options):
-        serial, vectorized = _pair(case, tiny_design_options)
-        assert serial.evaluate_batch([]) == []
-        assert vectorized.evaluate_batch([]) == []
-        assert vectorized.n_designs == 0
+        alone, batched = _pair(case, tiny_design_options)
+        assert _one_by_one(alone, []) == []
+        assert batched.evaluate_batch([]) == []
+        assert batched.n_designs == 0
 
     def test_single_candidate(self, case, tiny_design_options):
-        serial, vectorized = _pair(case, tiny_design_options)
+        alone, batched = _pair(case, tiny_design_options)
         schedules = [PeriodicSchedule((1, 1, 1))]
         _assert_batches_identical(
-            serial.evaluate_batch(schedules),
-            vectorized.evaluate_batch(schedules),
+            _one_by_one(alone, schedules),
+            batched.evaluate_batch(schedules),
         )
-        assert serial.n_designs == vectorized.n_designs
+        assert alone.n_designs == batched.n_designs
 
     def test_infeasible_candidates_mixed_into_batch(
         self, case, tiny_design_options
     ):
         """Idle-infeasible schedules ride along without poisoning the rest."""
-        serial, vectorized = _pair(case, tiny_design_options)
+        alone, batched = _pair(case, tiny_design_options)
         schedules = [
             PeriodicSchedule((1, 1, 1)),
             PeriodicSchedule((10, 10, 10)),  # violates every max_idle
             PeriodicSchedule((2, 1, 1)),
         ]
-        serial_results = serial.evaluate_batch(schedules)
-        vectorized_results = vectorized.evaluate_batch(schedules)
-        _assert_batches_identical(serial_results, vectorized_results)
-        assert not vectorized_results[1].idle_ok
-        assert not vectorized_results[1].feasible
-        assert vectorized_results[0].idle_ok
+        alone_results = _one_by_one(alone, schedules)
+        batched_results = batched.evaluate_batch(schedules)
+        _assert_batches_identical(alone_results, batched_results)
+        assert not batched_results[1].idle_ok
+        assert not batched_results[1].feasible
+        assert batched_results[0].idle_ok
 
     def test_non_uniform_horizon_lengths(self, case, tiny_design_options):
         """Schedules with very different periods (and thus simulation
         horizons) fuse into one batch without cross-talk."""
-        serial, vectorized = _pair(case, tiny_design_options)
+        alone, batched = _pair(case, tiny_design_options)
         schedules = [
             PeriodicSchedule(counts)
             for counts in [(1, 1, 1), (3, 1, 2), (1, 3, 1), (2, 2, 3)]
         ]
         _assert_batches_identical(
-            serial.evaluate_batch(schedules),
-            vectorized.evaluate_batch(schedules),
+            _one_by_one(alone, schedules),
+            batched.evaluate_batch(schedules),
         )
-        assert serial.n_designs == vectorized.n_designs
+        assert alone.n_designs == batched.n_designs
 
     def test_wrong_app_count_raises_in_order(self, case, tiny_design_options):
-        _, vectorized = _pair(case, tiny_design_options)
+        _, batched = _pair(case, tiny_design_options)
         with pytest.raises(ScheduleError):
-            vectorized.evaluate_batch(
+            batched.evaluate_batch(
                 [PeriodicSchedule((1, 1, 1)), PeriodicSchedule((1, 1))]
             )
 
     def test_batch_then_single_reuses_cache(self, case, tiny_design_options):
-        _, vectorized = _pair(case, tiny_design_options)
-        [batch_result] = vectorized.evaluate_batch(
+        _, batched = _pair(case, tiny_design_options)
+        [batch_result] = batched.evaluate_batch(
             [PeriodicSchedule((1, 2, 1))]
         )
-        designs = vectorized.n_designs
-        single = vectorized.evaluate(PeriodicSchedule((1, 2, 1)))
+        designs = batched.n_designs
+        single = batched.evaluate(PeriodicSchedule((1, 2, 1)))
         assert single is batch_result
-        assert vectorized.n_designs == designs
+        assert batched.n_designs == designs
 
 
 class TestAnalyticPlatform:
@@ -152,18 +122,18 @@ class TestAnalyticPlatform:
         self, tiny_design_options
     ):
         """The analytic WCET model feeds non-integral WCETs into the
-        timing; the vectorized path must stay bitwise identical and all
+        timing; the batched path must stay bitwise identical and all
         results must stay double precision."""
         case = build_case_study(wcet_method="analytic")
-        serial, vectorized = _pair(case, tiny_design_options)
+        alone, batched = _pair(case, tiny_design_options)
         schedules = [
             PeriodicSchedule((1, 1, 1)),
             PeriodicSchedule((2, 1, 2)),
         ]
-        serial_results = serial.evaluate_batch(schedules)
-        vectorized_results = vectorized.evaluate_batch(schedules)
-        _assert_batches_identical(serial_results, vectorized_results)
-        for result in vectorized_results:
+        alone_results = _one_by_one(alone, schedules)
+        batched_results = batched.evaluate_batch(schedules)
+        _assert_batches_identical(alone_results, batched_results)
+        for result in batched_results:
             assert isinstance(result.overall, float)
             for app in result.apps:
                 assert app.design.gains.dtype == np.float64
@@ -176,13 +146,13 @@ class TestEngineIntegration:
     def test_serial_backend_uses_vectorized_batches(
         self, case, tiny_design_options
     ):
-        serial, vectorized = _pair(case, tiny_design_options)
+        alone, batched = _pair(case, tiny_design_options)
         schedules = [
             PeriodicSchedule(counts)
             for counts in [(1, 1, 1), (2, 1, 1), (1, 2, 1)]
         ]
-        with SearchEngine(vectorized) as engine:
+        with SearchEngine(batched) as engine:
             assert engine.backend_name == "serial"
             _assert_batches_identical(
-                serial.evaluate_batch(schedules), engine.evaluate_batch(schedules)
+                _one_by_one(alone, schedules), engine.evaluate_batch(schedules)
             )

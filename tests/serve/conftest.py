@@ -14,6 +14,24 @@ def quick_profile(monkeypatch):
 
 
 @pytest.fixture()
+def legacy_record() -> str:
+    """A ledger record as written before the evaluation-backend switch
+    was removed: its spec still carries ``eval_backend``."""
+    return (
+        '{"error": null, "finished_at": 15.0, "id": "job-000003", "reports": '
+        '[{"overall": 0.6, "scenario": "casestudy"}], "schema_version": 1, '
+        '"spec": {"allocator": null, "allocator_options": null, "dynamic": null, '
+        '"eval_backend": "serial", "jitter_platform": false, "kind": "search", '
+        '"max_count_per_core": 6, "n_apps": null, "n_apps_choices": [2, 3], '
+        '"n_cores": 1, "n_starts": 2, "options": null, "platform": null, '
+        '"random_dynamic": false, "resume": true, "schema_version": 1, '
+        '"seed": 2018, "shared_cache": false, "starts": null, '
+        '"strategy": "hybrid", "suite_size": 4}, "started_at": 11.0, '
+        '"state": "done", "submitted_at": 10.0}'
+    )
+
+
+@pytest.fixture()
 def synthetic_report() -> RunReport:
     """A small, fully-populated report for round-trip tests."""
     return RunReport(

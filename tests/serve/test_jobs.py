@@ -35,7 +35,6 @@ class TestJobSpecRoundTrip:
                 "clock_hz": 20e6,
                 "wcet_model": "static",
             },
-            eval_backend="serial",
             resume=False,
         ))
         rebuilt = JobSpec.from_json(spec.to_json())
@@ -102,8 +101,11 @@ class TestJobSpecValidation:
     def test_bad_kind_and_backend(self):
         with pytest.raises(ConfigurationError):
             JobSpec(kind="dream").validate()
-        with pytest.raises(ConfigurationError):
-            JobSpec(eval_backend="gpu").validate()
+        # The evaluation-backend switch is gone: naming it in a new
+        # submission is an unknown field.
+        with pytest.raises(ConfigurationError) as exc:
+            JobSpec.from_dict({"eval_backend": "serial"})
+        assert "eval_backend" in str(exc.value)
 
     def test_shared_cache_needs_cores(self):
         with pytest.raises(ConfigurationError) as exc:
@@ -188,14 +190,10 @@ class TestJobSpecDigest:
         assert base.digest() != JobSpec(strategy="hybrid", seed=1).digest()
 
     def test_digest_ignores_how_a_job_computes(self):
-        # resume and eval_backend never change the report a job writes,
-        # so such specs share one digest (and one per-digest lock).
+        # resume never changes the report a job writes, so such specs
+        # share one digest (and one per-digest lock).
         base = JobSpec(strategy="hybrid")
         assert base.digest() == JobSpec(strategy="hybrid", resume=False).digest()
-        assert (
-            base.digest()
-            == JobSpec(strategy="hybrid", eval_backend="serial").digest()
-        )
 
 
 class TestJobRecord:
@@ -235,6 +233,13 @@ class TestJobRecord:
         data["schema_version"] = 0
         with pytest.raises(ConfigurationError):
             JobRecord.from_dict(data)
+
+    def test_ledger_record_with_retired_backend_loads(self, legacy_record):
+        record = JobRecord.from_json(legacy_record)
+        assert record.id == "job-000003" and record.state == "done"
+        assert record.spec == JobSpec(strategy="hybrid")
+        assert record.reports == [{"overall": 0.6, "scenario": "casestudy"}]
+        assert "eval_backend" not in record.to_json()
 
     def test_unknown_field_rejected(self):
         data = self._record().to_dict()

@@ -304,6 +304,38 @@ class TestServiceLifecycle:
         with pytest.raises(ConfigurationError):
             JobService(tmp_path, job_timeout=0)
 
+    def test_ledger_entry_with_retired_backend_is_restored(
+        self, serve_dir, legacy_record
+    ):
+        jobs_dir = serve_dir / "jobs"
+        jobs_dir.mkdir(parents=True)
+        (jobs_dir / "job-000003.json").write_text(legacy_record)
+        with ServerThread(run_dir=serve_dir) as server:
+            client = ServeClient(server.url)
+            restored = client.job("job-000003")
+            assert restored.state == "done"
+            assert restored.spec == JobSpec(strategy="hybrid")
+            assert client.submit(_spec()).id == "job-000004"
+
+    def test_retired_backend_in_a_new_submission_is_a_400(self, serve_dir):
+        with ServerThread(run_dir=serve_dir) as server:
+            client = ServeClient(server.url)
+            conn = http.client.HTTPConnection(
+                client.host, client.port, timeout=30
+            )
+            try:
+                conn.request(
+                    "POST", "/jobs", body=json.dumps({"eval_backend": "serial"})
+                )
+                response = conn.getresponse()
+                payload = json.loads(response.read())
+            finally:
+                conn.close()
+            assert response.status == 400
+            assert payload["kind"] == "ConfigurationError"
+            assert "eval_backend" in payload["error"]
+            assert client.jobs() == []
+
     def test_corrupt_ledger_entries_are_skipped(self, serve_dir):
         jobs_dir = serve_dir / "jobs"
         jobs_dir.mkdir(parents=True)

@@ -37,7 +37,6 @@ _ENGINE_FLAGS = {
     "--run-dir": None,
     "--workers": 0,
     "--cache-dir": None,
-    "--eval-backend": "vectorized",
     "--progress": False,
 }
 _PLATFORM_FLAGS = {
@@ -79,7 +78,7 @@ PINNED_FLAGS = {
         "--n-starts": 2, "--seed": 2018, "--cores": 1,
         "--max-count-per-core": 6, "--shared-cache": False,
         "--allocator": None, "--suite-size": None, "--no-resume": False,
-        "--strategy": None, "--eval-backend": "vectorized", "--json": False,
+        "--strategy": None, "--json": False,
         **_PLATFORM_FLAGS,
     },
 }

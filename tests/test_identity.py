@@ -224,12 +224,11 @@ SUBJECTS = [
             "n_apps_choices": st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple),
             "jitter_platform": st.booleans(),
             "random_dynamic": st.booleans(),
-            "eval_backend": st.sampled_from(["serial", "vectorized"]),
             "resume": st.booleans(),
         },
         identity=canonical,
         digest=JobSpec.digest,
-        non_identity=frozenset({"eval_backend", "resume"}),
+        non_identity=frozenset({"resume"}),
     ),
     Subject(
         ExperimentRequest,
