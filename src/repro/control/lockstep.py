@@ -30,12 +30,20 @@ It may:
 
 * drop rows that no longer contribute — the tracking loop sorts units
   by horizon and stops computing a unit once it is past its own;
-* hoist work that does not depend on the gains — segment placers, the
-  simulation clock, stacked segment matrices — out of the per-call path;
+* hoist work that does not depend on the gains — placement tables
+  (controllability test, powers of ``A``, the solve against ``e_l``),
+  the simulation clock, stacked segment matrices — out of the per-call
+  path;
 * batch Python-level prologues and epilogues — factor arrays, pole
   maps, masks and rejection tests over whole particle arrays — and fuse
   element-wise work across units and particles: single-rounded IEEE
-  operations give the same bits whatever the array shape or layout.
+  operations give the same bits whatever the array shape or layout;
+* re-derive ``np.convolve`` only as its complex dot kernel's exact
+  arithmetic (:func:`_poly_rows`: the same partial sums from zero, in
+  the same term order, onto numpy's zero accumulator), pinned against
+  ``np.poly`` row by row and bit by bit by a property test, with the
+  rows it cannot reproduce (non-finite ones) sent through
+  ``np.convolve`` itself.
 
 It may not, without re-pinning the golden designs:
 
@@ -43,8 +51,8 @@ It may not, without re-pinning the golden designs:
   matmul, solve, determinant and eigenvalue problem runs on one unit's
   ``(P, l)``-style blocks, as stacked gufunc batches whose per-slice
   kernels do not depend on which other units are stacked alongside;
-* re-derive ``np.convolve``: ``np.poly``'s recurrence is repeated call
-  by call per particle, because its complex kernel is length-dependent;
+* re-derive any other library kernel, or fuse or reorder the
+  operations of a re-derived one;
 * reorder an accumulation: sums, products and the simulation clock add
   their terms in a fixed per-unit order.
 """
@@ -56,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ControlError, DesignInfeasibleError
+from ..errors import DesignInfeasibleError
 from .ackermann import controllability_matrix, place_poles_siso
 from .design import (
     ControllerDesign,
@@ -84,94 +92,238 @@ class DesignRequest:
     options: DesignOptions
 
 
-def _poly_batch(roots: np.ndarray) -> np.ndarray:
-    """Complex ``np.poly`` coefficients of every root row ``(P, l)``.
+def _convolve_chain(roots: np.ndarray) -> np.ndarray:
+    """Complex ``np.poly`` coefficients of one root row: its ``np.convolve`` chain."""
+    coefficients = np.ones((1,), dtype=complex)
+    for root in roots:
+        coefficients = np.convolve(
+            coefficients, np.array([1, -root], dtype=complex), mode="full"
+        )
+    return coefficients
 
-    Runs exactly the convolution calls ``np.poly`` runs (the complex
-    convolve kernel is length-dependent, so it must be *called*, not
-    re-derived); only the ``[1, -root]`` factors are built up front, as
-    one array.  Rows whose roots are conjugate-closed are real up to the
-    ``.real`` cast ``np.poly`` applies, which the caller takes.
+
+def _poly_rows(roots: np.ndarray) -> np.ndarray:
+    """Complex ``np.poly`` coefficients ``(R, l + 1)`` of root rows ``(R, l)``.
+
+    ``np.poly`` convolves the ``[1, -root]`` factors one by one, and
+    every ``np.convolve`` output element is one complex BLAS dot of at
+    most two terms: ``c[j-1] * (-root)`` first, then ``c[j] * 1``.  That
+    kernel keeps four real partial sums from zero — re·re, im·im, re·im
+    and im·re, in term order — returns ``s0 - s1`` and ``s2 + s3``, and
+    numpy adds the pair onto its zero accumulator.  Repeating exactly
+    those IEEE operations on real arrays, all rows at once, gives
+    ``np.poly``'s bits for every row that stays finite (the trailing
+    product is exact, so a kernel that fuses it into a multiply-add
+    rounds the same).  NaN and overflow propagate differently, so rows
+    with a non-finite coefficient — every row with a non-finite root
+    has one — rerun the ``np.convolve`` chain itself.  Conjugate-closed
+    rows are real up to the ``.real`` cast ``np.poly`` applies, which
+    the caller takes.
     """
-    n_batch, order = roots.shape
-    factors = np.empty((order, n_batch, 2), dtype=complex)
-    factors[:, :, 0] = 1.0
-    factors[:, :, 1] = -roots.T
-    rows = [np.ones((1,), dtype=complex)] * n_batch
-    for column in factors:
-        rows = [
-            np.convolve(row, factor, mode="full")
-            for row, factor in zip(rows, list(column))
-        ]
-    return np.array(rows)
+    n_rows = roots.shape[0]
+    re = np.ones((n_rows, 1))
+    im = np.zeros((n_rows, 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for root in roots.T:
+            root_re = -root.real[:, None]
+            root_im = -root.imag[:, None]
+            sums = []
+            for x, by_one, by_root in (
+                (re, 1.0, root_re),
+                (im, 0.0, root_im),
+                (re, 0.0, root_im),
+                (im, 1.0, root_re),
+            ):
+                ones = x * by_one
+                partial = 0.0 + np.concatenate([ones[:, :1], x * by_root], axis=1)
+                partial[:, 1:-1] += ones[:, 1:]
+                sums.append(partial)
+            re = 0.0 + (sums[0] - sums[1])
+            im = 0.0 + (sums[2] + sums[3])
+    poly = np.empty(re.shape, dtype=complex)
+    poly.real = re
+    poly.imag = im
+    finite = np.isfinite(re).all(axis=1) & np.isfinite(im).all(axis=1)
+    for row in np.flatnonzero(~finite):
+        poly[row] = _convolve_chain(roots[row])
+    return poly
 
 
-class _SegmentPlacer:
-    """Hoisted Ackermann placement for one (unit, segment).
+def _placement_tables(
+    a: np.ndarray, b: np.ndarray, rcond: float = 1e-12
+) -> tuple[bool, np.ndarray, np.ndarray]:
+    """Gain-independent Ackermann tables of one ``(A, B)`` pair.
 
     Everything in :func:`place_poles_siso` that does not depend on the
-    pole targets — the controllability matrix, its conditioning test,
-    the powers of ``A`` and the solve against ``e_l`` — is constant per
-    segment, so it is computed once and reused for every particle.
+    pole targets: the controllability test, the powers ``I, A, ...,
+    A^l`` (generated as its ``phi(A)`` loop does: ``I @ A``, then
+    repeated right-multiplication) and the solve against ``e_l``.
+    Returns ``(uncontrollable, powers, k_solve)``; an uncontrollable
+    pair gets a zero ``k_solve``.
     """
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    b = np.asarray(b, dtype=float).reshape(-1)
+    order = a.shape[0]
+    ctrb = controllability_matrix(a, b)
+    scale = np.abs(ctrb).max()
+    uncontrollable = bool(scale == 0 or 1.0 / np.linalg.cond(ctrb) < rcond)
+    powers = [np.eye(order)]
+    for _ in range(order):
+        powers.append(powers[-1] @ a)
+    if uncontrollable:
+        return True, np.array(powers), np.zeros(order)
+    last_row = np.zeros(order)
+    last_row[-1] = 1.0
+    return False, np.array(powers), np.linalg.solve(ctrb.T, last_row)
 
-    def __init__(self, segment: Segment, rcond: float = 1e-12) -> None:
-        a = np.atleast_2d(np.asarray(segment.ad, dtype=float))
-        b = np.asarray(segment.b1 + segment.b2, dtype=float).reshape(-1)
-        self.h = segment.h
-        order = a.shape[0]
-        self.order = order
-        ctrb = controllability_matrix(a, b)
-        scale = np.abs(ctrb).max()
-        self.uncontrollable = bool(
-            scale == 0 or 1.0 / np.linalg.cond(ctrb) < rcond
-        )
-        if self.uncontrollable:
-            return
-        # Powers eye, A, A^2, ... exactly as place_poles_siso's phi(A) loop
-        # generates them (eye @ A, then repeated right-multiplication).
-        powers = [np.eye(order)]
-        for _ in range(order):
-            powers.append(powers[-1] @ a)
-        self.powers = powers
-        last_row = np.zeros(order)
-        last_row[-1] = 1.0
-        self.k_solve = np.linalg.solve(ctrb.T, last_row)
 
-    def place_batch(self, desired: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gain rows ``(P, l)`` for pole sets ``(P, l)``; returns ``(k, bad)``."""
-        n_batch, order = desired.shape
-        if self.uncontrollable:
-            return np.zeros((n_batch, order)), np.ones(n_batch, dtype=bool)
-        poly = _poly_batch(desired)
-        # np.poly casts conjugate-closed rows to real; the others must
-        # pass place_poles_siso's imaginary-residue test (np.fmax, like
-        # place_poles_siso's max(1.0, .), ignores a NaN magnitude).
-        conjugate_closed = np.all(
-            np.sort(desired, axis=1) == np.sort(desired.conjugate(), axis=1),
-            axis=1,
-        )
-        bad = ~conjugate_closed & (
+def _ackermann_rows(
+    desired: np.ndarray,
+    uncontrollable: np.ndarray,
+    powers: np.ndarray,
+    k_rows: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`place_poles_siso` on every row; returns gain rows and ``bad``.
+
+    Row ``r`` places the poles ``desired[r]`` on the pair whose
+    :func:`_placement_tables` are gathered at ``r``: ``uncontrollable``
+    ``(R,)``, ``powers`` ``(l + 1, R, l, l)`` and ``k_rows`` ``(R, 1, l)``.
+    ``bad`` marks the rows it would reject; their gains are garbage.
+    """
+    order = desired.shape[1]
+    poly = _poly_rows(desired)
+    # np.poly casts conjugate-closed rows to real; the others must
+    # pass place_poles_siso's imaginary-residue test (np.fmax, like
+    # place_poles_siso's max(1.0, .), ignores a NaN magnitude).
+    conjugate_closed = np.all(
+        np.sort(desired, axis=1) == np.sort(desired.conjugate(), axis=1),
+        axis=1,
+    )
+    bad = uncontrollable | (
+        ~conjugate_closed
+        & (
             np.abs(poly.imag).max(axis=1)
             > 1e-8 * np.fmax(1.0, np.abs(poly).max(axis=1))
         )
-        coefficients = poly.real.copy()
-        coefficients[bad] = 0.0
-        phi = np.zeros((n_batch, order, order))
-        for i, power in enumerate(self.powers):
-            phi += coefficients[:, order - i, None, None] * power[None, :, :]
-        k_rows = np.ascontiguousarray(
-            np.broadcast_to(self.k_solve, (n_batch, order))
+    )
+    coefficients = poly.real.copy()
+    coefficients[bad] = 0.0
+    phi = np.zeros((desired.shape[0], order, order))
+    for i, power in enumerate(powers):
+        phi += coefficients[:, order - i, None, None] * power
+    return -np.matmul(k_rows, phi)[:, 0, :], bad
+
+
+class _PlacementGroup:
+    """Stacked Ackermann placement for units sharing one plant order.
+
+    Every (unit, target, particle) triple is one row, unit-major: the
+    pole map, ``exp(poles·h)``, the polynomial expansion, the
+    conjugate-closed and imaginary-residue tests, the ``phi(A)``
+    accumulation and the ``(1, l) @ (l, l)`` product with ``k_solve``
+    all run once over the rows of the whole group (reference:
+    :func:`place_poles_siso`, bitwise).  The per-target tables are
+    gathered per row once per particle-count tuple and reused.
+    """
+
+    def __init__(self, spaces: list, unit_indices: list[int]) -> None:
+        self.unit_indices = unit_indices
+        self.order = spaces[0].order
+        self.m_list = [space.m for space in spaces]
+        self.n_targets = [len(space.targets) for space in spaces]
+        h, uncontrollable, powers, k_solve = [], [], [], []
+        for space in spaces:
+            for target_h, a, b in space.targets:
+                tables = _placement_tables(a, b)
+                h.append(target_h)
+                uncontrollable.append(tables[0])
+                powers.append(tables[1])
+                k_solve.append(tables[2])
+        self.h = np.array(h)
+        self.uncontrollable = np.array(uncontrollable)
+        self.powers = np.array(powers)      # (targets, l + 1, l, l)
+        self.k_solve = np.array(k_solve)    # (targets, l)
+        self._rows: dict[tuple[int, ...], tuple] = {}
+
+    def _rows_for(self, counts: tuple[int, ...]) -> tuple:
+        cached = self._rows.get(counts)
+        if cached is not None:
+            return cached
+        theta_index, target_index = [], []
+        theta_lo = target_lo = 0
+        for count, n_targets in zip(counts, self.n_targets):
+            theta_index.append(theta_lo + np.repeat(np.arange(count), n_targets))
+            target_index.append(target_lo + np.tile(np.arange(n_targets), count))
+            theta_lo += count
+            target_lo += n_targets
+        targets = np.concatenate(target_index)
+        cached = (
+            np.concatenate(theta_index),
+            self.h[targets][:, None],
+            self.uncontrollable[targets],
+            np.ascontiguousarray(self.powers[targets].transpose(1, 0, 2, 3)),
+            self.k_solve[targets][:, None, :],
         )
-        placed = np.matmul(k_rows[:, None, :], phi)[:, 0, :]
-        return -placed, bad
+        self._rows[counts] = cached
+        return cached
+
+    def place(self, thetas_list: list[np.ndarray], gains_out: list, bad_out: list) -> None:
+        order = self.order
+        counts = tuple(thetas.shape[0] for thetas in thetas_list)
+        theta_index, h, uncontrollable, powers, k_rows = self._rows_for(counts)
+        poles = _continuous_poles(np.concatenate(thetas_list), order)
+        placed, bad = _ackermann_rows(
+            np.exp(poles[theta_index] * h), uncontrollable, powers, k_rows
+        )
+        lo = 0
+        for u, count in enumerate(counts):
+            n_targets = self.n_targets[u]
+            hi = lo + count * n_targets
+            unit_bad = bad[lo:hi].reshape(count, n_targets).any(axis=1)
+            # A tied space (one target) reuses its row for every task.
+            gains = np.empty((count, self.m_list[u], order))
+            gains[:] = placed[lo:hi].reshape(count, n_targets, order)
+            gains[unit_bad] = 0.0
+            gains_out[self.unit_indices[u]] = gains
+            bad_out[self.unit_indices[u]] = unit_bad
+            lo = hi
 
 
 class _BatchedStageA:
-    """The ``hybrid``/``seeded`` swarm space: pole targets, placed per task.
+    """Cross-unit pole placement: pole-target particles to per-task gains.
 
-    Stacked form of ``_StageA``'s per-particle gain construction.
+    Serves every unit of a lockstep group whose swarm space places pole
+    targets (``hybrid``/``seeded``/``uniform``): each space lists its
+    placement ``targets`` as ``(h, A, B)`` triples, and one stacked
+    :class:`_PlacementGroup` per plant order places all of their
+    particles per call.
     """
+
+    def __init__(self, spaces: list) -> None:
+        self.n_units = len(spaces)
+        by_order: dict[int, list[int]] = {}
+        for u, space in enumerate(spaces):
+            by_order.setdefault(space.order, []).append(u)
+        self.groups = [
+            _PlacementGroup([spaces[u] for u in indices], indices)
+            for indices in by_order.values()
+        ]
+
+    def gains_batch(
+        self, thetas_list: list[np.ndarray]
+    ) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Per-unit gains ``(P, m, l)`` and infeasible-particle masks ``(P,)``."""
+        gains: list = [None] * self.n_units
+        bad: list = [None] * self.n_units
+        for group in self.groups:
+            group.place(
+                [thetas_list[u] for u in group.unit_indices], gains, bad
+            )
+        return gains, bad
+
+
+class _PoleTargetSpace:
+    """The ``hybrid``/``seeded`` swarm space: pole targets, placed per task."""
 
     def __init__(self, problem: _DesignProblem, options: DesignOptions) -> None:
         self.stage_a = _StageA(problem, options)
@@ -181,21 +333,7 @@ class _BatchedStageA:
         self.order = problem.order
         self.m = problem.m
         self.plant_name = problem.plant.name
-        self.placers = [_SegmentPlacer(seg) for seg in problem.segments]
-
-    def gains_batch(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-task gains ``(P, m, l)`` and the infeasible-particle mask."""
-        n_batch = thetas.shape[0]
-        poles_ct = _continuous_poles(thetas, self.order)
-        gains = np.empty((n_batch, self.m, self.order))
-        bad = np.zeros(n_batch, dtype=bool)
-        for j, placer in enumerate(self.placers):
-            desired = np.exp(poles_ct * placer.h)
-            rows, segment_bad = placer.place_batch(desired)
-            gains[:, j, :] = rows
-            bad |= segment_bad
-        gains[bad] = 0.0
-        return gains, bad
+        self.targets = [(seg.h, seg.ad, seg.b1 + seg.b2) for seg in problem.segments]
 
     def best_gains(self, theta: np.ndarray) -> np.ndarray:
         gains = self.stage_a.gains_for(theta)
@@ -224,32 +362,24 @@ class _UniformSearch:
         self.m = problem.m
         self.h_mean = sum(seg.h for seg in problem.segments) / self.m
         self.ad, self.gamma = zoh(problem.plant.a, problem.plant.b, self.h_mean)
-
-    def _row(self, pole_row: np.ndarray) -> np.ndarray:
-        return place_poles_siso(self.ad, self.gamma, np.exp(pole_row * self.h_mean))
-
-    def gains_batch(self, thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Tied gains ``(P, m, l)`` and the unplaceable-particle mask."""
-        gains = np.zeros((thetas.shape[0], self.m, self.order))
-        bad = np.zeros(thetas.shape[0], dtype=bool)
-        for p, pole_row in enumerate(_continuous_poles(thetas, self.order)):
-            try:
-                gains[p] = self._row(pole_row)
-            except ControlError:
-                bad[p] = True
-        return gains, bad
+        self.targets = [(self.h_mean, self.ad, self.gamma)]
 
     def best_gains(self, theta: np.ndarray) -> np.ndarray:
-        return np.tile(self._row(_continuous_poles(theta, self.order)), (self.m, 1))
+        row = place_poles_siso(
+            self.ad, self.gamma, np.exp(_continuous_poles(theta, self.order) * self.h_mean)
+        )
+        return np.tile(row, (self.m, 1))
 
 
 #: Engine name -> its stage-A swarm space (``hybrid`` refines further).
 #: Each space has box bounds ``lower``/``upper``, ``seeds`` (initial
-#: positions, or ``None``), ``gains_batch(thetas) -> (gains, bad)`` and
-#: ``best_gains(theta)`` for the swarm's final position.
+#: positions, or ``None``) and ``best_gains(theta)`` for the swarm's
+#: final position.  Pole-target spaces list their placement ``targets``
+#: for :class:`_BatchedStageA`; ``poles`` builds its own gains with
+#: ``gains_batch(thetas) -> (gains, bad)``.
 _SEARCHES = {
-    "hybrid": _BatchedStageA,
-    "seeded": _BatchedStageA,
+    "hybrid": _PoleTargetSpace,
+    "seeded": _PoleTargetSpace,
     "uniform": _UniformSearch,
     "poles": PoleSearch,
 }
@@ -838,15 +968,22 @@ def _design_lockstep_group(
             units.append(_DesignUnit(i, restart, request, problem))
     options = requests[indices[0]].options
     batch_eval = BatchGainEvaluator([unit.problem for unit in units])
+    spaces = [unit.search for unit in units]
+    placement = None if options.engine == "poles" else _BatchedStageA(spaces)
 
     def stage_a_objective(positions_list):
-        built = [
-            unit.search.gains_batch(positions)
-            for unit, positions in zip(units, positions_list)
-        ]
-        results = batch_eval.evaluate([gains for gains, _bad in built])
+        if placement is not None:
+            gains_list, bad_list = placement.gains_batch(positions_list)
+        else:
+            gains_list, bad_list = zip(
+                *(
+                    space.gains_batch(positions)
+                    for space, positions in zip(spaces, positions_list)
+                )
+            )
+        results = batch_eval.evaluate(list(gains_list))
         values = []
-        for unit, (_gains, bad), result in zip(units, built, results):
+        for unit, bad, result in zip(units, bad_list, results):
             objective = result["objective"]
             objective[bad] = 4.0 * unit.problem.big
             values.append(objective)

@@ -24,6 +24,12 @@ message, e.g. an unknown strategy), 404
 ``{"error": message, "kind": ExceptionClassName}`` so the client can
 re-raise the original type.
 
+Reading a request is bounded by fixed limits: a malformed or negative
+``Content-Length`` is a 400, a body above :data:`_MAX_BODY_BYTES` a 413,
+more than :data:`_MAX_HEADERS` header lines or a line above
+:data:`_MAX_LINE_BYTES` a 431, and a client that has not sent its whole
+request within :data:`_READ_TIMEOUT_S` is disconnected.
+
 :func:`run_server` is the CLI entry point: it installs
 SIGINT/SIGTERM handlers that trigger a graceful drain (in-flight jobs
 finish, the queue persists, a restarted server resumes from disk).
@@ -52,7 +58,9 @@ _STATUS_PHRASES = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    413: "Content Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
@@ -63,6 +71,46 @@ _CLIENT_GONE = (
     BrokenPipeError,
     asyncio.IncompleteReadError,
 )
+
+#: Longest request line or header line, in bytes (the stream limit).
+_MAX_LINE_BYTES = 8192
+#: Most header lines one request may carry.
+_MAX_HEADERS = 100
+#: Largest request body; a job spec is a few hundred bytes.
+_MAX_BODY_BYTES = 1 << 20
+#: Seconds a client has to send its whole request (head and body).
+_READ_TIMEOUT_S = 30.0
+
+
+class _RequestError(Exception):
+    """A malformed or oversized request, answered with ``status``."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+async def _read_line(reader: asyncio.StreamReader, status: int, what: str) -> bytes:
+    try:
+        return await reader.readline()
+    except ValueError:  # the line overran the stream limit
+        raise _RequestError(
+            status, f"{what} longer than {_MAX_LINE_BYTES} bytes"
+        ) from None
+
+
+def _content_length(value: str | None) -> int:
+    """The declared body length: ASCII digits only, at most the body cap."""
+    if value is None:
+        return 0
+    if not (value.isascii() and value.isdigit()):
+        raise _RequestError(400, f"invalid Content-Length {value!r}")
+    length = int(value)
+    if length > _MAX_BODY_BYTES:
+        raise _RequestError(
+            413, f"request body of {length} bytes exceeds {_MAX_BODY_BYTES}"
+        )
+    return length
 
 
 def _error_status(exc: BaseException) -> int:
@@ -105,7 +153,7 @@ class ReproServer:
         """Start the service workers and bind the listening socket."""
         await self.service.start()
         self._server = await asyncio.start_server(
-            self._handle, self.host, self.port
+            self._handle, self.host, self.port, limit=_MAX_LINE_BYTES
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -124,21 +172,21 @@ class ReproServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         try:
-            request = await self._read_request(reader)
+            try:
+                request = await asyncio.wait_for(
+                    self._read_request(reader), _READ_TIMEOUT_S
+                )
+            except asyncio.TimeoutError:
+                return  # too slow to send its request: hang up
             if request is not None:
                 method, path, headers, body = request
                 await self._route(method, path, headers, body, writer)
         except _CLIENT_GONE:
             pass  # client went away mid-request or mid-stream
+        except _RequestError as exc:
+            await self._send_error(writer, exc.status, str(exc), "ServeError")
         except Exception as exc:  # lint: allow-broad-except(one bad request must not kill the accept loop; reported as a 500)
-            try:
-                await self._send_json(
-                    writer,
-                    500,
-                    {"error": str(exc), "kind": type(exc).__name__},
-                )
-            except _CLIENT_GONE:
-                pass
+            await self._send_error(writer, 500, str(exc), type(exc).__name__)
         finally:
             writer.close()
             try:
@@ -146,25 +194,43 @@ class ReproServer:
             except _CLIENT_GONE:
                 pass
 
+    async def _send_error(
+        self, writer: asyncio.StreamWriter, status: int, message: str, kind: str
+    ) -> None:
+        try:
+            await self._send_json(
+                writer, status, {"error": message, "kind": kind}
+            )
+        except _CLIENT_GONE:
+            pass
+
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> tuple[str, str, dict[str, str], bytes] | None:
-        request_line = await reader.readline()
+        request_line = await _read_line(reader, 400, "request line")
+        if not request_line:
+            return None  # closed before sending a request: just hang up
         parts = request_line.decode("latin-1").split()
         if len(parts) < 2:
-            return None  # empty line / torn request: just hang up
+            raise _RequestError(400, "malformed request line")
         method, target = parts[0].upper(), parts[1]
         headers: dict[str, str] = {}
+        n_lines = 0
         while True:
-            line = await reader.readline()
+            line = await _read_line(reader, 431, "header line")
             if line in (b"\r\n", b"\n", b""):
                 break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        try:
-            length = int(headers.get("content-length", "0") or "0")
-        except ValueError:
-            length = 0
+            n_lines += 1
+            if n_lines > _MAX_HEADERS:
+                raise _RequestError(431, f"more than {_MAX_HEADERS} header lines")
+            name, colon, value = line.decode("latin-1").partition(":")
+            name, value = name.strip().lower(), value.strip()
+            if not colon or not name:
+                raise _RequestError(400, "malformed header line")
+            if name == "content-length" and headers.get(name, value) != value:
+                raise _RequestError(400, "conflicting Content-Length headers")
+            headers[name] = value
+        length = _content_length(headers.get("content-length"))
         body = await reader.readexactly(length) if length > 0 else b""
         path = target.split("?", 1)[0]
         return method, path, headers, body

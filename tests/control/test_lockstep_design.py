@@ -11,6 +11,7 @@ designs themselves are pinned by ``test_golden_designs.py``.
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,17 +29,21 @@ from repro.control.design import (
     design_controller,
 )
 from repro.control.lifted import (
-    Segment,
     build_segments,
     feedforward_gains,
     lifted_closed_loop,
 )
+from repro.control import lockstep
 from repro.control.lockstep import (
     BatchGainEvaluator,
     DesignRequest,
-    _poly_batch,
-    _SegmentPlacer,
+    _ackermann_rows,
+    _BatchedStageA,
+    _placement_tables,
+    _PoleTargetSpace,
+    _poly_rows,
     _StackedTracking,
+    _UniformSearch,
     design_controllers_batch,
 )
 from repro.control.pso import PsoOptions, pso_minimize_many
@@ -199,40 +204,127 @@ def _scalar_continuous_poles(theta, order):
     return poles
 
 
-class TestPolyFromRoots:
-    """``_poly_batch`` rows equal ``np.poly`` (complex before its cast)."""
+def _bits(array):
+    """Raw IEEE bits, so ``-0.0`` and NaN payloads count as differences."""
+    return np.ascontiguousarray(array).view(np.uint64).tolist()
 
-    def test_matches_np_poly_conjugate_roots(self, rng):
-        for _ in range(20):
-            real = rng.normal(size=2)
-            imag = rng.normal(size=2)
-            roots = np.concatenate(
-                [real + 1j * imag, (real + 1j * imag).conj()]
-            )
-            assert np.array_equal(
-                _poly_batch(roots[None])[0].real, np.poly(roots)
-            )
 
-    def test_matches_np_poly_non_conjugate_roots(self, rng):
-        for _ in range(20):
-            roots = rng.normal(size=3) + 1j * rng.normal(size=3)
-            expected = np.poly(roots)
-            got = _poly_batch(roots[None])[0]
-            assert got.dtype == expected.dtype == complex
-            assert np.array_equal(got, expected)
-
-    def test_real_roots(self, rng):
-        roots = rng.normal(size=4)
-        assert np.array_equal(
-            _poly_batch(roots.astype(complex)[None])[0].real,
-            np.poly(roots),
+def _np_poly_uncast(roots):
+    """``np.poly``'s convolution loop without its final ``.real`` cast."""
+    coefficients = np.ones((1,), dtype=complex)
+    for root in roots:
+        coefficients = np.convolve(
+            coefficients, np.array([1, -root], dtype=complex), mode="full"
         )
+    return coefficients
 
-    def test_rows_are_independent(self, rng):
-        roots = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
-        batch = _poly_batch(roots)
-        for row, expected in zip(batch, roots):
-            assert np.array_equal(row, np.poly(expected))
+
+def _assert_rows_equal_np_poly(roots):
+    got = _poly_rows(roots)
+    assert got.shape == (roots.shape[0], roots.shape[1] + 1)
+    assert got.dtype == complex
+    for row, expected_roots in zip(got, roots):
+        assert _bits(row) == _bits(_np_poly_uncast(expected_roots))
+        cast = np.poly(expected_roots)
+        assert _bits(row if cast.dtype == complex else row.real) == _bits(cast)
+
+
+_PART = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+    st.floats(-2.0, 2.0),
+    st.floats(-1e3, 1e3),
+)
+_ZERO = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def _root_rows(draw, kind):
+    """Finite root rows of one order 1-5: ``real``, ``conjugate``-closed
+    or ``complex``, some with repeated roots or (signed) zeros."""
+    order = draw(st.integers(1, 5), label="order")
+    rows = []
+    for _ in range(draw(st.integers(1, 6), label="rows")):
+        zero = draw(st.booleans())
+        part = _ZERO if zero and draw(st.booleans()) else _PART
+        if kind == "real":
+            roots = [complex(draw(part), draw(_ZERO)) for _ in range(order)]
+        elif kind == "conjugate":
+            roots = []
+            for _ in range(order // 2):
+                pair = complex(draw(part), draw(part))
+                roots += [pair, pair.conjugate()]
+            roots += [complex(draw(part), 0.0)] * (order % 2)
+        else:
+            roots = [complex(draw(part), draw(part)) for _ in range(order)]
+        if draw(st.booleans(), label="repeated"):
+            if kind == "conjugate":
+                n_pairs = order // 2
+                roots = roots[:2] * n_pairs + roots[2 * n_pairs:]
+            else:
+                roots = roots[:1] * order
+        rows.append(draw(st.permutations(roots)))
+    return np.array(rows, dtype=complex)
+
+
+class TestPolyFromRoots:
+    """``_poly_rows`` rows equal ``np.poly``, bitwise, before its ``.real`` cast."""
+
+    @given(roots=_root_rows("conjugate"))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_np_poly_conjugate_roots(self, roots):
+        _assert_rows_equal_np_poly(roots)
+        assert all(np.poly(row).dtype == float for row in roots)
+
+    @given(roots=_root_rows("complex"))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_np_poly_non_conjugate_roots(self, roots):
+        _assert_rows_equal_np_poly(roots)
+
+    @given(roots=_root_rows("real"))
+    @settings(max_examples=100, deadline=None)
+    def test_real_roots(self, roots):
+        _assert_rows_equal_np_poly(roots)
+
+    @given(
+        roots=st.sampled_from(["real", "conjugate", "complex"]).flatmap(_root_rows)
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_rows_are_independent(self, roots):
+        batch = _poly_rows(roots)
+        for r in range(roots.shape[0]):
+            assert _bits(batch[r]) == _bits(_poly_rows(roots[r:r + 1])[0])
+
+    def test_stage_a_targets(self, rng):
+        for order in range(1, 6):
+            thetas = rng.uniform(5.0, 900.0, size=(200, order // 2 * 2 + order % 2))
+            for i in range(order // 2):
+                thetas[:, 2 * i + 1] = rng.uniform(0.35, 1.4, size=200)
+            h = rng.uniform(1e-4, 2e-2, size=(200, 1))
+            _assert_rows_equal_np_poly(np.exp(_continuous_poles(thetas, order) * h))
+
+    def test_non_finite_rows_take_the_convolve_fallback(self, monkeypatch):
+        inf, nan = math.inf, math.nan
+        roots = np.array(
+            [
+                [0.5 + 0.1j, 0.5 - 0.1j, 0.2],
+                [inf, 0.5, 0.25],
+                [0.5 + 0.1j, complex(nan, 0.0), 0.3],
+                [complex(-inf, inf), 0.1, 0.1],
+                [1e200, 1e200, 1e-3],  # finite roots, overflowing coefficients
+                [0.3 + 0.2j, 0.3 - 0.2j, complex(0.0, nan)],
+            ]
+        )
+        fallback_rows = []
+        real_chain = lockstep._convolve_chain
+
+        def spy(row):
+            fallback_rows.append(_bits(row))
+            return real_chain(row)
+
+        monkeypatch.setattr(lockstep, "_convolve_chain", spy)
+        with np.errstate(all="ignore"):
+            _assert_rows_equal_np_poly(roots)
+        assert fallback_rows == [_bits(roots[i]) for i in (1, 2, 3, 4, 5)]
 
 
 class TestContinuousPoles:
@@ -251,55 +343,119 @@ class TestContinuousPoles:
             assert np.array_equal(_continuous_poles(theta, order), expected)
 
 
+def _uncontrollable_space():
+    """A two-task pole-target space whose second segment is uncontrollable."""
+    servo = build_segments(
+        LtiPlant("servo2", np.array([[0.0, 1.0], [-400.0, -30.0]]),
+                 np.array([0.0, 400.0]), np.array([1.0, 0.0])).a,
+        np.array([0.0, 400.0]),
+        [0.002],
+        [0.0015],
+    )[0]
+    return SimpleNamespace(
+        order=2,
+        m=2,
+        lower=np.array([20.0, 0.35]),
+        upper=np.array([600.0, 1.4]),
+        targets=[
+            (servo.h, servo.ad, servo.b1 + servo.b2),
+            (0.002, np.diag([0.9, 0.8]), np.array([0.1, 0.0])),
+        ],
+    )
+
+
+@pytest.fixture(scope="module")
+def placement_spaces(case_study):
+    """Pole-target spaces of orders 1-3 and one or two tasks, one of
+    them tied (``uniform``) and one with an uncontrollable segment."""
+    requests = _mixed_requests(case_study, DesignOptions())
+    problems = _problems(requests)
+    spaces = [_PoleTargetSpace(problem, DesignOptions()) for problem in problems]
+    spaces.append(_UniformSearch(problems[2], DesignOptions()))
+    spaces.append(_uncontrollable_space())
+    return spaces
+
+
+def _draw_thetas(rng, space, n, zeta=None):
+    """``n`` stage-A positions in the space's box, dampings in ``zeta``."""
+    thetas = rng.uniform(space.lower, space.upper, size=(n, space.lower.size))
+    if zeta is not None:
+        for i in range(space.order // 2):
+            thetas[:, 2 * i + 1] = rng.uniform(*zeta, size=n)
+    return thetas
+
+
+def _reference_gains(space, theta):
+    """Per-target ``place_poles_siso`` rows, or ``None`` if any raises."""
+    poles = _continuous_poles(theta, space.order)
+    rows = []
+    for h, a, b in space.targets:
+        try:
+            rows.append(place_poles_siso(a, b, np.exp(poles * h)))
+        except ControlError:
+            return None
+    return np.array([rows[j % len(rows)] for j in range(space.m)])
+
+
+def _assert_units_match_serial(spaces, thetas):
+    """One cross-unit call; every unit's rows equal the serial reference.
+
+    Returns the per-unit ``bad`` masks.
+    """
+    gains, bad = _BatchedStageA(spaces).gains_batch(thetas)
+    for space, unit_thetas, unit_gains, unit_bad in zip(spaces, thetas, gains, bad):
+        assert unit_gains.shape == (len(unit_thetas), space.m, space.order)
+        assert unit_bad.shape == (len(unit_thetas),)
+        for theta, row, row_bad in zip(unit_thetas, unit_gains, unit_bad):
+            expected = _reference_gains(space, theta)
+            assert row_bad == (expected is None)
+            if expected is None:
+                expected = np.zeros_like(row)
+            assert _bits(row) == _bits(expected)
+    return bad
+
+
 class TestSegmentPlacer:
-    """``place_batch`` rows equal serial ``place_poles_siso``, bitwise."""
+    """Segment rows placed across units equal serial ``place_poles_siso``.
 
-    @staticmethod
-    def _segment(plant, h=0.002, tau=0.0015):
-        return build_segments(plant.a, plant.b, [h], [tau])[0]
+    Each call mixes plant orders 1-3, one- and two-task units, a tied
+    (``uniform``) unit and a unit with an uncontrollable segment.
+    """
 
-    @staticmethod
-    def _assert_rows_match_serial(segment, desired):
-        rows, bad = _SegmentPlacer(segment).place_batch(desired)
-        assert rows.shape == desired.shape and bad.shape == desired.shape[:1]
-        for p in range(desired.shape[0]):
-            try:
-                expected = place_poles_siso(
-                    segment.ad, segment.b1 + segment.b2, desired[p]
-                )
-            except ControlError:
-                assert bad[p]
-                continue
-            assert not bad[p]
-            assert np.array_equal(rows[p], expected)
-        return bad
+    def test_underdamped_pairs(self, placement_spaces, rng):
+        spaces = placement_spaces
+        assert {space.order for space in spaces} == {1, 2, 3}
+        assert {space.m for space in spaces} == {1, 2}
+        thetas = [
+            _draw_thetas(rng, space, 7 + u % 3, zeta=(0.35, 0.99))
+            for u, space in enumerate(spaces)
+        ]
+        bad = _assert_units_match_serial(spaces, thetas)
+        assert not any(unit_bad.any() for unit_bad in bad[:-1])
 
-    def _desired(self, rng, segment, order, zeta_low, zeta_high, n=12):
-        thetas = rng.uniform(20.0, 600.0, size=(n, order // 2 * 2 + order % 2))
-        for i in range(order // 2):
-            thetas[:, 2 * i + 1] = rng.uniform(zeta_low, zeta_high, size=n)
-        return np.exp(_continuous_poles(thetas, order) * segment.h)
-
-    def test_underdamped_pairs(self, rng, case_study):
-        segment = self._segment(case_study.apps[0].plant)
-        desired = self._desired(rng, segment, 2, 0.35, 0.99)
-        assert not self._assert_rows_match_serial(segment, desired).any()
-
-    def test_damping_at_least_one_gives_real_pairs(self, rng, case_study):
-        segment = self._segment(case_study.apps[0].plant)
-        desired = self._desired(rng, segment, 2, 1.0, 1.4)
-        desired[0] = np.exp(_continuous_poles(np.array([300.0, 1.0]), 2) * segment.h)
-        assert not np.iscomplex(desired).any()
-        assert not self._assert_rows_match_serial(segment, desired).any()
+    def test_damping_at_least_one_gives_real_pairs(self, placement_spaces, rng):
+        spaces = placement_spaces
+        thetas = [_draw_thetas(rng, space, 6, zeta=(1.0, 1.4)) for space in spaces]
+        for space, unit_thetas in zip(spaces, thetas):
+            if space.order > 1:
+                unit_thetas[0, 1] = 1.0  # a repeated real pole
+            assert not _continuous_poles(unit_thetas, space.order).imag.any()
+        bad = _assert_units_match_serial(spaces, thetas)
+        assert not any(unit_bad.any() for unit_bad in bad[:-1])
 
     @pytest.mark.parametrize("plant", [LAG1, LAG3], ids=["order1", "order3"])
-    def test_odd_plant_order(self, rng, plant):
-        segment = self._segment(plant)
-        desired = self._desired(rng, segment, plant.order, 0.35, 1.4)
-        assert not self._assert_rows_match_serial(segment, desired).any()
+    def test_odd_plant_order(self, placement_spaces, rng, plant):
+        spaces = [space for space in placement_spaces if space.order == plant.order]
+        assert len(spaces) >= 2
+        thetas = [_draw_thetas(rng, space, 9) for space in spaces]
+        bad = _assert_units_match_serial(spaces, thetas)
+        assert not any(unit_bad.any() for unit_bad in bad)
 
     def test_non_conjugate_rows_come_back_bad(self, case_study):
-        segment = self._segment(case_study.apps[0].plant)
+        plant = case_study.apps[0].plant
+        segment = build_segments(plant.a, plant.b, [0.002], [0.0015])[0]
+        b = segment.b1 + segment.b2
+        uncontrollable, powers, k_solve = _placement_tables(segment.ad, b)
         desired = np.array(
             [
                 [0.6 + 0.3j, 0.6 - 0.3j],
@@ -308,22 +464,69 @@ class TestSegmentPlacer:
                 [0.3 + 0.1j, 0.3 + 0.1j],
             ]
         )
-        bad = self._assert_rows_match_serial(segment, desired)
-        assert bad.tolist() == [False, True, False, True]
-
-    def test_uncontrollable_segment_rejects_every_row(self):
-        segment = Segment(
-            h=0.002,
-            tau=0.002,
-            ad=np.diag([0.9, 0.8]),
-            b1=np.array([0.1, 0.0]),
-            b2=np.zeros(2),
+        n = len(desired)
+        rows, bad = _ackermann_rows(
+            desired,
+            np.full(n, uncontrollable),
+            np.ascontiguousarray(np.broadcast_to(powers[:, None], (3, n, 2, 2))),
+            np.ascontiguousarray(np.broadcast_to(k_solve, (n, 2)))[:, None, :],
         )
-        desired = np.array([[0.6 + 0.3j, 0.6 - 0.3j], [0.5, 0.25]])
-        rows, bad = _SegmentPlacer(segment).place_batch(desired)
-        assert bad.all() and not rows.any()
+        assert bad.tolist() == [False, True, False, True]
+        for row, row_bad, poles in zip(rows, bad, desired):
+            if row_bad:
+                with pytest.raises(ControlError):
+                    place_poles_siso(segment.ad, b, poles)
+            else:
+                assert _bits(row) == _bits(place_poles_siso(segment.ad, b, poles))
+
+    def test_uncontrollable_segment_rejects_every_row(self, placement_spaces, rng):
+        space = placement_spaces[-1]
+        _h, a, b = space.targets[1]
         with pytest.raises(ControlError):
-            place_poles_siso(segment.ad, segment.b1 + segment.b2, desired[0])
+            place_poles_siso(a, b, np.array([0.6 + 0.3j, 0.6 - 0.3j]))
+        thetas = [_draw_thetas(rng, s, 4) for s in placement_spaces]
+        bad = _assert_units_match_serial(placement_spaces, thetas)
+        assert bad[-1].all()
+
+    def test_tied_space_reuses_its_row(self, placement_spaces, rng):
+        space = placement_spaces[-2]
+        assert len(space.targets) == 1 and space.m == 2
+        gains, bad = _BatchedStageA([space]).gains_batch(
+            [_draw_thetas(rng, space, 5)]
+        )
+        assert not bad[0].any()
+        assert np.array_equal(gains[0][:, 0], gains[0][:, 1])
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_unit_results_do_not_depend_on_the_call(self, placement_spaces, data):
+        spaces = placement_spaces
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        rng = np.random.default_rng(seed)
+        thetas = [_draw_thetas(rng, s, 6) for s in spaces]
+        alone = [
+            _BatchedStageA([space]).gains_batch([unit_thetas])
+            for space, unit_thetas in zip(spaces, thetas)
+        ]
+        members = data.draw(
+            st.lists(
+                st.sampled_from(range(len(spaces))), min_size=1, unique=True
+            ),
+            label="members",
+        )
+        counts = data.draw(
+            st.lists(st.integers(1, 6), min_size=len(members), max_size=len(members)),
+            label="counts",
+        )
+        # One placement serves calls with different particle counts.
+        placement = _BatchedStageA([spaces[u] for u in members])
+        for call_counts in ([6] * len(members), counts):
+            gains, bad = placement.gains_batch(
+                [thetas[u][:n] for u, n in zip(members, call_counts)]
+            )
+            for u, n, unit_gains, unit_bad in zip(members, call_counts, gains, bad):
+                assert _bits(unit_gains) == _bits(alone[u][0][0][:n])
+                assert unit_bad.tolist() == alone[u][1][0][:n].tolist()
 
 
 class TestPsoMinimizeMany:
