@@ -23,7 +23,8 @@ import time
 import pytest
 
 from repro.sched.engine import EngineOptions
-from repro.sched.engine.batch import run_batch, synthesize_scenarios
+from repro.sched.engine.batch import synthesize_scenarios
+from repro.study import RunSpec, Study
 
 #: Scenarios in the benchmark suite (each 2-3 applications).
 SUITE_SIZE = 3
@@ -35,19 +36,18 @@ WORKERS = 2
 
 @pytest.fixture(scope="module")
 def suite(design_options):
-    return synthesize_scenarios(
-        SUITE_SIZE, seed=SUITE_SEED, design_options=design_options
-    )
+    spec = RunSpec(kind="suite", suite_size=SUITE_SIZE, seed=SUITE_SEED)
+    return synthesize_scenarios(spec, design_options)
 
 
 def _timed_run(suite, engine_options):
     started = time.perf_counter()
-    outcomes = run_batch(suite, engine_options)
-    return time.perf_counter() - started, outcomes
+    reports = Study.from_scenarios(suite, engine_options).run()
+    return time.perf_counter() - started, reports
 
 
-def _best(outcomes):
-    return [(o.best_schedule.counts, o.best_overall) for o in outcomes]
+def _best(reports):
+    return [(r.best_schedule, r.overall) for r in reports]
 
 
 def test_engine_speedups(suite, tmp_path_factory, bench_json):
@@ -63,12 +63,12 @@ def test_engine_speedups(suite, tmp_path_factory, bench_json):
     assert _best(warm) == _best(serial), "cached rerun changed the result"
 
     print(f"\nsuite: {len(suite)} scenarios, {os.cpu_count()} CPU(s)")
-    for outcome in serial:
+    for report in serial:
         print(
-            f"  {outcome.name}: {len(outcome.result.best.apps)} apps, "
-            f"space {outcome.n_space}, best {outcome.best_schedule} "
-            f"P_all = {outcome.best_overall:.4f} "
-            f"({outcome.engine_stats['n_computed']} evaluations)"
+            f"  {report.scenario}: {len(report.apps)} apps, "
+            f"space {report.n_space}, best {tuple(report.best_schedule)} "
+            f"P_all = {report.overall:.4f} "
+            f"({report.engine_stats['n_computed']} evaluations)"
         )
 
     parallel_speedup = serial_time / parallel_time
@@ -78,11 +78,11 @@ def test_engine_speedups(suite, tmp_path_factory, bench_json):
     )
 
     # Warm rerun: fully disk-served and >= 5x faster.
-    for outcome in warm:
-        assert outcome.engine_stats["n_computed"] == 0, (
-            f"{outcome.name}: warm rerun recomputed evaluations"
+    for report in warm:
+        assert report.engine_stats["n_computed"] == 0, (
+            f"{report.scenario}: warm rerun recomputed evaluations"
         )
-        assert outcome.engine_stats["n_disk_hits"] > 0
+        assert report.engine_stats["n_disk_hits"] > 0
     warm_speedup = cold_time / warm_time
     print(
         f"cold cache {cold_time:.2f} s vs warm {warm_time:.3f} s "

@@ -21,9 +21,11 @@ Run:  python -m pytest benchmarks/bench_wcet_models.py -s -q
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 
 from repro.platform import Platform
 from repro.sched.engine.batch import synthesize_scenarios
+from repro.study import RunSpec
 from repro.wcet import get_wcet_model
 
 #: Analysis repetitions per model (the analytic model is too fast to
@@ -76,12 +78,13 @@ def test_model_analysis_cost(case_study):
 def test_suite_synthesis_speedup():
     """The analytic platform accelerates whole-suite synthesis."""
     started = time.perf_counter()
-    static_suite = synthesize_scenarios(SUITE_SIZE, seed=SUITE_SEED)
+    suite = RunSpec(kind="suite", suite_size=SUITE_SIZE, seed=SUITE_SEED)
+    static_suite = synthesize_scenarios(suite)
     static_time = time.perf_counter() - started
 
     started = time.perf_counter()
     analytic_suite = synthesize_scenarios(
-        SUITE_SIZE, seed=SUITE_SEED, platform=Platform(wcet_model="analytic")
+        replace(suite, platform=Platform(wcet_model="analytic"))
     )
     analytic_time = time.perf_counter() - started
 

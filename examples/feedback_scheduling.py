@@ -18,11 +18,15 @@ import os
 os.environ.setdefault("REPRO_PROFILE", "quick")
 
 from repro.experiments import feedback
-from repro.sim import LoadDisturbance, PlantModeChange, ScheduleSwitch, SimEvent
+from repro.sim import LoadDisturbance, PlantModeChange, ScheduleSwitch
+from repro.study import SimulationProgress
 
 
-def on_sim_event(event: SimEvent) -> None:
+def on_event(study_event) -> None:
     """Render the simulation timeline as it happens."""
+    if not isinstance(study_event, SimulationProgress):
+        return
+    event = study_event.sim
     if isinstance(event, LoadDisturbance):
         demands = ", ".join(f"{d:g}" for d in event.demands)
         print(f"  t={event.time:.3f}s  load -> ({demands})")
@@ -39,7 +43,7 @@ def on_sim_event(event: SimEvent) -> None:
 
 def main() -> None:
     print("simulating the load transient (static run, then adaptive)...")
-    summary = feedback.run(on_sim_event=on_sim_event)
+    summary = feedback.run(on_event=on_event)
     print()
     print(summary.render())
     print()

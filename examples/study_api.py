@@ -29,7 +29,7 @@ def main() -> None:
     )
     report = study.run()[0]
 
-    print(f"strategy: {report.strategy}  backend: {report.backend}")
+    print(f"strategy: {report.spec.strategy}  backend: {report.backend}")
     print(f"best schedule: {report.best_schedule}  P_all = {report.overall:.4f}")
     for app in report.apps:
         print(f"  {app['name']}: settling {app['settling'] * 1e3:.2f} ms, "

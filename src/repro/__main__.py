@@ -324,11 +324,9 @@ def cmd_run(args: argparse.Namespace) -> None:
 
 
 def _print_engine_split(stats: dict) -> None:
-    print(
-        f"engine: {stats['n_requested']} requested = "
-        f"{stats['n_computed']} computed + {stats['n_memo_hits']} memo + "
-        f"{stats['n_disk_hits']} disk + {stats['n_duplicates']} duplicate"
-    )
+    from .sched.engine import stats_summary
+
+    print(f"engine: {stats_summary(stats)}")
 
 
 def _render_search(reports, args: argparse.Namespace) -> None:
@@ -336,7 +334,7 @@ def _render_search(reports, args: argparse.Namespace) -> None:
     if args.json:
         print(report.to_json())
         return
-    print(f"strategy: {report.strategy}  backend: {report.backend}")
+    print(f"strategy: {report.spec.strategy}  backend: {report.backend}")
     rows = [
         [
             app["name"],
@@ -439,7 +437,7 @@ def _render_batch(reports, args: argparse.Namespace) -> None:
         stats = report.engine_stats
         row = [
             report.scenario,
-            str(report.n_apps),
+            str(len(report.apps)),
             str(report.n_space),
             _format_report_schedule(report),
             f"{report.overall:.4f}",
@@ -463,7 +461,7 @@ def _render_batch(reports, args: argparse.Namespace) -> None:
         render_table(
             headers,
             rows,
-            title=f"batch {reports[0].strategy} search "
+            title=f"batch {reports[0].spec.strategy} search "
                   f"({reports[0].backend} backend, {args.workers} workers)",
         )
     )
@@ -512,14 +510,14 @@ def _render_multicore(reports, args: argparse.Namespace) -> None:
         )
     )
     print(f"\nP_all = {report.overall:.4f}  cores used: {len(cores)}")
-    if report.allocator is not None:
+    if report.spec.allocator is not None:
         n_partitions = report.search_stats.get("n_partitions")
         streamed = (
             f" ({n_partitions} partition(s) evaluated)"
             if n_partitions
             else ""
         )
-        print(f"allocator: {report.allocator}{streamed}")
+        print(f"allocator: {report.spec.allocator}{streamed}")
     _print_engine_split(report.engine_stats)
 
 

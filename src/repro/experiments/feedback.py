@@ -23,19 +23,18 @@ byte-identical.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 from ..apps.casestudy import CaseStudy, build_case_study
 from ..control.design import DesignOptions
 from ..core.report import render_table
-from ..errors import ConfigurationError
 from ..platform import Platform
 from ..sched.engine import EngineOptions
-from ..sched.engine.batch import Scenario, run_scenario
+from ..sched.engine.batch import Scenario
 from ..sim.profiles import load_transient
 from ..sim.report import SimReport
-from ..study.report import RunReport
+from ..study import RunReport, RunSpec, Study
 from .profiles import design_options_for_profile
 from .registry import ExperimentRequest, register_experiment
 from .report import ExperimentReport, new_report
@@ -43,22 +42,22 @@ from .report import ExperimentReport, new_report
 
 @dataclass
 class FeedbackSummary:
-    """Adaptive feedback scheduling next to the static baseline."""
+    """Adaptive feedback scheduling next to the static baseline: the
+    load transient's ``stress``/``horizon`` and the
+    :class:`~repro.study.RunReport` of each run."""
 
-    app_names: list[str]
     stress: float
     horizon: float
-    strategy: str
-    adapt_strategy: str
-    static_schedule: list[int]
-    static_overall: float
-    static_sim: SimReport
-    adaptive_sim: SimReport
-    engine_summary: str = ""
-    backend: str = "serial"
-    static_wall: float = 0.0
-    adaptive_wall: float = 0.0
-    extra: dict = field(default_factory=dict)
+    static: RunReport
+    adaptive: RunReport
+
+    @cached_property
+    def static_sim(self) -> SimReport:
+        return SimReport.from_dict(self.static.sim)
+
+    @cached_property
+    def adaptive_sim(self) -> SimReport:
+        return SimReport.from_dict(self.adaptive.sim)
 
     @property
     def static_cost(self) -> float:
@@ -95,20 +94,25 @@ class FeedbackSummary:
              "latency (ms)", "requested"],
             rows,
             title=(
-                f"adaptations ({self.adapt_strategy} strategy, "
+                f"adaptations ({self.adaptive_sim.adapt_strategy} strategy, "
                 f"stress x{self.stress:g})"
             ),
         )
         return (
             adaptation_table
-            + f"\n\nstatic   optimum {tuple(self.static_schedule)}"
-            f" (P_all = {self.static_overall:.4f})"
+            + f"\n\nstatic   optimum {tuple(self.adaptive.best_schedule)}"
+            f" (P_all = {self.adaptive.overall:.4f})"
             + f"\nstatic   mean cost = {self.static_cost:.4f}"
             " (schedule held for the whole horizon)"
             + f"\nadaptive mean cost = {self.adaptive_cost:.4f}"
             f" ({self.adaptive_sim.n_adaptations} adaptations)"
             + f"\nfeedback-scheduling gain: {self.improvement:+.4f}"
-            + (f"\nengine: {self.engine_summary}" if self.engine_summary else "")
+            + "\nengine: "
+            + "; ".join(
+                f"{name}: {report.engine_stats['n_requested']} requested / "
+                f"{report.engine_stats['n_computed']} computed"
+                for name, report in (("static", self.static), ("adaptive", self.adaptive))
+            )
         )
 
 
@@ -123,16 +127,20 @@ def run(
     workers: int = 0,
     cache_dir=None,
     on_event=None,
-    on_sim_event=None,
 ) -> FeedbackSummary:
     """Run the static-vs-adaptive comparison on the case study.
 
     Both runs simulate the *same* load transient; only ``adapt``
-    differs.  ``strategy`` picks the offline search (default
-    ``hybrid``), ``adapt_strategy`` the re-optimization the feedback
-    loop invokes (default ``online``).  With a ``cache_dir`` the two
-    runs share persistent evaluations, and the adaptive run's
-    re-optimizations hit the warm engine either way.
+    differs.  They are the two scenarios of one
+    :class:`~repro.study.Study`, so ``on_event`` receives the study's
+    events — scenario started/finished, engine progress and every
+    runtime simulation event as a
+    :class:`~repro.study.events.SimulationProgress`.  ``strategy``
+    picks the offline search (default ``hybrid``), ``adapt_strategy``
+    the re-optimization the feedback loop invokes (default
+    ``online``).  With a ``cache_dir`` the two runs share persistent
+    evaluations, and the adaptive run's re-optimizations hit the warm
+    engine either way.
     """
     case = case or build_case_study(platform=platform)
     options = design_options or design_options_for_profile()
@@ -142,58 +150,21 @@ def run(
         stress=stress,
         adapt_strategy=adapt_strategy,
     )
-    engine_options = EngineOptions(workers=workers, cache_dir=cache_dir)
-
-    def scenario(name: str, adapt: bool) -> Scenario:
-        return Scenario(
-            name=name,
-            apps=case.apps,
-            clock=case.clock,
-            design_options=options,
-            strategy=strategy,
-            platform=platform,
-            dynamic=replace(profile, adapt=adapt),
-        )
-
-    static_scenario = scenario("casestudy-static", adapt=False)
-    adaptive_scenario = scenario("casestudy-adaptive", adapt=True)
-    started = time.perf_counter()
-    static_outcome = run_scenario(
-        static_scenario, engine_options, on_event=on_event,
-        on_sim_event=on_sim_event,
+    spec = RunSpec(strategy=strategy, platform=platform)
+    study = Study.from_scenarios(
+        [
+            Scenario(
+                f"casestudy-{name}",
+                case.apps,
+                case.clock,
+                options,
+                replace(spec, dynamic=replace(profile, adapt=adapt)),
+            )
+            for name, adapt in (("static", False), ("adaptive", True))
+        ],
+        EngineOptions(workers=workers, cache_dir=cache_dir),
     )
-    static_wall = time.perf_counter() - started
-    started = time.perf_counter()
-    adaptive_outcome = run_scenario(
-        adaptive_scenario, engine_options, on_event=on_event,
-        on_sim_event=on_sim_event,
-    )
-    adaptive_wall = time.perf_counter() - started
-    best = adaptive_outcome.result.best
-    summary = FeedbackSummary(
-        app_names=[app.name for app in case.apps],
-        stress=stress,
-        horizon=horizon,
-        strategy=adaptive_outcome.strategy,
-        adapt_strategy=adaptive_outcome.sim.adapt_strategy,
-        static_schedule=list(best.schedule.counts),
-        static_overall=float(best.overall),
-        static_sim=static_outcome.sim,
-        adaptive_sim=adaptive_outcome.sim,
-        engine_summary=(
-            f"static: {static_outcome.engine_stats.get('n_requested', 0)} "
-            f"requested / {static_outcome.engine_stats.get('n_computed', 0)} "
-            f"computed; adaptive: "
-            f"{adaptive_outcome.engine_stats.get('n_requested', 0)} requested "
-            f"/ {adaptive_outcome.engine_stats.get('n_computed', 0)} computed"
-        ),
-        backend=adaptive_outcome.backend,
-        static_wall=static_wall,
-        adaptive_wall=adaptive_wall,
-    )
-    summary.extra["scenarios"] = (static_scenario, static_outcome,
-                                  adaptive_scenario, adaptive_outcome)
-    return summary
+    return FeedbackSummary(stress, horizon, *study.run(on_event=on_event))
 
 
 @register_experiment
@@ -213,36 +184,18 @@ class FeedbackExperiment:
             cache_dir=request.cache_dir,
             on_event=request.on_event,
         )
-        static_scenario, static_outcome, adaptive_scenario, adaptive_outcome = (
-            summary.extra.pop("scenarios")
-        )
         data = {
-            "app_names": list(summary.app_names),
-            "stress": float(summary.stress),
-            "horizon": float(summary.horizon),
-            "strategy": summary.strategy,
-            "adapt_strategy": summary.adapt_strategy,
-            "static_schedule": list(summary.static_schedule),
-            "static_overall": float(summary.static_overall),
-            "static_cost": float(summary.static_cost),
-            "adaptive_cost": float(summary.adaptive_cost),
-            "improvement": float(summary.improvement),
-            "n_adaptations": int(summary.adaptive_sim.n_adaptations),
-            "static_sim": summary.static_sim.to_dict(),
-            "adaptive_sim": summary.adaptive_sim.to_dict(),
-            "engine_summary": summary.engine_summary,
-            "backend": summary.backend,
-            "static_wall": float(summary.static_wall),
-            "adaptive_wall": float(summary.adaptive_wall),
+            "stress": summary.stress,
+            "horizon": summary.horizon,
+            "static_cost": summary.static_cost,
+            "adaptive_cost": summary.adaptive_cost,
+            "improvement": summary.improvement,
+            "n_adaptations": summary.adaptive_sim.n_adaptations,
         }
-        run_reports = [
-            RunReport.from_outcome(static_scenario, static_outcome),
-            RunReport.from_outcome(adaptive_scenario, adaptive_outcome),
-        ]
         return new_report(
             self.name,
             data=data,
-            run_reports=run_reports,
+            run_reports=[summary.static, summary.adaptive],
             platform=request.platform,
         )
 
@@ -253,23 +206,4 @@ class FeedbackExperiment:
     def result_from(report: ExperimentReport) -> FeedbackSummary:
         """Rebuild the summary from a (possibly resumed) report."""
         data = report.data
-        try:
-            return FeedbackSummary(
-                app_names=list(data["app_names"]),
-                stress=float(data["stress"]),
-                horizon=float(data["horizon"]),
-                strategy=str(data["strategy"]),
-                adapt_strategy=str(data["adapt_strategy"]),
-                static_schedule=[int(m) for m in data["static_schedule"]],
-                static_overall=float(data["static_overall"]),
-                static_sim=SimReport.from_dict(data["static_sim"]),
-                adaptive_sim=SimReport.from_dict(data["adaptive_sim"]),
-                engine_summary=str(data.get("engine_summary", "")),
-                backend=str(data.get("backend", "serial")),
-                static_wall=float(data.get("static_wall", 0.0)),
-                adaptive_wall=float(data.get("adaptive_wall", 0.0)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"invalid feedback experiment report: {exc}"
-            ) from exc
+        return FeedbackSummary(data["stress"], data["horizon"], *report.run_reports)

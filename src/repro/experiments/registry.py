@@ -68,8 +68,12 @@ class ExperimentRequest:
         Output directory for experiments that write files
         (only ``fig6`` — see :attr:`ExperimentSpec.supports_out`).
     on_event:
-        Receives the engines' typed progress events
-        (:mod:`repro.sched.engine.events`) while searches run.
+        Receives the typed progress events while searches run: the
+        study events (:mod:`repro.study.events`) of the scenarios an
+        experiment runs through a :class:`~repro.study.Study`, the bare
+        engine events (:mod:`repro.sched.engine.events`) of a warm
+        engine it holds itself (the ``multicore`` sweep, ``search``'s
+        exhaustive sweep).
     """
 
     design_options: DesignOptions | None = None
@@ -225,8 +229,8 @@ def load_experiment_report(
         return None
     try:
         report = ExperimentReport.from_json(path.read_text())
-    except (ValueError, KeyError, TypeError):
-        return None  # corrupt or foreign artifact: recompute
+    except (ValueError, KeyError, TypeError, ConfigurationError):
+        return None  # corrupt, foreign or other-schema artifact: recompute
     recorded = _run_identity(report.experiment, report.profile, report.request)
     return None if diff(recorded, _expected_identity(name, request)) else report
 

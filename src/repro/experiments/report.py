@@ -22,7 +22,9 @@ import json
 import time
 from dataclasses import dataclass
 
+from ..errors import ConfigurationError
 from ..study.report import RunReport, _json_safe
+from ..study.spec import strict_payload
 
 #: Bump when the report layout changes incompatibly.
 SCHEMA_VERSION = 1
@@ -73,19 +75,22 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentReport":
-        return cls(
-            experiment=str(data["experiment"]),
-            profile=str(data["profile"]),
-            platform=dict(data["platform"]),
-            request=dict(data["request"]),
-            data=dict(data["data"]),
-            run_reports=[
-                RunReport.from_dict(entry) for entry in data["run_reports"]
-            ],
-            wall_time=float(data["wall_time"]),
-            created_at=float(data["created_at"]),
-            schema_version=int(data.get("schema_version", SCHEMA_VERSION)),
-        )
+        """Rebuild a report from its :meth:`to_dict` form.
+
+        Strict, like :meth:`RunReport.from_dict
+        <repro.study.RunReport.from_dict>`: another schema version — its
+        own or an embedded run report's — or an unknown or missing field
+        raises :class:`~repro.errors.ConfigurationError` naming it.
+        """
+        payload = strict_payload(cls, data, SCHEMA_VERSION)
+        if "run_reports" in payload:
+            payload["run_reports"] = [
+                RunReport.from_dict(entry) for entry in payload["run_reports"]
+            ]
+        try:
+            return cls(**payload)
+        except TypeError as exc:
+            raise ConfigurationError(f"invalid ExperimentReport: {exc}") from exc
 
     def to_json(self, indent: int | None = 2) -> str:
         """Stable JSON form (sorted keys; ``Infinity`` allowed for the

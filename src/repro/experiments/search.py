@@ -11,7 +11,6 @@ Reruns the paper's schedule-space experiment:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -19,12 +18,11 @@ from ..apps.casestudy import CaseStudy, PAPER_BEST_OVERALL, build_case_study
 from ..control.design import DesignOptions
 from ..core.report import render_table
 from ..platform import Platform
-from ..sched.engine import EngineOptions, SearchEngine
-from ..sched.engine.batch import Scenario, ScenarioOutcome, run_scenario
+from ..sched.engine import EngineOptions
+from ..sched.engine.batch import Scenario, scenario_engine, search_scenario
 from ..sched.feasibility import enumerate_idle_feasible
 from ..sched.schedule import PeriodicSchedule
-from ..sched.strategies import StrategySpec, get_strategy
-from ..study.report import RunReport
+from ..study import RunReport, RunSpec, Study
 from .profiles import design_options_for_profile
 from .registry import ExperimentRequest, register_experiment
 from .report import ExperimentReport, new_report
@@ -125,97 +123,65 @@ def run(
     the original serial in-memory path.  With a shared ``cache_dir`` the
     exhaustive sweep warms the per-start hybrid searches and any later
     rerun of the whole experiment.  ``platform`` rebuilds the case
-    study on a different execution platform when no ``case`` is given;
-    ``on_event`` receives the engines' typed progress events.
+    study on a different execution platform when no ``case`` is given.
 
-    Besides the summary statistics, every search that ran — the
-    exhaustive sweep and each per-start hybrid — is recorded as a
-    structured :class:`~repro.study.RunReport` in
+    The exhaustive sweep runs on one warm engine, which afterwards
+    answers the infeasible list and the round-robin baseline from its
+    memo.  The hybrid searches run through one
+    :class:`~repro.study.Study`, one scenario per start on a fresh
+    engine each, so every evaluation count is that of a standalone
+    search (the paper reports per-start counts).  ``on_event`` receives
+    the exhaustive engine's typed progress events and the study's
+    events.  Every search that ran is recorded as a
+    :class:`~repro.study.RunReport` in
     :attr:`SearchResultSummary.run_reports`.
     """
     case = case or build_case_study(platform=platform)
     options = design_options or design_options_for_profile()
-    run_reports: list[RunReport] = []
+    engine_options = EngineOptions(workers=workers, cache_dir=cache_dir)
 
-    def fresh_engine() -> SearchEngine:
-        return SearchEngine(
-            case.evaluator(options),
-            workers=workers,
-            cache_dir=cache_dir,
-            platform=platform,
-            on_event=on_event,
-        )
+    def scenario(name: str, **run) -> Scenario:
+        spec = RunSpec(platform=platform, **run)
+        return Scenario(name, case.apps, case.clock, options, spec)
 
-    with fresh_engine() as evaluator:
-        space = enumerate_idle_feasible(case.apps, case.clock)
-        started = time.perf_counter()
-        exhaustive = get_strategy("exhaustive").run(
-            evaluator, space, StrategySpec()
-        )
-        # Snapshot before the infeasibility/round-robin extras below, so
-        # the embedded report accounts the exhaustive sweep alone.
-        exhaustive_scenario = Scenario(
-            name="casestudy-exhaustive",
-            apps=case.apps,
-            clock=case.clock,
-            design_options=options,
-            strategy="exhaustive",
-            platform=platform,
-        )
-        run_reports.append(
-            RunReport.from_outcome(
-                exhaustive_scenario,
-                ScenarioOutcome(
-                    name=exhaustive_scenario.name,
-                    strategy="exhaustive",
-                    result=exhaustive,
-                    wall_time=time.perf_counter() - started,
-                    n_space=len(space),
-                    engine_stats=evaluator.stats.as_dict(),
-                    backend=evaluator.backend_name,
-                    n_apps=len(case.apps),
-                ),
-            )
-        )
-
-        engine_options = EngineOptions(workers=workers, cache_dir=cache_dir)
-        hybrid_counts: dict[tuple[int, ...], int] = {}
-        hybrid_optima: dict[tuple[int, ...], PeriodicSchedule] = {}
-        for start in starts:
-            # A fresh engine per start (via the scenario runner) so the
-            # evaluation count reflects a standalone search (the paper
-            # reports per-start counts); each engine is closed as soon
-            # as its search ends so worker pools don't pile up.
-            scenario = Scenario(
-                name=f"casestudy-hybrid-{_start_label(start)}",
-                apps=case.apps,
-                clock=case.clock,
-                design_options=options,
+    exhaustive_scenario = scenario("casestudy-exhaustive", strategy="exhaustive")
+    hybrids = Study.from_scenarios(
+        [
+            scenario(
+                f"casestudy-hybrid-{_start_label(start)}",
                 strategy="hybrid",
-                starts=(start,),
-                platform=platform,
+                starts=(start.counts,),
             )
-            outcome = run_scenario(scenario, engine_options, on_event=on_event)
-            hybrid_counts[start.counts] = outcome.result.traces[0].n_evaluations
-            hybrid_optima[start.counts] = outcome.result.best_schedule
-            run_reports.append(RunReport.from_outcome(scenario, outcome))
-
+            for start in starts
+        ],
+        engine_options,
+    )
+    with scenario_engine(exhaustive_scenario, engine_options, on_event) as engine:
+        # Reported before the infeasibility/round-robin extras below, so
+        # the report accounts the exhaustive sweep alone.
+        exhaustive = search_scenario(exhaustive_scenario, engine)
+        hybrid_reports = hybrids.run(on_event=on_event)
+        space = enumerate_idle_feasible(case.apps, case.clock)
         infeasible = [
-            schedule
-            for schedule in space
-            if not evaluator.evaluate(schedule).feasible
+            schedule for schedule in space if not engine.evaluate(schedule).feasible
         ]
-        round_robin = evaluator.evaluate(PeriodicSchedule.round_robin(len(case.apps)))
+        round_robin = engine.evaluate(PeriodicSchedule.round_robin(len(case.apps)))
     return SearchResultSummary(
         n_enumerated=len(space),
-        n_feasible=exhaustive.stats["n_feasible"],
-        optimum=exhaustive.best_schedule,
-        best_overall=exhaustive.best_value,
+        n_feasible=exhaustive.search_stats["n_feasible"],
+        optimum=PeriodicSchedule(tuple(exhaustive.best_schedule)),
+        best_overall=exhaustive.overall,
         round_robin_overall=round_robin.overall,
-        hybrid_evaluations=hybrid_counts,
-        hybrid_optima=hybrid_optima,
+        hybrid_evaluations={
+            start.counts: report.search_stats["n_evaluations"]
+            for start, report in zip(starts, hybrid_reports)
+        },
+        hybrid_optima={
+            start.counts: PeriodicSchedule(tuple(report.best_schedule))
+            for start, report in zip(starts, hybrid_reports)
+        },
         infeasible_schedules=infeasible,
-        run_reports=run_reports,
+        run_reports=[exhaustive, *hybrid_reports],
     )
 
 

@@ -22,13 +22,13 @@ The subsystem behind ``--workers`` / ``--cache-dir``:
   concurrent runs);
 * :mod:`~repro.sched.engine.keys` / :mod:`~repro.sched.engine.serialize`
   — stable problem hashing and JSON round-tripping of evaluations;
-* :mod:`~repro.sched.engine.batch` — the batch scenario runner and
+* :mod:`~repro.sched.engine.batch` — the scenario runner and
   workload synthesis (imported lazily by its users: it builds on
   :mod:`repro.apps`, which itself builds on :mod:`repro.sched`).
 """
 
 from .backends import AffinityRouter, Block, ProcessPoolBackend, SerialBackend
-from .engine import EngineOptions, EngineStats, SearchEngine, Subproblem
+from .engine import EngineOptions, EngineStats, SearchEngine, Subproblem, stats_summary
 from .events import BatchCompleted, BatchSubmitted, EngineEvent
 from .keys import (
     evaluation_key,
@@ -57,5 +57,6 @@ __all__ = [
     "evaluation_to_dict",
     "problem_digest",
     "problem_fingerprint",
+    "stats_summary",
     "subproblem_digest",
 ]

@@ -1,22 +1,24 @@
-"""Batch scenario runner: sweep whole suites through the engine.
+"""Scenario runner: one co-design problem through a fresh engine.
 
 A *scenario* is one complete co-design problem — an application set
 (plants, tracking constraints, analyzed control programs), a clock and
-a design budget — plus the registered search strategy to run on it
-(see :mod:`repro.sched.strategies`).  The runner executes a suite of
-scenarios through one :class:`EngineOptions` configuration, so a single
-invocation can e.g. re-search fifty synthesized workloads with eight
-workers and a shared persistent cache (``python -m repro batch ...``).
+a design budget — plus the :class:`~repro.study.spec.RunSpec` of the
+run to make on it (strategy, starts, seed, cores, platform, allocator,
+dynamic profile).  :func:`run_scenario` runs one on a fresh engine;
+:class:`~repro.study.Study` drives scenario lists through it.
 
-:func:`synthesize_scenarios` generates deterministic random workloads by
-jittering the case study's calibrated programs, plants and constraints —
-the scenario-diversity axis of the roadmap.
+:func:`synthesize_scenarios` generates the deterministic random
+workloads of a suite spec by jittering the case study's calibrated
+programs, plants and constraints — the scenario-diversity axis of the
+roadmap.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -26,147 +28,149 @@ from ...platform import Platform
 from ...units import Clock
 from ..evaluator import ScheduleEvaluator
 from ..feasibility import enumerate_idle_feasible
-from ..results import SearchResult
 from ..schedule import PeriodicSchedule
 from ..strategies import StrategySpec, get_strategy
 from .engine import EngineOptions
 
+if TYPE_CHECKING:  # repro.study builds on this module
+    from ...study.report import RunReport
+    from ...study.spec import RunSpec
+
 
 @dataclass
 class Scenario:
-    """One co-design problem plus the search strategy to run on it.
+    """One co-design problem plus the run to make on it.
 
-    ``strategy`` names a registered search strategy
-    (:func:`repro.sched.strategies.available_strategies` lists them);
-    ``None`` picks the default for the run type — ``"hybrid"`` for
-    single-core scenarios, ``"exhaustive"`` (per core) for multicore
-    ones.  Unknown names raise
-    :class:`~repro.errors.ConfigurationError` listing the registered
-    strategies.
+    ``spec`` is the :class:`~repro.study.spec.RunSpec` of the run —
+    strategy and options, starts, seed, cores, platform, allocator,
+    dynamic profile — checked against the scenario's applications and
+    stored resolved (:meth:`RunSpec.resolved
+    <repro.study.spec.RunSpec.resolved>`: the strategy and allocator
+    defaults filled in), so an unknown strategy or allocator name
+    raises :class:`~repro.errors.ConfigurationError` listing the
+    registered ones.
 
-    ``n_cores > 1`` makes the scenario a *multicore* co-design: the
-    runner routes it through :class:`repro.multicore.MulticoreProblem`
-    (partition sweep, per-core schedule search with ``strategy``).
-    ``shared_cache=True`` additionally co-optimizes the per-core way
-    allocation of the platform's shared set-associative cache.
-
-    ``platform`` declares the :class:`~repro.platform.Platform` the
-    applications' WCETs were analyzed on (``None`` = the paper
-    platform at the scenario's clock); it flows into the engine's
-    persistent-cache keys and the run report.
-
-    ``allocator`` names the registered partition allocator a multicore
-    scenario draws its partitions from (``None`` = ``"exhaustive"``;
-    see :mod:`repro.multicore.allocators`), ``allocator_options`` its
-    options dataclass; both are meaningless — and rejected — for
-    single-core scenarios.
-
-    ``dynamic`` makes the scenario a *feedback-scheduling* one: after
-    the static search, the attached
-    :class:`~repro.sim.profiles.DynamicProfile` is simulated through
-    :class:`~repro.sim.loop.FeedbackLoop` on the scenario's (still
-    warm) engine, and the outcome carries the resulting
-    :class:`~repro.sim.report.SimReport`.  Dynamic scenarios are
-    single-core only.
+    ``spec.n_cores > 1`` makes the scenario a *multicore* co-design run
+    through :class:`repro.multicore.MulticoreProblem`; a
+    ``spec.dynamic`` profile is simulated through
+    :class:`~repro.sim.loop.FeedbackLoop` on the scenario's still-warm
+    engine after the static search.
     """
 
     name: str
     apps: list
     clock: Clock
-    design_options: DesignOptions | None = None
-    strategy: str | None = None
-    starts: tuple[PeriodicSchedule, ...] | None = None
-    n_starts: int = 2
-    seed: int = 2018
-    n_cores: int = 1
-    options: object | None = None
-    max_count_per_core: int = 6
-    platform: Platform | None = None
-    shared_cache: bool = False
-    allocator: str | None = None
-    allocator_options: object | None = None
-    dynamic: object | None = None
+    design_options: DesignOptions | None
+    spec: RunSpec
 
     def __post_init__(self) -> None:
-        if self.n_cores < 1:
-            raise ConfigurationError(
-                f"need at least one core, got {self.n_cores}"
-            )
-        if self.n_cores > len(self.apps):
-            raise ConfigurationError(
-                f"scenario {self.name!r}: {self.n_cores} cores for "
-                f"{len(self.apps)} applications — n_cores must be between 1 "
-                f"and n_apps"
-            )
-        if self.shared_cache and self.n_cores < 2:
-            raise ConfigurationError(
-                "shared_cache=True is a multicore co-design; it needs n_cores >= 2"
-            )
-        if self.n_cores > 1:
-            # Imported lazily: repro.multicore builds on repro.sched.
-            from ...multicore.allocators import get_allocator
-
-            self.allocator = self.allocator or "exhaustive"
-            get_allocator(self.allocator)  # fail fast on unknown names
-        elif self.allocator is not None:
-            raise ConfigurationError(
-                "partition allocators apply to multicore scenarios only "
-                f"(n_cores >= 2); scenario {self.name!r} has n_cores=1"
-            )
-        if self.strategy is None:
-            self.strategy = "hybrid" if self.n_cores == 1 else "exhaustive"
-        get_strategy(self.strategy)  # fail fast on unknown names
-        if self.dynamic is not None:
-            # Imported lazily: repro.sim builds on repro.sched.
-            from ...sim.profiles import DynamicProfile
-
-            if not isinstance(self.dynamic, DynamicProfile):
-                raise ConfigurationError(
-                    f"scenario {self.name!r}: dynamic= takes a "
-                    f"DynamicProfile, got {type(self.dynamic).__name__}"
-                )
-            if self.n_cores > 1:
-                raise ConfigurationError(
-                    f"scenario {self.name!r}: feedback-scheduling "
-                    "simulation is single-core only (n_cores=1)"
-                )
-            self.dynamic.check_apps(len(self.apps))
+        self.spec = self.spec.resolved(len(self.apps))
 
 
-@dataclass
-class ScenarioOutcome:
-    """Result and bookkeeping of one scenario run.
+@contextmanager
+def scenario_engine(
+    scenario: Scenario, engine_options: EngineOptions | None = None, on_event=None
+) -> Iterator:
+    """The warm engine one scenario runs on, closed on exit.
 
-    Exactly one of ``result`` (single-core searches) and ``multicore``
-    (partition sweeps) is set.
+    A :class:`~repro.sched.engine.SearchEngine` over the scenario's
+    applications for single-core runs, a
+    :class:`~repro.multicore.MulticoreProblem` for multicore ones.
+    ``on_event`` receives the engine's typed progress events
+    (:mod:`repro.sched.engine.events`).  Callers that query the engine's
+    memo after the search (the ``search`` and ``multicore``
+    experiments) hold it open around :func:`search_scenario`.
     """
+    options = engine_options or EngineOptions()
+    spec = scenario.spec
+    if spec.n_cores == 1:
+        evaluator = ScheduleEvaluator(scenario.apps, scenario.clock, scenario.design_options)
+        with options.build(evaluator, platform=spec.platform, on_event=on_event) as engine:
+            yield engine
+        return
+    # Imported lazily: repro.multicore builds on repro.sched.
+    from ...multicore.partition import MulticoreProblem
 
-    name: str
-    strategy: str
-    result: SearchResult | None
-    wall_time: float
-    n_space: int
-    engine_stats: dict = field(default_factory=dict)
-    backend: str = "serial"
-    n_apps: int = 0
-    n_cores: int = 1
-    multicore: "MulticoreEvaluation | None" = None
-    #: The feedback-scheduling simulation report of a dynamic scenario
-    #: (:class:`~repro.sim.report.SimReport`), ``None`` otherwise.
-    sim: "SimReport | None" = None
+    with MulticoreProblem(
+        scenario.apps,
+        scenario.clock,
+        spec.n_cores,
+        scenario.design_options,
+        max_count_per_core=spec.max_count_per_core,
+        workers=options.workers,
+        cache_dir=options.cache_dir,
+        platform=spec.platform,
+        shared_cache=spec.shared_cache,
+        on_event=on_event,
+        allocator=spec.allocator,
+        allocator_options=spec.allocator_options,
+    ) as problem:
+        yield problem
 
-    @property
-    def best_schedule(self):
-        """The optimal schedule — or the per-core schedules (multicore)."""
-        if self.multicore is not None:
-            return tuple(core.schedule for core in self.multicore.cores)
-        return self.result.best_schedule
 
-    @property
-    def best_overall(self) -> float:
-        if self.multicore is not None:
-            return self.multicore.overall
-        return self.result.best_value
+def search_scenario(scenario: Scenario, engine, on_sim_event=None) -> RunReport:
+    """Run the scenario's search (and simulation) on its open engine;
+    the run's :class:`~repro.study.RunReport`.
+
+    The strategy resolves through the registry — never by name
+    comparison — so a typo'd or unregistered strategy raises
+    :class:`~repro.errors.ConfigurationError` naming the valid ones.
+    ``on_sim_event`` receives the runtime
+    :class:`~repro.sim.events.SimEvent`\\ s of a dynamic scenario's
+    feedback-scheduling simulation.
+    """
+    # Imported lazily: repro.study builds on this module.
+    from ...study.report import RunReport
+
+    spec = scenario.spec
+    strategy = get_strategy(spec.strategy)
+    started = time.perf_counter()
+    if spec.n_cores > 1:
+        evaluation = engine.optimize(
+            strategy=strategy.name, n_starts=spec.n_starts, seed=spec.seed, options=spec.options
+        )
+        return RunReport.from_run(
+            scenario,
+            engine.engine,
+            time.perf_counter() - started,
+            engine.engine.stats.n_requested,
+            multicore=evaluation,
+        )
+    space = enumerate_idle_feasible(engine.apps, engine.clock)
+    if not space:
+        raise SearchError(f"scenario {scenario.name!r}: idle-feasible space is empty")
+    strategy_spec = StrategySpec(
+        starts=tuple(PeriodicSchedule(counts) for counts in spec.starts or ()) or None,
+        n_starts=spec.n_starts,
+        seed=spec.seed,
+        options=spec.options,
+    )
+    result = strategy.run(engine, space, strategy_spec)
+    sim_report = None
+    if spec.dynamic is not None:
+        # Imported lazily: repro.sim builds on repro.sched.  The
+        # simulation runs on the scenario's still-warm engine, so
+        # re-optimizations hit the memo the static search filled.
+        from ...sim.loop import FeedbackLoop
+
+        sim_report = FeedbackLoop(
+            engine,
+            space,
+            spec.dynamic,
+            result.best,
+            strategy.name,
+            base_spec=strategy_spec,
+            scenario=scenario.name,
+            on_sim_event=on_sim_event,
+        ).run()
+    return RunReport.from_run(
+        scenario,
+        engine,
+        time.perf_counter() - started,
+        len(space),
+        result=result,
+        sim=sim_report,
+    )
 
 
 def run_scenario(
@@ -174,129 +178,11 @@ def run_scenario(
     engine_options: EngineOptions | None = None,
     on_event=None,
     on_sim_event=None,
-) -> ScenarioOutcome:
-    """Run one scenario through a fresh engine.
-
-    The scenario's ``strategy`` is resolved through the strategy
-    registry — never by name comparison — so a typo'd or unregistered
-    strategy raises :class:`~repro.errors.ConfigurationError` naming
-    the valid strategies instead of silently running some default.
-
-    ``on_event`` receives the engine's typed progress events
-    (:mod:`repro.sched.engine.events`) while the search runs; the
-    ``Study`` facade wraps them into scenario-tagged study events.
-    ``on_sim_event`` receives the runtime
-    :class:`~repro.sim.events.SimEvent`\\ s of a dynamic scenario's
-    feedback-scheduling simulation (ignored for static scenarios).
-    """
-    options = engine_options or EngineOptions()
-    strategy = get_strategy(scenario.strategy)
-    if scenario.n_cores > 1:
-        return _run_multicore_scenario(scenario, options, on_event)
-    evaluator = ScheduleEvaluator(
-        scenario.apps, scenario.clock, scenario.design_options
-    )
-    with options.build(
-        evaluator, platform=scenario.platform, on_event=on_event
-    ) as engine:
-        started = time.perf_counter()
-        space = enumerate_idle_feasible(engine.apps, engine.clock)
-        if not space:
-            raise SearchError(
-                f"scenario {scenario.name!r}: idle-feasible space is empty"
-            )
-        spec = StrategySpec(
-            starts=tuple(scenario.starts) if scenario.starts else None,
-            n_starts=scenario.n_starts,
-            seed=scenario.seed,
-            options=scenario.options,
-        )
-        result = strategy.run(engine, space, spec)
-        sim_report = None
-        if scenario.dynamic is not None:
-            # Imported lazily: repro.sim builds on repro.sched.  The
-            # simulation runs on the scenario's still-warm engine, so
-            # re-optimizations hit the memo the static search filled.
-            from ...sim.loop import FeedbackLoop
-
-            sim_report = FeedbackLoop(
-                engine,
-                space,
-                scenario.dynamic,
-                result.best,
-                strategy.name,
-                base_spec=spec,
-                scenario=scenario.name,
-                on_sim_event=on_sim_event,
-            ).run()
-        wall_time = time.perf_counter() - started
-        return ScenarioOutcome(
-            name=scenario.name,
-            strategy=strategy.name,
-            result=result,
-            wall_time=wall_time,
-            n_space=len(space),
-            engine_stats=engine.stats.as_dict(),
-            backend=engine.backend_name,
-            n_apps=len(scenario.apps),
-            sim=sim_report,
-        )
-
-
-def _run_multicore_scenario(
-    scenario: Scenario, options: EngineOptions, on_event=None
-) -> ScenarioOutcome:
-    """Run a multicore scenario through the search engine."""
-    # Imported lazily: repro.multicore builds on repro.sched, so a
-    # module-level import would be circular.
-    from ...multicore.partition import MulticoreProblem
-
-    with MulticoreProblem(
-        scenario.apps,
-        scenario.clock,
-        scenario.n_cores,
-        scenario.design_options,
-        max_count_per_core=scenario.max_count_per_core,
-        workers=options.workers,
-        cache_dir=options.cache_dir,
-        platform=scenario.platform,
-        shared_cache=scenario.shared_cache,
-        on_event=on_event,
-        allocator=scenario.allocator,
-        allocator_options=scenario.allocator_options,
-    ) as problem:
-        started = time.perf_counter()
-        evaluation = problem.optimize(
-            strategy=scenario.strategy,
-            n_starts=scenario.n_starts,
-            seed=scenario.seed,
-            options=scenario.options,
-        )
-        wall_time = time.perf_counter() - started
-        return ScenarioOutcome(
-            name=scenario.name,
-            strategy=scenario.strategy,
-            result=None,
-            wall_time=wall_time,
-            n_space=problem.engine.stats.n_requested,
-            engine_stats=problem.engine.stats.as_dict(),
-            backend=problem.engine.backend_name,
-            n_apps=len(scenario.apps),
-            n_cores=scenario.n_cores,
-            multicore=evaluation,
-        )
-
-
-def run_batch(
-    scenarios: list[Scenario], engine_options: EngineOptions | None = None
-) -> list[ScenarioOutcome]:
-    """Run a suite of scenarios under one engine configuration.
-
-    Each scenario gets its own engine (its own worker pool and memo) but
-    all of them share the persistent cache directory, so overlapping
-    scenarios — reruns, ablation sweeps — warm-start each other.
-    """
-    return [run_scenario(scenario, engine_options) for scenario in scenarios]
+) -> RunReport:
+    """Run one scenario on a fresh engine (see :func:`scenario_engine`
+    and :func:`search_scenario`)."""
+    with scenario_engine(scenario, engine_options, on_event) as engine:
+        return search_scenario(scenario, engine, on_sim_event)
 
 
 # ----------------------------------------------------------------------
@@ -304,64 +190,55 @@ def run_batch(
 # ----------------------------------------------------------------------
 
 def synthesize_scenarios(
-    n_scenarios: int,
-    seed: int = 2018,
-    strategy: str | None = None,
-    design_options: DesignOptions | None = None,
-    n_apps_choices: tuple[int, ...] = (2, 3),
-    n_cores: int = 1,
-    platform: Platform | None = None,
-    jitter_platform: bool = False,
-    shared_cache: bool = False,
-    allocator: str | None = None,
-    allocator_options: object | None = None,
-    dynamic: bool = False,
+    suite: RunSpec, design_options: DesignOptions | None = None
 ) -> list[Scenario]:
-    """Deterministic random workloads derived from the case study.
+    """The deterministic random workloads a ``kind="suite"``
+    :class:`~repro.study.spec.RunSpec` describes, derived from the case
+    study.
 
-    ``strategy`` names a registered search strategy (``None`` = the
-    run-type default).
+    The suite draws ``suite_size`` scenarios from its ``seed``.  Each
+    scenario's spec is the suite's :meth:`RunSpec.suite_scenario
+    <repro.study.spec.RunSpec.suite_scenario>`: a single run with the
+    scenario's own search seed (``seed + index``), platform and dynamic
+    profile, and the suite-level fields back at their defaults — the
+    scenario's applications, platform and profile record what they
+    drew, so a scenario's identity does not depend on the size of its
+    suite.
 
-    ``dynamic=True`` attaches a seeded random
+    ``random_dynamic`` attaches a seeded random
     :class:`~repro.sim.profiles.DynamicProfile` (load transient plus a
     plant mode change; see :func:`repro.sim.profiles.synthesize_profile`)
     to every scenario, so the suite runs the feedback-scheduling
-    simulation after each static search.  Dynamic suites are
-    single-core only; each profile is drawn from its own
-    ``(seed, index)``-derived stream — the main stream advances exactly
-    as in a static suite, so a ``dynamic=True`` suite synthesizes
+    simulation after each static search.  Each profile is drawn from
+    its own ``(seed, index)``-derived stream — the main stream advances
+    exactly as in a static suite, so a dynamic suite synthesizes
     bit-identical applications to the static suite of the same seed.
 
     ``platform`` is the execution platform every scenario is analyzed
-    on — cache geometry, clock and WCET model (``None`` = the paper
-    platform, which reproduces the historical suites bit-exactly).
-    With ``jitter_platform=True`` each scenario additionally draws its
-    own platform around that base (cache sets halved/kept/doubled,
-    miss latency and clock frequency jittered), opening the
-    scenario-diversity axis to the platform itself; the ``analytic``
-    WCET model makes such huge sweeps orders of magnitude cheaper.
+    on (``None`` = the paper platform, which reproduces the historical
+    suites bit-exactly).  With ``jitter_platform`` each scenario
+    additionally draws its own platform around that base (cache sets
+    halved/kept/doubled, miss latency and clock frequency jittered);
+    the ``analytic`` WCET model makes such huge sweeps orders of
+    magnitude cheaper.
 
     ``n_cores > 1`` synthesizes *multicore* scenarios: same jittered
-    application sets, but each is co-designed over partitions onto that
-    many cores instead of searched on one shared core
-    (``shared_cache=True`` co-optimizes the way allocation of the
-    platform's shared cache, ``allocator``/``allocator_options`` pick
-    the registered partition allocator).  A scenario that drew fewer
-    applications than ``n_cores`` is clamped to one core per
-    application — the suite stays runnable while explicit
-    ``MulticoreProblem``/CLI invocations fail fast on the same
-    mismatch.  The synthesized applications are identical for every
-    ``n_cores``, so single-core and multicore sweeps of one seed share
-    sub-problem digests (and therefore persistent-cache entries)
-    wherever blocks coincide.
+    application sets, each co-designed over partitions onto that many
+    cores.  A scenario that drew fewer applications than ``n_cores`` is
+    clamped to one core per application — the suite stays runnable —
+    and a scenario clamped to one core drops the multicore-only
+    ``shared_cache``/``allocator`` choices.  The synthesized
+    applications are identical for every ``n_cores``, so single-core
+    and multicore sweeps of one seed share sub-problem digests (and
+    therefore persistent-cache entries) wherever blocks coincide.
 
     Every scenario jitters the calibrated control programs (loop trip
     counts and body sizes, re-analyzed through the cache/WCET pipeline),
     the plant resonances/damping and the Table-II constraints, then
-    bundles 2-3 such applications with normalized weights.  The jitters
-    are small enough that the idle-feasible space stays non-empty and
-    the designs stay feasible, but large enough that optima move between
-    scenarios.
+    bundles ``n_apps_choices`` such applications with normalized
+    weights.  The jitters are small enough that the idle-feasible space
+    stays non-empty and the designs stay feasible, but large enough
+    that optima move between scenarios.
     """
     # Imported lazily: repro.apps builds on repro.sched, so a module-level
     # import would be circular.
@@ -374,29 +251,28 @@ def synthesize_scenarios(
     from ...program.synth import make_control_program
     from ...wcet.reuse import analyze_task_wcets
 
-    if n_scenarios < 1:
-        raise SearchError(f"need at least one scenario, got {n_scenarios}")
-    if dynamic and n_cores > 1:
+    suite.validate()
+    if suite.kind != "suite":
         raise ConfigurationError(
-            "dynamic=True synthesizes feedback-scheduling scenarios, "
-            f"which are single-core only; got n_cores={n_cores}"
+            f"synthesize_scenarios needs a kind='suite' spec, got kind={suite.kind!r}"
         )
     plant_builders = {
         "C1": servo_position_plant,
         "C2": dc_motor_speed_plant,
         "C3": wedge_brake_plant,
     }
+    seed = suite.seed
     rng = np.random.default_rng(seed)
-    base_platform = platform or Platform()
+    base_platform = suite.platform or Platform()
     scenarios = []
-    for index in range(n_scenarios):
-        if jitter_platform:
+    for index in range(suite.suite_size):
+        if suite.jitter_platform:
             scenario_platform = _jittered_platform(rng, base_platform)
         else:
             scenario_platform = base_platform
         clock = scenario_platform.clock
         cache_config = scenario_platform.cache
-        n_apps = int(rng.choice(n_apps_choices))
+        n_apps = int(rng.choice(suite.n_apps_choices))
         templates = list(rng.choice([s.name for s in PROGRAM_SHAPES], size=n_apps, replace=False))
         raw_weights = rng.uniform(0.5, 1.5, size=n_apps)
         weights = raw_weights / raw_weights.sum()
@@ -441,40 +317,29 @@ def synthesize_scenarios(
                     program=program,
                 )
             )
-        scenario_cores = min(n_cores, len(apps))
-        # Multicore-only options are dropped only when the *clamp*
-        # reduced the scenario to one core; an explicitly requested
-        # single-core suite still fails fast in Scenario validation.
-        clamped_single = n_cores > 1 and scenario_cores == 1
+        scenario_cores = min(suite.n_cores, len(apps))
+        # Only a clamp can make a multicore suite's scenario single-core
+        # (a single-core suite carrying multicore choices fails validation).
+        multicore = scenario_cores > 1
         profile = None
-        if dynamic:
+        if suite.random_dynamic:
             # Imported lazily: repro.sim builds on repro.sched.
             from ...sim.profiles import synthesize_profile
 
             # Drawn from a per-scenario derived stream, not `rng`: the
             # main stream must advance exactly as in a static suite so
-            # dynamic=True synthesizes bit-identical applications.
-            profile = synthesize_profile(
-                np.random.default_rng((seed, index)), n_apps
-            )
-        scenarios.append(
-            Scenario(
-                name=f"synth-{index:03d}",
-                apps=apps,
-                clock=clock,
-                design_options=design_options,
-                strategy=strategy,
-                seed=seed + index,
-                n_cores=scenario_cores,
-                platform=scenario_platform,
-                shared_cache=shared_cache and not clamped_single,
-                allocator=None if clamped_single else allocator,
-                allocator_options=(
-                    None if clamped_single else allocator_options
-                ),
-                dynamic=profile,
-            )
+            # a dynamic suite synthesizes bit-identical applications.
+            profile = synthesize_profile(np.random.default_rng((seed, index)), n_apps)
+        spec = suite.suite_scenario(
+            seed=seed + index,
+            n_cores=scenario_cores,
+            platform=scenario_platform,
+            shared_cache=suite.shared_cache and multicore,
+            allocator=suite.allocator if multicore else None,
+            allocator_options=suite.allocator_options if multicore else None,
+            dynamic=profile,
         )
+        scenarios.append(Scenario(f"synth-{index:03d}", apps, clock, design_options, spec))
     return scenarios
 
 

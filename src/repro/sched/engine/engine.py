@@ -89,6 +89,15 @@ class EngineOptions:
         )
 
 
+def stats_summary(stats: dict) -> str:
+    """One-line accounting of an :meth:`EngineStats.as_dict` record."""
+    return (
+        f"{stats['n_requested']} requested = {stats['n_computed']} computed + "
+        f"{stats['n_memo_hits']} memo + {stats['n_disk_hits']} disk + "
+        f"{stats['n_duplicates']} duplicate"
+    )
+
+
 @dataclass
 class EngineStats:
     """Where the engine's evaluations came from.
@@ -133,11 +142,7 @@ class EngineStats:
 
     def summary(self) -> str:
         """One human line spelling out the accounting identity."""
-        return (
-            f"{self.n_requested} requested = {self.n_computed} computed + "
-            f"{self.n_memo_hits} memo + {self.n_disk_hits} disk + "
-            f"{self.n_duplicates} duplicate"
-        )
+        return stats_summary(self.as_dict())
 
     def as_dict(self) -> dict:
         return {

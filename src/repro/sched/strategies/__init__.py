@@ -34,9 +34,9 @@ new search is one registration away from every front end:
     ...             HybridOptions(max_steps=options.max_steps),
     ...         )
 
-After this, ``Study.run(strategy="greedy")``, ``Scenario(...,
-strategy="greedy")`` and ``python -m repro search --strategy greedy``
-all work; ``python -m repro strategies`` lists it.  Unknown names raise
+After this, ``Study.from_case_study(strategy="greedy")``,
+``RunSpec(strategy="greedy")`` and ``python -m repro search --strategy
+greedy`` all work; ``python -m repro strategies`` lists it.  Unknown names raise
 :class:`~repro.errors.ConfigurationError` naming the registered
 strategies.
 
@@ -53,7 +53,6 @@ from .base import (
     available_strategies,
     feasibility_fn,
     get_strategy,
-    options_as_dict,
     random_starts,
     register_strategy,
     resolve_options,
@@ -84,7 +83,6 @@ __all__ = [
     "available_strategies",
     "feasibility_fn",
     "get_strategy",
-    "options_as_dict",
     "random_starts",
     "register_strategy",
     "resolve_options",

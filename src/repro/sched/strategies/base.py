@@ -15,7 +15,7 @@ instead of silently falling back to some default.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from typing import Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -127,14 +127,3 @@ def random_starts(
         len(space), size=min(spec.n_starts, len(space)), replace=False
     )
     return [space[int(i)] for i in indices]
-
-
-def options_as_dict(options) -> dict:
-    """Strategy options as a JSON-friendly dict (for run reports)."""
-    if options is None:
-        return {}
-    if is_dataclass(options) and not isinstance(options, type):
-        return {f.name: getattr(options, f.name) for f in fields(options)}
-    if isinstance(options, dict):
-        return dict(options)
-    return {"repr": repr(options)}

@@ -12,7 +12,7 @@ every other run input.
 :func:`load_transient` builds the canonical stress profile of the
 ``feedback`` experiment (nominal → overload → recovery);
 :func:`synthesize_profile` draws a seeded random profile for the
-synthesized-suite path (``synthesize_scenarios(..., dynamic=True)``).
+synthesized-suite path (a suite spec's ``random_dynamic``).
 """
 
 from __future__ import annotations
@@ -156,8 +156,8 @@ class DynamicProfile:
 
         Demand vectors must be exactly ``n_apps`` wide and every app
         index in range; a mismatch raises
-        :class:`~repro.errors.ConfigurationError` (the scenario layer
-        calls this from ``Scenario.__post_init__``).
+        :class:`~repro.errors.ConfigurationError` (called by
+        :meth:`RunSpec.check_apps <repro.study.spec.RunSpec.check_apps>`).
         """
         for time, demands in self.disturbances:
             if len(demands) != n_apps:

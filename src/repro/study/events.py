@@ -89,11 +89,21 @@ class ScenarioProgress(StudyEvent):
         return cls(**payload)
 
 
+def _report_payload(event) -> dict:
+    """The fields of an event carrying a ``report``, which keeps its own
+    encoding (``asdict`` would leave its spec's enums and tuples raw)."""
+    data = asdict(event)
+    data["report"] = event.report.to_dict()
+    return data
+
+
 @dataclass(frozen=True)
 class ScenarioResumed(StudyEvent):
     """The scenario was answered by a persisted report (no search)."""
 
     report: RunReport
+
+    _payload = _report_payload
 
     @classmethod
     def _from_payload(cls, payload: dict) -> "ScenarioResumed":
@@ -173,6 +183,8 @@ class ScenarioFinished(StudyEvent):
     n_computed_total: int
     throughput: float | None
     recompute_reason: str | None = None
+
+    _payload = _report_payload
 
     @classmethod
     def _from_payload(cls, payload: dict) -> "ScenarioFinished":

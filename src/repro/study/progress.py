@@ -78,11 +78,11 @@ class ProgressLine:
             )
 
     def _handle_engine(self, event: EngineEvent) -> None:
-        """Bare engine events (no Study in the loop, e.g. experiments).
+        """Bare engine events (no Study in the loop: the warm engine an
+        experiment holds itself, e.g. the ``multicore`` sweep).
 
-        These are the only progress signal an experiment emits, so on
-        a plain stream each completed batch gets its own line (there
-        is no per-scenario completion event to fall back to).
+        There is no per-scenario completion event to fall back to, so
+        on a plain stream each completed batch gets its own line.
         """
         if isinstance(event, BatchCompleted):
             prefix = f"{self._prefix}: " if self._prefix else ""

@@ -1,37 +1,40 @@
 """Structured, persisted run reports.
 
 A :class:`RunReport` is the JSON-serializable artifact of one scenario
-run: which problem (scenario + stable problem digest), which strategy
-with which options and seed, how the engine behaved (stats, backend),
-and what came out (best schedule — per-core assignments for multicore
-runs — per-application settling/performance, overall value, wall
-time).  Reports round-trip losslessly through
-:meth:`RunReport.to_json` / :meth:`RunReport.from_json`, so a sweep
-persisted under a run directory is resumable and comparable across
-commits.
+run: which problem (scenario + stable problem digest), which run (the
+resolved :class:`~repro.study.spec.RunSpec`: strategy and options,
+seed, cores, platform, allocator, dynamic profile), how the engine
+behaved (stats, backend), and what came out (best schedule — per-core
+assignments for multicore runs — per-application
+settling/performance, overall value, wall time).  Reports round-trip
+losslessly through :meth:`RunReport.to_json` /
+:meth:`RunReport.from_json`, so a sweep persisted under a run
+directory is resumable and comparable across commits.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, field
+import uuid
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from ..control.design import DesignOptions
+from ..errors import ConfigurationError
 from ..identity import canonical, digest
 from ..platform import default_platform
 from ..sched.engine.keys import problem_digest
-from ..sched.strategies import options_as_dict
+from .spec import RunSpec, strict_payload
 
 #: Bump when the report layout changes incompatibly.
 #: v2: reports record the platform (cache geometry, clock, WCET model)
 #: and the shared-cache flag; multicore cores carry their way allocation.
-#: (Still v2: the allocator fields below are additive with defaults, so
-#: v2 artifacts written before them round-trip unchanged.)
 #: v3: reports record the run's canonical identity (:func:`scenario_identity`),
 #: which resume compares as a whole.
-SCHEMA_VERSION = 3
+#: v4: reports record the resolved :class:`~repro.study.spec.RunSpec`
+#: once (``spec``) in place of the per-field header.
+SCHEMA_VERSION = 4
 
 
 def scenario_digest(scenario) -> str:
@@ -45,21 +48,23 @@ def scenario_digest(scenario) -> str:
         scenario.apps,
         scenario.clock,
         scenario.design_options or DesignOptions(),
-        getattr(scenario, "platform", None),
+        scenario.spec.platform,
     )
 
 
 def scenario_identity(scenario) -> dict[str, str]:
     """Identity of one scenario run: the digest of each top-level field
-    of its canonical encoding (:mod:`repro.identity`), so the record
-    every report carries stays small and :func:`~repro.identity.diff`
-    can still name the fields two runs differ in.
+    of its canonical encoding (:mod:`repro.identity`) — the spec's
+    fields flattened in — so the record every report carries stays
+    small and :func:`~repro.identity.diff` can still name the fields
+    two runs differ in (``seed``, not ``spec``).
 
     ``design_options``/``platform`` of ``None`` resolve exactly as in
     :func:`scenario_digest`; that ``problem`` digest joins the record,
     pinning the cache-key schema the results were computed under.
     """
     tree = canonical(scenario)
+    tree.update(tree.pop("spec"))
     tree["design_options"] = tree["design_options"] or canonical(DesignOptions())
     tree["platform"] = tree["platform"] or canonical(
         default_platform(scenario.clock)
@@ -70,13 +75,21 @@ def scenario_identity(scenario) -> dict[str, str]:
 
 
 def write_artifact(path: Path, text: str) -> None:
-    """Write ``text`` to ``path`` through a sibling tmp file and an
-    atomic :meth:`~pathlib.Path.replace`: a crash mid-write leaves the
-    previous artifact (or none), never a torn one."""
+    """Write ``text`` to ``path`` through a temp file of this writer's
+    own in the same directory and an atomic :meth:`~pathlib.Path.replace`:
+    a crash mid-write leaves the previous artifact (or none), never a
+    torn one, and concurrent writers of one path never share (or remove)
+    each other's temp file — the last replace wins with a whole text.
+    (A uuid-named sibling rather than :func:`tempfile.mkstemp`, whose
+    0600 mode would carry over to the artifact.)"""
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(path)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        tmp.write_text(text)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _json_safe(value):
@@ -101,19 +114,19 @@ _DROP = object()
 
 @dataclass
 class RunReport:
-    """Structured outcome of one scenario run (JSON round-trippable)."""
+    """Structured outcome of one scenario run (JSON round-trippable).
+
+    ``spec`` is the run's resolved :class:`~repro.study.spec.RunSpec`
+    (see :meth:`RunSpec.resolved <repro.study.spec.RunSpec.resolved>`),
+    recorded once; ``identity`` is :func:`scenario_identity`, which
+    resume compares as a whole (empty for reports built by hand).
+    ``sim`` is the :meth:`SimReport.to_dict
+    <repro.sim.report.SimReport.to_dict>` of a dynamic run's
+    simulation, ``None`` for static runs.
+    """
 
     scenario: str
-    strategy: str
-    options: dict
-    seed: int
-    n_starts: int
-    starts: list[list[int]] | None
-    n_cores: int
-    max_count_per_core: int
-    platform: dict
-    shared_cache: bool
-    n_apps: int
+    spec: RunSpec
     problem: str
     n_space: int
     backend: str
@@ -126,19 +139,7 @@ class RunReport:
     wall_time: float
     created_at: float
     search_stats: dict = field(default_factory=dict)
-    allocator: str | None = None
-    allocator_options: dict = field(default_factory=dict)
-    #: The dynamic profile of a feedback-scheduling scenario
-    #: (:meth:`DynamicProfile.to_dict
-    #: <repro.sim.profiles.DynamicProfile.to_dict>`) and its simulation
-    #: outcome (:meth:`SimReport.to_dict
-    #: <repro.sim.report.SimReport.to_dict>`); ``None`` for static
-    #: runs.  Additive with defaults, so pre-simulation v2 artifacts
-    #: round-trip unchanged.
-    dynamic: dict | None = None
     sim: dict | None = None
-    #: The run's :func:`scenario_identity` (empty for reports built by
-    #: hand or written before schema v3).
     identity: dict[str, str] = field(default_factory=dict)
     schema_version: int = SCHEMA_VERSION
 
@@ -146,15 +147,21 @@ class RunReport:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_outcome(cls, scenario, outcome) -> "RunReport":
+    def from_run(
+        cls, scenario, engine, wall_time: float, n_space: int, *,
+        result=None, multicore=None, sim=None,
+    ) -> "RunReport":
         """Build the report of one executed scenario.
 
         ``scenario`` is the :class:`~repro.sched.engine.batch.Scenario`
-        that ran, ``outcome`` the
-        :class:`~repro.sched.engine.batch.ScenarioOutcome` it produced.
+        that ran on ``engine`` (whose stats and backend the report
+        records); exactly one of ``result`` (a single-core
+        :class:`~repro.sched.results.SearchResult`) and ``multicore``
+        (a :class:`~repro.multicore.MulticoreEvaluation`) is its
+        outcome, ``sim`` a dynamic run's
+        :class:`~repro.sim.report.SimReport`.
         """
-        if outcome.multicore is not None:
-            evaluation = outcome.multicore
+        if multicore is not None:
             best_schedule = None
             cores = [
                 {
@@ -163,23 +170,21 @@ class RunReport:
                     "schedule": list(core.schedule.counts),
                     "ways": core.ways,
                 }
-                for core in evaluation.cores
+                for core in multicore.cores
             ]
             apps = [
                 {
                     "name": scenario.apps[index].name,
-                    "settling": evaluation.settling[index],
-                    "performance": evaluation.performances[index],
+                    "settling": multicore.settling[index],
+                    "performance": multicore.performances[index],
                 }
-                for index in sorted(evaluation.settling)
+                for index in sorted(multicore.settling)
             ]
-            feasible = evaluation.feasible
-            search_stats: dict = {
-                "allocator": getattr(scenario, "allocator", None),
-                "n_partitions": int(getattr(evaluation, "n_partitions", 0)),
-            }
+            feasible = multicore.feasible
+            overall = multicore.overall
+            search_stats: dict = {"n_partitions": int(multicore.n_partitions)}
         else:
-            best = outcome.result.best
+            best = result.best
             best_schedule = list(best.schedule.counts)
             cores = None
             apps = [
@@ -191,51 +196,27 @@ class RunReport:
                 for app in best.apps
             ]
             feasible = best.feasible
-            search_stats = _json_safe(outcome.result.stats)
+            overall = best.overall
+            search_stats = {
+                "n_evaluations": result.n_evaluations,
+                **_json_safe(result.stats),
+            }
         return cls(
             scenario=scenario.name,
-            strategy=outcome.strategy,
-            options=_json_safe(options_as_dict(scenario.options)),
-            seed=scenario.seed,
-            n_starts=scenario.n_starts,
-            starts=(
-                [list(s.counts) for s in scenario.starts]
-                if scenario.starts
-                else None
-            ),
-            n_cores=scenario.n_cores,
-            max_count_per_core=scenario.max_count_per_core,
-            platform=(
-                scenario.platform or default_platform(scenario.clock)
-            ).fingerprint(),
-            shared_cache=bool(getattr(scenario, "shared_cache", False)),
-            n_apps=outcome.n_apps,
+            spec=scenario.spec,
             problem=scenario_digest(scenario),
-            n_space=outcome.n_space,
-            backend=outcome.backend,
-            engine_stats=_json_safe(outcome.engine_stats),
+            n_space=n_space,
+            backend=engine.backend_name,
+            engine_stats=_json_safe(engine.stats.as_dict()),
             best_schedule=best_schedule,
             cores=cores,
-            overall=float(outcome.best_overall),
+            overall=float(overall),
             feasible=bool(feasible),
             apps=apps,
-            wall_time=float(outcome.wall_time),
+            wall_time=float(wall_time),
             created_at=time.time(),
             search_stats=search_stats,
-            allocator=getattr(scenario, "allocator", None),
-            allocator_options=_json_safe(
-                options_as_dict(getattr(scenario, "allocator_options", None))
-            ),
-            dynamic=(
-                scenario.dynamic.to_dict()
-                if getattr(scenario, "dynamic", None) is not None
-                else None
-            ),
-            sim=(
-                outcome.sim.to_dict()
-                if getattr(outcome, "sim", None) is not None
-                else None
-            ),
+            sim=sim.to_dict() if sim is not None else None,
             identity=scenario_identity(scenario),
         )
 
@@ -243,61 +224,24 @@ class RunReport:
     # Round-tripping
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
-        return asdict(self)
+        data = {item.name: getattr(self, item.name) for item in fields(self)}
+        data["spec"] = self.spec.to_dict()
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunReport":
-        return cls(
-            scenario=str(data["scenario"]),
-            strategy=str(data["strategy"]),
-            options=dict(data["options"]),
-            seed=int(data["seed"]),
-            n_starts=int(data["n_starts"]),
-            starts=(
-                [[int(m) for m in counts] for counts in data["starts"]]
-                if data["starts"] is not None
-                else None
-            ),
-            n_cores=int(data["n_cores"]),
-            max_count_per_core=int(data["max_count_per_core"]),
-            platform=dict(data.get("platform", {})),
-            shared_cache=bool(data.get("shared_cache", False)),
-            n_apps=int(data["n_apps"]),
-            problem=str(data["problem"]),
-            n_space=int(data["n_space"]),
-            backend=str(data["backend"]),
-            engine_stats=dict(data["engine_stats"]),
-            best_schedule=(
-                [int(m) for m in data["best_schedule"]]
-                if data["best_schedule"] is not None
-                else None
-            ),
-            cores=(
-                [dict(core) for core in data["cores"]]
-                if data["cores"] is not None
-                else None
-            ),
-            overall=float(data["overall"]),
-            feasible=bool(data["feasible"]),
-            apps=[dict(app) for app in data["apps"]],
-            wall_time=float(data["wall_time"]),
-            created_at=float(data["created_at"]),
-            search_stats=dict(data.get("search_stats", {})),
-            allocator=(
-                str(data["allocator"])
-                if data.get("allocator") is not None
-                else None
-            ),
-            allocator_options=dict(data.get("allocator_options", {})),
-            dynamic=(
-                dict(data["dynamic"])
-                if data.get("dynamic") is not None
-                else None
-            ),
-            sim=dict(data["sim"]) if data.get("sim") is not None else None,
-            identity=dict(data.get("identity", {})),
-            schema_version=int(data.get("schema_version", SCHEMA_VERSION)),
-        )
+        """Rebuild a report from its :meth:`to_dict` form.
+
+        Strict: another schema version, an unknown or missing field, or
+        a malformed spec raises :class:`~repro.errors.ConfigurationError`
+        naming it — an old artifact is recomputed, never misread.
+        """
+        payload = strict_payload(cls, data, SCHEMA_VERSION)
+        payload["spec"] = RunSpec.from_dict(payload.get("spec"))
+        try:
+            return cls(**payload)
+        except TypeError as exc:
+            raise ConfigurationError(f"invalid RunReport: {exc}") from exc
 
     def to_json(self, indent: int | None = 2) -> str:
         """Stable JSON form (sorted keys; ``Infinity`` allowed for the

@@ -171,14 +171,16 @@ class RunSpec:
 
         return get_allocator(self.allocator or "exhaustive")
 
-    def validate(self) -> "RunSpec":
+    def validate(self, n_apps: int | None = None) -> "RunSpec":
         """Fail fast on anything the run would reject later.
 
         Registry names resolve exactly as the run resolves them, so an
         unknown name fails naming the registered alternatives; nothing
         is built.  A field that does not apply to the run's ``kind``
         must keep its default — otherwise it would change the spec's
-        identity without changing the run.  Returns ``self``.
+        identity without changing the run.  A ``kind="search"`` run is
+        checked against ``n_apps`` applications (default:
+        :attr:`app_count`; see :meth:`check_apps`).  Returns ``self``.
         """
         for item in fields(self):
             value = getattr(self, item.name)
@@ -216,7 +218,7 @@ class RunSpec:
                     f"single-core only; got n_cores={self.n_cores}"
                 )
         if self.kind == "search":
-            self._check_case_study()
+            self.check_apps(self.app_count if n_apps is None else n_apps)
         elif not self.n_apps_choices or not all(
             1 <= count <= CASE_STUDY_APPS for count in self.n_apps_choices
         ):
@@ -230,13 +232,15 @@ class RunSpec:
             get_wcet_model(self.platform.wcet_model)  # raises with the registry
         return self
 
-    def _check_case_study(self) -> None:
-        count = self.app_count
+    def check_apps(self, count: int) -> None:
+        """The rules that depend on the run's application count: at most
+        one core per application, one positive count per application in
+        every start, and a dynamic profile sized to the applications."""
         if self.n_cores > count:
             raise ConfigurationError(
-                f"n_cores={self.n_cores} exceeds the {count} applications of the case "
-                "study; n_cores must be between 1 and the application count (raise "
-                "n_apps to replicate the workload)"
+                f"n_cores={self.n_cores} exceeds the {count} applications of the "
+                "run; n_cores must be between 1 and the application count (raise "
+                "n_apps to replicate the case study)"
             )
         for counts in self.starts or ():
             if len(counts) != count or any(c < 1 for c in counts):
@@ -250,6 +254,34 @@ class RunSpec:
                     f"dynamic takes a DynamicProfile, got {type(self.dynamic).__name__}"
                 )
             self.dynamic.check_apps(count)
+
+    def suite_scenario(self, **changes: Any) -> "RunSpec":
+        """The spec of one scenario of this suite: a single run
+        (``kind="search"``) with the suite-level fields back at their
+        defaults, and ``changes`` applied."""
+        suite_fields = {
+            item.name: item.default
+            for item in fields(RunSpec)
+            if "search" not in item.metadata["kinds"]
+        }
+        return replace(self, kind="search", **suite_fields, **changes)
+
+    def resolved(self, n_apps: int | None = None) -> "RunSpec":
+        """This single-run spec validated (see :meth:`validate`) as a
+        plain :class:`RunSpec` with the run's defaults filled in: the
+        strategy (``hybrid``, or ``exhaustive`` per core for multicore
+        runs) and, for multicore runs, the allocator (``exhaustive``)."""
+        if self.kind != "search":
+            raise ConfigurationError(
+                "a scenario is a single run (kind='search'); expand a "
+                "kind='suite' spec with synthesize_scenarios"
+            )
+        self.validate(n_apps)
+        values = {item.name: getattr(self, item.name) for item in fields(RunSpec)}
+        values["strategy"] = self.strategy_plugin().name
+        if self.n_cores > 1:
+            values["allocator"] = self.allocator_plugin().name
+        return RunSpec(**values)
 
     def to_dict(self) -> dict:
         """JSON-safe form (inverse of :meth:`from_dict`)."""

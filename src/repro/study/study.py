@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import re
 import time
-from dataclasses import fields
 from pathlib import Path
 from typing import Any, Iterator
 
 from ..control.design import DesignOptions
+from ..errors import ConfigurationError
 from ..identity import diff, digest
 from ..sched.engine import EngineOptions
 from ..sched.engine.batch import Scenario, run_scenario, synthesize_scenarios
@@ -101,20 +101,7 @@ class Study:
         """
         spec.validate()
         if spec.kind == "suite":
-            scenarios = synthesize_scenarios(
-                spec.suite_size,
-                seed=spec.seed,
-                strategy=spec.strategy,
-                design_options=design_options,
-                n_apps_choices=spec.n_apps_choices,
-                n_cores=spec.n_cores,
-                platform=spec.platform,
-                jitter_platform=spec.jitter_platform,
-                shared_cache=spec.shared_cache,
-                allocator=spec.allocator,
-                allocator_options=spec.allocator_options,
-                dynamic=spec.random_dynamic,
-            )
+            scenarios = synthesize_scenarios(spec, design_options)
             return cls(scenarios, engine_options=engine_options, run_dir=run_dir)
         # Imported lazily: repro.apps builds on repro.sched.
         from ..apps import build_case_study
@@ -126,25 +113,7 @@ class Study:
             from ..multicore.allocators import replicate_apps
 
             apps = replicate_apps(apps, spec.n_apps)
-        # Every spec field a Scenario shares is passed through by name.
-        names = {item.name for item in fields(spec)}
-        shared = {
-            item.name: getattr(spec, item.name)
-            for item in fields(Scenario)
-            if item.name in names
-        }
-        shared["starts"] = (
-            tuple(PeriodicSchedule(counts) for counts in spec.starts)
-            if spec.starts
-            else None
-        )
-        scenario = Scenario(
-            name=name,
-            apps=apps,
-            clock=case.clock,
-            design_options=design_options,
-            **shared,
-        )
+        scenario = Scenario(name, apps, case.clock, design_options, spec)
         return cls([scenario], engine_options=engine_options, run_dir=run_dir)
 
     @classmethod
@@ -205,9 +174,10 @@ class Study:
         if self.run_dir is None:
             return None
         tag = digest(scenario_identity(scenario))[:8]
+        spec = scenario.spec
         filename = (
-            f"{_slug(scenario.name)}--{_slug(scenario.strategy)}"
-            f"--seed{scenario.seed}--c{scenario.n_cores}--{tag}.json"
+            f"{_slug(scenario.name)}--{_slug(spec.strategy)}"
+            f"--seed{spec.seed}--c{spec.n_cores}--{tag}.json"
         )
         return self.run_dir / filename
 
@@ -232,6 +202,8 @@ class Study:
             return None, "resume disabled"
         try:
             report = RunReport.from_json(path.read_text())
+        except ConfigurationError as exc:
+            return None, f"incompatible artifact: {exc}"
         except (ValueError, KeyError, TypeError) as exc:
             return None, f"corrupt artifact: {type(exc).__name__}: {exc}"
         differs = diff(report.identity, scenario_identity(scenario))
@@ -258,14 +230,13 @@ class Study:
         if report is not None:
             return report, True, 0.0, None
         started = time.perf_counter()
-        outcome = run_scenario(
+        report = run_scenario(
             scenario,
             self.engine_options,
             on_event=on_engine_event,
             on_sim_event=on_sim_event,
         )
         wall_time = time.perf_counter() - started
-        report = RunReport.from_outcome(scenario, outcome)
         path = self.report_path(scenario)
         if path is not None:
             write_artifact(path, report.to_json() + "\n")
@@ -276,8 +247,8 @@ class Study:
             index=index,
             n_scenarios=len(self.scenarios),
             scenario=scenario.name,
-            strategy=scenario.strategy,
-            n_cores=scenario.n_cores,
+            strategy=scenario.spec.strategy,
+            n_cores=scenario.spec.n_cores,
         )
 
     def _ended_event(

@@ -1,5 +1,7 @@
 """The experiment registry: contract, round-tripping reports, resume."""
 
+import json
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -14,6 +16,7 @@ from repro.experiments import (
     unregister_experiment,
 )
 from repro.experiments.registry import render_experiment
+from repro.study import ScenarioFinished, ScenarioStarted, SimulationProgress
 
 
 ALL_EXPERIMENTS = (
@@ -188,9 +191,23 @@ class TestRoundTripDesignHeavy:
         assert "CSV written to" in rendered
 
     def test_search_embeds_run_reports(self, tiny_design_options):
-        report = run_experiment("search", _request(tiny_design_options))
+        events = []
+        report = run_experiment(
+            "search", _request(tiny_design_options, on_event=events.append)
+        )
         assert ExperimentReport.from_json(report.to_json()) == report
-        assert [r.strategy for r in report.run_reports] == [
+        # The per-start hybrids run through one Study: one started and
+        # one finished event each, whose reports are the embedded ones.
+        started = [e for e in events if isinstance(e, ScenarioStarted)]
+        finished = [e for e in events if isinstance(e, ScenarioFinished)]
+        assert [e.scenario for e in started] == [
+            "casestudy-hybrid-4x2x2", "casestudy-hybrid-1x2x1",
+        ]
+        assert [e.report for e in finished] == report.run_reports[1:]
+        assert [
+            entry["evaluations"] for entry in report.data["hybrid"]
+        ] == [r.search_stats["n_evaluations"] for r in report.run_reports[1:]]
+        assert [r.spec.strategy for r in report.run_reports] == [
             "exhaustive",
             "hybrid",
             "hybrid",
@@ -211,11 +228,21 @@ class TestRoundTripDesignHeavy:
         )
         assert ExperimentReport.from_json(report.to_json()) == report
         (embedded,) = report.run_reports
-        assert embedded.n_cores == 2 and embedded.cores
-        assert embedded.overall == report.data["best"]["overall"]
+        assert embedded.spec.n_cores == 2 and embedded.cores
+        rendered = render_experiment("multicore", report)
+        assert f"multicore P_all = {embedded.overall:.4f}" in rendered
 
     def test_feedback_embeds_both_simulations(self, tiny_design_options):
-        report = run_experiment("feedback", _request(tiny_design_options))
+        events = []
+        report = run_experiment(
+            "feedback", _request(tiny_design_options, on_event=events.append)
+        )
+        finished = [e for e in events if isinstance(e, ScenarioFinished)]
+        assert [e.scenario for e in finished] == [
+            "casestudy-static", "casestudy-adaptive",
+        ]
+        assert [e.report for e in finished] == report.run_reports
+        assert any(isinstance(e, SimulationProgress) for e in events)
         assert ExperimentReport.from_json(report.to_json()) == report
         # Adapting can never lose: the static optimum stays reachable.
         assert report.data["adaptive_cost"] <= report.data["static_cost"]
@@ -224,9 +251,9 @@ class TestRoundTripDesignHeavy:
         assert adaptive.scenario == "casestudy-adaptive"
         assert static.sim is not None and not static.sim["adapt"]
         assert adaptive.sim is not None and adaptive.sim["adapt"]
-        assert static.dynamic is not None and adaptive.dynamic is not None
-        assert report.data["static_sim"] == static.sim
-        assert report.data["adaptive_sim"] == adaptive.sim
+        assert static.spec.dynamic is not None and adaptive.spec.dynamic is not None
+        assert report.data["static_cost"] == static.sim["mean_cost"]
+        assert report.data["adaptive_cost"] == adaptive.sim["mean_cost"]
         rendered = render_experiment("feedback", report)
         assert "feedback-scheduling gain" in rendered
         assert rendered == render_experiment(
@@ -234,15 +261,24 @@ class TestRoundTripDesignHeavy:
         )
 
     def test_shared_cache(self, tiny_design_options, tmp_path):
-        request = _request(tiny_design_options, max_count_per_core=2)
+        events = []
+        request = _request(
+            tiny_design_options, max_count_per_core=2, on_event=events.append
+        )
         report = run_experiment("shared_cache", request, run_dir=tmp_path)
+        assert [
+            e.scenario for e in events if isinstance(e, ScenarioStarted)
+        ] == ["casestudy-private", "casestudy-shared"]
+        assert [
+            e.report for e in events if isinstance(e, ScenarioFinished)
+        ] == report.run_reports
         assert ExperimentReport.from_json(report.to_json()) == report
         # Regression: the rerun must resume from the persisted report
         # (the fingerprint check used to compare the wrong platform).
         resumed = run_experiment("shared_cache", request, run_dir=tmp_path)
         assert resumed == report
         private, shared = report.run_reports
-        assert private.shared_cache is False and shared.shared_cache is True
+        assert private.spec.shared_cache is False and shared.spec.shared_cache is True
         assert all(core["ways"] is None for core in private.cores)
         assert all(
             isinstance(core["ways"], int) for core in shared.cores
@@ -292,5 +328,48 @@ class TestResume:
         path = experiment_report_path(tmp_path, "table3", request)
         path.write_text("{not json")
         again = run_experiment("table3", request, run_dir=tmp_path)
+        assert again.created_at != cold.created_at
+        assert again.data == cold.data
+
+
+class TestSchemaMigration:
+    """A report a parent version wrote at the path this version reads
+    recomputes; it never crashes ``experiment --run-dir``."""
+
+    def parent_report(self, tmp_path, mutate):
+        from repro.experiments.registry import experiment_report_path
+
+        request = ExperimentRequest()
+        cold = run_experiment("table1", request, run_dir=tmp_path)
+        path = experiment_report_path(tmp_path, "table1", request)
+        data = json.loads(path.read_text())
+        mutate(data)
+        path.write_text(json.dumps(data))
+        return request, cold, path
+
+    def test_embedded_schema_3_run_report_recomputes(self, tmp_path):
+        def embed(data):
+            data["run_reports"] = [
+                {"schema_version": 3, "scenario": "casestudy", "strategy": "hybrid"}
+            ]
+
+        request, cold, path = self.parent_report(tmp_path, embed)
+        with pytest.raises(ConfigurationError, match="schema_version 3"):
+            ExperimentReport.from_json(path.read_text())
+        again = run_experiment("table1", request, run_dir=tmp_path)
+        assert again.created_at != cold.created_at
+        assert again.data == cold.data
+        assert ExperimentReport.from_json(path.read_text()) == again
+
+    def test_other_experiment_schema_recomputes(self, tmp_path):
+        def bump(data):
+            data["schema_version"] = 0
+
+        request, cold, path = self.parent_report(tmp_path, bump)
+        with pytest.raises(ConfigurationError) as excinfo:
+            ExperimentReport.from_json(path.read_text())
+        assert "schema_version 0" in str(excinfo.value)
+        assert "speaks 1" in str(excinfo.value)
+        again = run_experiment("table1", request, run_dir=tmp_path)
         assert again.created_at != cold.created_at
         assert again.data == cold.data

@@ -1,18 +1,24 @@
-"""Batch scenario runner: synthesis determinism and suite execution."""
+"""Scenario runner: synthesis determinism and suite execution."""
+
+from dataclasses import replace
 
 import pytest
 
 from repro.cache import CacheConfig
-from repro.errors import ConfigurationError, SearchError
+from repro.errors import ConfigurationError
 from repro.platform import Platform
 from repro.sched.engine import EngineOptions
-from repro.sched.engine.batch import (
-    Scenario,
-    run_batch,
-    run_scenario,
-    synthesize_scenarios,
-)
+from repro.sched.engine.batch import Scenario, run_scenario, synthesize_scenarios
 from repro.sched.engine.keys import problem_digest
+from repro.study import RunSpec, Study
+
+
+def suite(size: int = 1, design_options=None, **run) -> list[Scenario]:
+    """The scenarios of the ``kind="suite"`` spec with fields ``run``."""
+    return synthesize_scenarios(
+        RunSpec(kind="suite", suite_size=size, **run), design_options
+    )
+
 
 #: Golden values of the default suite for seed 2018 captured before the
 #: platform became a parameter: ``synthesize_scenarios`` must reproduce
@@ -33,8 +39,8 @@ GOLDEN_DEFAULT_SUITE = [
 
 class TestSynthesis:
     def test_deterministic_for_seed(self, tiny_design_options):
-        first = synthesize_scenarios(3, seed=5, design_options=tiny_design_options)
-        second = synthesize_scenarios(3, seed=5, design_options=tiny_design_options)
+        first = suite(3, seed=5, design_options=tiny_design_options)
+        second = suite(3, seed=5, design_options=tiny_design_options)
         assert len(first) == len(second) == 3
         for a, b in zip(first, second):
             assert a.name == b.name
@@ -42,27 +48,27 @@ class TestSynthesis:
                 problem_digest(b.apps, b.clock, tiny_design_options)
 
     def test_seeds_differ(self, tiny_design_options):
-        a = synthesize_scenarios(1, seed=5, design_options=tiny_design_options)[0]
-        b = synthesize_scenarios(1, seed=6, design_options=tiny_design_options)[0]
+        a = suite(1, seed=5, design_options=tiny_design_options)[0]
+        b = suite(1, seed=6, design_options=tiny_design_options)[0]
         assert problem_digest(a.apps, a.clock, tiny_design_options) != \
             problem_digest(b.apps, b.clock, tiny_design_options)
 
     def test_weights_sum_to_one(self):
-        for scenario in synthesize_scenarios(4, seed=9):
+        for scenario in suite(4, seed=9):
             total = sum(app.weight for app in scenario.apps)
             assert abs(total - 1.0) <= 1e-9
 
     def test_apps_within_choices(self):
-        scenarios = synthesize_scenarios(4, seed=3, n_apps_choices=(2,))
+        scenarios = suite(4, seed=3, n_apps_choices=(2,))
         assert all(len(s.apps) == 2 for s in scenarios)
 
     def test_bad_count_rejected(self):
-        with pytest.raises(SearchError):
-            synthesize_scenarios(0)
+        with pytest.raises(ConfigurationError, match="suite_size must be >= 1"):
+            suite(0)
 
     def test_default_suite_bit_identical_to_pre_platform_era(self):
         """The ``platform=`` parameter lift changed no default bit."""
-        scenarios = synthesize_scenarios(2, seed=2018)
+        scenarios = suite(2, seed=2018)
         got = [
             (s.name, app.name, app.wcets.cold_cycles, app.wcets.warm_cycles,
              app.weight, app.max_idle, app.spec.deadline)
@@ -72,118 +78,107 @@ class TestSynthesis:
         assert got == GOLDEN_DEFAULT_SUITE
 
     def test_explicit_paper_platform_equals_default(self, tiny_design_options):
-        default = synthesize_scenarios(2, seed=11, design_options=tiny_design_options)
-        explicit = synthesize_scenarios(
+        default = suite(2, seed=11, design_options=tiny_design_options)
+        explicit = suite(
             2, seed=11, design_options=tiny_design_options, platform=Platform()
         )
         for a, b in zip(default, explicit):
-            assert problem_digest(a.apps, a.clock, tiny_design_options, a.platform) \
-                == problem_digest(b.apps, b.clock, tiny_design_options, b.platform)
+            assert problem_digest(a.apps, a.clock, tiny_design_options, a.spec.platform) \
+                == problem_digest(b.apps, b.clock, tiny_design_options, b.spec.platform)
 
     def test_custom_platform_moves_the_problems(self, tiny_design_options):
-        default = synthesize_scenarios(1, seed=11, design_options=tiny_design_options)[0]
-        slower = synthesize_scenarios(
+        default = suite(1, seed=11, design_options=tiny_design_options)[0]
+        slower = suite(
             1,
             seed=11,
             design_options=tiny_design_options,
             platform=Platform(cache=CacheConfig(miss_cycles=200)),
         )[0]
-        assert slower.platform.cache.miss_cycles == 200
+        assert slower.spec.platform.cache.miss_cycles == 200
         assert slower.apps[0].wcets.cold_cycles > default.apps[0].wcets.cold_cycles
         assert problem_digest(
-            slower.apps, slower.clock, tiny_design_options, slower.platform
+            slower.apps, slower.clock, tiny_design_options, slower.spec.platform
         ) != problem_digest(
-            default.apps, default.clock, tiny_design_options, default.platform
+            default.apps, default.clock, tiny_design_options, default.spec.platform
         )
 
     def test_jittered_platforms_vary_and_are_deterministic(self):
-        first = synthesize_scenarios(6, seed=4, jitter_platform=True)
-        second = synthesize_scenarios(6, seed=4, jitter_platform=True)
-        assert [s.platform for s in first] == [s.platform for s in second]
-        assert len({s.platform for s in first}) > 1
+        first = suite(6, seed=4, jitter_platform=True)
+        second = suite(6, seed=4, jitter_platform=True)
+        assert [s.spec.platform for s in first] == [s.spec.platform for s in second]
+        assert len({s.spec.platform for s in first}) > 1
         for scenario in first:
-            assert scenario.platform.cache.n_sets >= 16
-            cache = scenario.platform.cache
+            assert scenario.spec.platform.cache.n_sets >= 16
+            cache = scenario.spec.platform.cache
             assert cache.miss_cycles > cache.hit_cycles
 
     def test_shared_cache_synthesis_needs_multicore(self):
         with pytest.raises(ConfigurationError):
-            synthesize_scenarios(1, shared_cache=True)  # n_cores defaults to 1
+            suite(1, shared_cache=True)  # n_cores defaults to 1
 
     def test_bad_strategy_rejected_with_listing(self, tiny_design_options):
-        scenario = synthesize_scenarios(1, design_options=tiny_design_options)[0]
+        scenario = suite(1, design_options=tiny_design_options)[0]
         with pytest.raises(ConfigurationError) as excinfo:
             Scenario(
-                name="bad",
-                apps=scenario.apps,
-                clock=scenario.clock,
-                strategy="gradient-descent",
+                "bad", scenario.apps, scenario.clock, None, RunSpec(strategy="gradient-descent")
             )
         assert "hybrid" in str(excinfo.value)
 
     def test_typo_strategy_never_runs_silently(self, tiny_design_options):
         """Regression: a typo like 'anealing' must raise, not silently
         dispatch to annealing (the old `_dispatch` trailing-else bug)."""
-        scenario = synthesize_scenarios(1, design_options=tiny_design_options)[0]
-        scenario.strategy = "anealing"  # bypasses __post_init__ validation
+        scenario = suite(1, design_options=tiny_design_options)[0]
+        # replace() on the spec bypasses the Scenario's resolution
+        scenario.spec = replace(scenario.spec, strategy="anealing")
         with pytest.raises(ConfigurationError) as excinfo:
             run_scenario(scenario)
         message = str(excinfo.value)
         assert "anealing" in message and "annealing" in message
 
     def test_default_strategy_per_run_type(self, tiny_design_options):
-        single = synthesize_scenarios(1, design_options=tiny_design_options)[0]
-        multi = synthesize_scenarios(
+        single = suite(1, design_options=tiny_design_options)[0]
+        multi = suite(
             1, design_options=tiny_design_options, n_cores=2
         )[0]
-        assert single.strategy == "hybrid"
-        assert multi.strategy == "exhaustive"
+        assert single.spec.strategy == "hybrid"
+        assert multi.spec.strategy == "exhaustive"
 
     def test_bad_core_count_rejected(self, tiny_design_options):
-        scenario = synthesize_scenarios(1, design_options=tiny_design_options)[0]
+        scenario = suite(1, design_options=tiny_design_options)[0]
         with pytest.raises(ConfigurationError):
             Scenario(
-                name="bad",
-                apps=scenario.apps,
-                clock=scenario.clock,
-                n_cores=0,
+                "bad", scenario.apps, scenario.clock, None, RunSpec(n_cores=0)
             )
         with pytest.raises(ConfigurationError):
             Scenario(
-                name="bad",
-                apps=scenario.apps,
-                clock=scenario.clock,
-                n_cores=len(scenario.apps) + 1,
+                "bad", scenario.apps, scenario.clock, None, RunSpec(n_cores=len(scenario.apps) + 1)
             )
 
     def test_allocator_rejected_on_single_core(self, tiny_design_options):
-        scenario = synthesize_scenarios(1, design_options=tiny_design_options)[0]
+        scenario = suite(1, design_options=tiny_design_options)[0]
         with pytest.raises(ConfigurationError):
             Scenario(
-                name="bad",
-                apps=scenario.apps,
-                clock=scenario.clock,
-                allocator="greedy",
+                "bad", scenario.apps, scenario.clock, None, RunSpec(allocator="greedy")
             )
 
     def test_multicore_scenario_defaults_exhaustive_allocator(
         self, tiny_design_options
     ):
-        scenario = synthesize_scenarios(
+        scenario = suite(
             1, design_options=tiny_design_options, n_cores=2
         )[0]
-        assert scenario.allocator == "exhaustive"
+        assert scenario.spec.allocator == "exhaustive"
 
     def test_multicore_synthesis_shares_apps_with_single_core(
         self, tiny_design_options
     ):
         """n_cores only changes the co-design, never the workload."""
-        single = synthesize_scenarios(2, seed=5, design_options=tiny_design_options)
-        multi = synthesize_scenarios(
+        single = suite(2, seed=5, design_options=tiny_design_options)
+        multi = suite(
             2, seed=5, design_options=tiny_design_options, n_cores=2
         )
         for a, b in zip(single, multi):
-            assert a.n_cores == 1 and b.n_cores == 2
+            assert a.spec.n_cores == 1 and b.spec.n_cores == 2
             assert problem_digest(a.apps, a.clock, tiny_design_options) == \
                 problem_digest(b.apps, b.clock, tiny_design_options)
 
@@ -191,20 +186,20 @@ class TestSynthesis:
 @pytest.mark.slow
 class TestRunBatch:
     def test_suite_runs_and_reports(self, tiny_design_options, tmp_path):
-        scenarios = synthesize_scenarios(
+        scenarios = suite(
             2, seed=11, design_options=tiny_design_options, n_apps_choices=(2,)
         )
-        outcomes = run_batch(scenarios, EngineOptions(cache_dir=tmp_path))
-        assert [o.name for o in outcomes] == ["synth-000", "synth-001"]
-        for outcome in outcomes:
-            assert outcome.strategy == "hybrid"
-            assert outcome.result.best.feasible
-            assert outcome.wall_time > 0
-            assert outcome.n_space > 0
-            assert outcome.engine_stats["n_computed"] > 0
+        reports = Study.from_scenarios(scenarios, EngineOptions(cache_dir=tmp_path)).run()
+        assert [r.scenario for r in reports] == ["synth-000", "synth-001"]
+        for report in reports:
+            assert report.spec.strategy == "hybrid"
+            assert report.feasible
+            assert report.wall_time > 0
+            assert report.n_space > 0
+            assert report.engine_stats["n_computed"] > 0
 
     def test_rerun_is_disk_served(self, tiny_design_options, tmp_path):
-        scenarios = synthesize_scenarios(
+        scenarios = suite(
             1, seed=11, design_options=tiny_design_options, n_apps_choices=(2,)
         )
         cold = run_scenario(scenarios[0], EngineOptions(cache_dir=tmp_path))
@@ -212,21 +207,19 @@ class TestRunBatch:
         assert warm.engine_stats["n_computed"] == 0
         assert warm.engine_stats["n_disk_hits"] > 0
         assert warm.best_schedule == cold.best_schedule
-        assert warm.best_overall == cold.best_overall
+        assert warm.overall == cold.overall
 
     def test_multicore_scenario_dispatch(self, tiny_design_options, tmp_path):
-        scenario = synthesize_scenarios(
+        scenario = suite(
             1, seed=11, design_options=tiny_design_options,
             n_apps_choices=(2,), n_cores=2,
         )[0]
         cold = run_scenario(scenario, EngineOptions(cache_dir=tmp_path))
-        assert cold.strategy == "exhaustive"
-        assert cold.result is None
-        assert cold.multicore is not None
-        assert cold.multicore.feasible
-        assert cold.n_apps == 2
-        assert len(cold.best_schedule) == cold.multicore.n_cores_used
+        assert cold.spec.strategy == "exhaustive"
+        assert cold.best_schedule is None
+        assert cold.cores and cold.feasible
+        assert len(cold.apps) == 2
         warm = run_scenario(scenario, EngineOptions(cache_dir=tmp_path))
         assert warm.engine_stats["n_computed"] == 0
-        assert warm.best_schedule == cold.best_schedule
-        assert warm.best_overall == cold.best_overall
+        assert warm.cores == cold.cores
+        assert warm.overall == cold.overall

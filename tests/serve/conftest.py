@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.study.report import RunReport
+from repro.study import RunReport, RunSpec
 
 
 @pytest.fixture(autouse=True)
@@ -36,27 +36,7 @@ def synthetic_report() -> RunReport:
     """A small, fully-populated report for round-trip tests."""
     return RunReport(
         scenario="casestudy",
-        strategy="hybrid",
-        options={},
-        seed=2018,
-        n_starts=1,
-        starts=[[4, 2, 2]],
-        n_cores=1,
-        max_count_per_core=6,
-        platform={
-            "cache": {
-                "n_sets": 128,
-                "associativity": 1,
-                "line_size": 16,
-                "hit_cycles": 1,
-                "miss_cycles": 100,
-                "policy": "lru",
-            },
-            "clock_hz": 20e6,
-            "wcet_model": "static",
-        },
-        shared_cache=False,
-        n_apps=3,
+        spec=RunSpec(strategy="hybrid", starts=((4, 2, 2),), n_starts=1),
         problem="deadbeef",
         n_space=77,
         backend="vectorized",

@@ -317,6 +317,31 @@ class TestServiceLifecycle:
             assert restored.spec == JobSpec(strategy="hybrid")
             assert client.submit(_spec()).id == "job-000004"
 
+    def test_schema_3_ledger_report_fails_as_configuration_error(
+        self, serve_dir, legacy_record
+    ):
+        """A finished job persisted by a schema-3 server keeps its
+        ledger entry, but its report is refused by name, not with a
+        KeyError on a field that moved."""
+        record = json.loads(legacy_record)
+        record["reports"] = [
+            {
+                "schema_version": 3, "scenario": "casestudy",
+                "strategy": "hybrid", "seed": 2018, "n_cores": 1,
+                "overall": 0.6, "feasible": True,
+            }
+        ]
+        jobs_dir = serve_dir / "jobs"
+        jobs_dir.mkdir(parents=True)
+        (jobs_dir / "job-000003.json").write_text(json.dumps(record))
+        with ServerThread(run_dir=serve_dir) as server:
+            client = ServeClient(server.url)
+            assert client.job("job-000003").state == "done"
+            with pytest.raises(ConfigurationError) as excinfo:
+                client.reports("job-000003")
+        message = str(excinfo.value)
+        assert "schema_version 3" in message and "speaks 4" in message
+
     def test_retired_backend_in_a_new_submission_is_a_400(self, serve_dir):
         with ServerThread(run_dir=serve_dir) as server:
             client = ServeClient(server.url)

@@ -10,10 +10,15 @@ from repro.sched.schedule import PeriodicSchedule
 from repro.sim import DynamicProfile, SimReport, load_transient
 from repro.study import (
     RunReport,
+    RunSpec,
     SimulationFinished,
     SimulationProgress,
     Study,
 )
+
+
+def suite(design_options, **run):
+    return synthesize_scenarios(RunSpec(kind="suite", **run), design_options)
 
 
 @pytest.fixture(scope="module")
@@ -27,22 +32,15 @@ class TestScenarioValidation:
     def test_dynamic_must_be_a_profile(self, case, tiny_design_options):
         with pytest.raises(ConfigurationError):
             Scenario(
-                name="bad",
-                apps=case.apps,
-                clock=case.clock,
-                design_options=tiny_design_options,
-                dynamic={"horizon": 1.0},
+                "bad", case.apps, case.clock, tiny_design_options,
+                RunSpec(dynamic={"horizon": 1.0}),
             )
 
     def test_dynamic_rejects_multicore(self, case, tiny_design_options):
         with pytest.raises(ConfigurationError):
             Scenario(
-                name="bad",
-                apps=case.apps,
-                clock=case.clock,
-                design_options=tiny_design_options,
-                n_cores=2,
-                dynamic=load_transient(len(case.apps)),
+                "bad", case.apps, case.clock, tiny_design_options,
+                RunSpec(n_cores=2, dynamic=load_transient(len(case.apps))),
             )
 
     def test_dynamic_profile_checked_against_apps(
@@ -50,44 +48,36 @@ class TestScenarioValidation:
     ):
         with pytest.raises(ConfigurationError):
             Scenario(
-                name="bad",
-                apps=case.apps,
-                clock=case.clock,
-                design_options=tiny_design_options,
-                dynamic=load_transient(len(case.apps) + 1),
+                "bad", case.apps, case.clock, tiny_design_options,
+                RunSpec(dynamic=load_transient(len(case.apps) + 1)),
             )
 
 
 class TestSynthesizedDynamicSuites:
     def test_dynamic_suite_draws_identical_apps(self, tiny_design_options):
-        static = synthesize_scenarios(
-            3, seed=5, design_options=tiny_design_options
-        )
-        dynamic = synthesize_scenarios(
-            3, seed=5, design_options=tiny_design_options, dynamic=True
+        static = suite(tiny_design_options, suite_size=3, seed=5)
+        dynamic = suite(
+            tiny_design_options, suite_size=3, seed=5, random_dynamic=True
         )
         for s, d in zip(static, dynamic):
             # Same seed, same applications — the profile rides along.
             assert [a.name for a in s.apps] == [a.name for a in d.apps]
             assert [a.max_idle for a in s.apps] == [a.max_idle for a in d.apps]
-            assert s.dynamic is None
-            assert isinstance(d.dynamic, DynamicProfile)
-            d.dynamic.check_apps(len(d.apps))
+            assert s.spec.dynamic is None
+            assert isinstance(d.spec.dynamic, DynamicProfile)
+            d.spec.dynamic.check_apps(len(d.apps))
 
     def test_dynamic_profiles_differ_per_scenario(self, tiny_design_options):
-        suite = synthesize_scenarios(
-            2, seed=5, design_options=tiny_design_options, dynamic=True
+        drawn = suite(
+            tiny_design_options, suite_size=2, seed=5, random_dynamic=True
         )
-        assert suite[0].dynamic != suite[1].dynamic
+        assert drawn[0].spec.dynamic != drawn[1].spec.dynamic
 
     def test_dynamic_multicore_suite_rejected(self, tiny_design_options):
         with pytest.raises(ConfigurationError):
-            synthesize_scenarios(
-                1,
-                seed=5,
-                design_options=tiny_design_options,
-                n_cores=2,
-                dynamic=True,
+            suite(
+                tiny_design_options, suite_size=1, seed=5, n_cores=2,
+                random_dynamic=True,
             )
 
 
@@ -115,7 +105,7 @@ class TestDynamicStudyRuns:
 
     def test_report_embeds_profile_and_sim(self, events_and_report):
         _, report = events_and_report
-        assert report.dynamic == load_transient(3).to_dict()
+        assert report.spec.dynamic == load_transient(3)
         sim = SimReport.from_dict(report.sim)
         assert sim.adapt and sim.adapt_strategy == "online"
         assert sim.horizon == 1.0
@@ -160,6 +150,6 @@ class TestDynamicStudyRuns:
             name="casestudy-sim",
         )
         report = changed.run()[0]
-        assert report.dynamic == load_transient(3, stress=1.2).to_dict()
+        assert report.spec.dynamic == load_transient(3, stress=1.2)
         _, original = events_and_report
         assert report.sim != original.sim

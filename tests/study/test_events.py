@@ -5,6 +5,7 @@ import pytest
 from repro.sched.engine.events import BatchCompleted
 from repro.sched.engine.batch import synthesize_scenarios
 from repro.study import (
+    RunSpec,
     ScenarioFinished,
     ScenarioProgress,
     ScenarioResumed,
@@ -15,9 +16,8 @@ from repro.study import (
 
 @pytest.fixture()
 def scenarios(tiny_design_options):
-    return synthesize_scenarios(
-        2, seed=11, design_options=tiny_design_options, n_apps_choices=(2,)
-    )
+    spec = RunSpec(kind="suite", suite_size=2, seed=11, n_apps_choices=(2,))
+    return synthesize_scenarios(spec, tiny_design_options)
 
 
 def _last_progress(events, index):

@@ -1,6 +1,7 @@
 """Run-dir resume decided by one identity: collisions, reasons, atomic writes."""
 
 import json
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,16 +10,15 @@ import pytest
 from repro.identity import diff
 from repro.sched.engine.batch import synthesize_scenarios
 from repro.sched.schedule import PeriodicSchedule
-from repro.study import RunReport, Study
+from repro.study import RunReport, RunSpec, Study
 from repro.study.events import ScenarioFinished, ScenarioResumed
 from repro.study.report import scenario_identity, write_artifact
 
 
 @pytest.fixture()
 def scenario(tiny_design_options):
-    return synthesize_scenarios(
-        1, seed=11, design_options=tiny_design_options, n_apps_choices=(2,)
-    )[0]
+    spec = RunSpec(kind="suite", suite_size=1, seed=11, n_apps_choices=(2,))
+    return synthesize_scenarios(spec, tiny_design_options)[0]
 
 
 def terminal(study: Study, resume: bool = True):
@@ -105,6 +105,41 @@ class TestRecomputeReason:
         assert isinstance(event, ScenarioFinished)
         assert event.recompute_reason == "differs in: design_options, problem"
 
+    def test_seed_change_is_named_by_the_spec_field(
+        self, scenario, tmp_path, monkeypatch
+    ):
+        """The spec's fields are flattened into the identity, so a seed
+        change is reported as ``seed``, not as ``spec``."""
+        study = Study.from_scenarios([scenario], run_dir=tmp_path)
+        study.run()
+        path = study.report_path(scenario)
+        monkeypatch.setattr(Study, "report_path", lambda self, s: path)
+        moved = replace(scenario, spec=replace(scenario.spec, seed=scenario.spec.seed + 1))
+        event = terminal(Study.from_scenarios([moved], run_dir=tmp_path))
+        assert isinstance(event, ScenarioFinished)
+        assert event.recompute_reason == "differs in: seed"
+
+    def test_schema_3_artifact_recomputes_naming_the_schema(
+        self, scenario, tmp_path
+    ):
+        """A parent-format (schema 3) report at the path this run reads
+        is recomputed, and the reason says which schema it was."""
+        study = Study.from_scenarios([scenario], run_dir=tmp_path)
+        (report,) = study.run()
+        path = study.report_path(scenario)
+        data = report.to_dict()
+        spec = data.pop("spec")
+        del spec["schema_version"]
+        data.update(spec, schema_version=3, n_apps=len(scenario.apps))
+        path.write_text(json.dumps(data))
+        event = terminal(Study.from_scenarios([scenario], run_dir=tmp_path))
+        assert isinstance(event, ScenarioFinished)
+        assert event.recompute_reason == (
+            "incompatible artifact: unsupported RunReport schema_version 3; "
+            "this version speaks 4"
+        )
+        assert RunReport.from_json(path.read_text()) == event.report
+
     def test_pre_identity_artifact_recomputes(self, scenario, tmp_path):
         study = Study.from_scenarios([scenario], run_dir=tmp_path)
         study.run()
@@ -172,6 +207,38 @@ class TestAtomicArtifacts:
             Study.from_scenarios([scenario], run_dir=tmp_path).run(resume=False)
         monkeypatch.undo()
         assert RunReport.from_json(path.read_text()) == first
+
+    def test_concurrent_writers_never_tear_or_collide(self, tmp_path):
+        """Threads hammering one path: no writer fails, no temp file is
+        left behind, and the artifact always parses as one writer's
+        complete text."""
+        path = tmp_path / "report.json"
+        texts = [json.dumps({"writer": n, "pad": "x" * 4096 * (n + 1)}) for n in range(2)]
+        errors: list[BaseException] = []
+
+        def hammer(text: str) -> None:
+            try:
+                for _ in range(300):
+                    write_artifact(path, text)
+                    assert path.read_text() in texts
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=hammer, args=(text,)) for text in texts]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert path.read_text() in texts
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+    def test_failed_write_removes_its_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "report.json"
+        self.crash_on_replace(monkeypatch)
+        with pytest.raises(OSError, match="simulated crash"):
+            write_artifact(path, "new\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_interrupted_first_run_leaves_no_report(
         self, scenario, tmp_path, monkeypatch

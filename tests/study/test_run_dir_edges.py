@@ -7,14 +7,18 @@ import pytest
 from repro.cache import CacheConfig
 from repro.platform import Platform
 from repro.sched.engine.batch import synthesize_scenarios
-from repro.study import Study
+from repro.study import RunSpec, Study
+
+
+def respec(scenario, **changes):
+    """``scenario`` with its spec's fields ``changes`` (re-resolved)."""
+    return replace(scenario, spec=replace(scenario.spec, **changes))
 
 
 @pytest.fixture()
 def scenario(tiny_design_options):
-    return synthesize_scenarios(
-        1, seed=11, design_options=tiny_design_options, n_apps_choices=(2,)
-    )[0]
+    spec = RunSpec(kind="suite", suite_size=1, seed=11, n_apps_choices=(2,))
+    return synthesize_scenarios(spec, tiny_design_options)[0]
 
 
 class TestReportPathCollisions:
@@ -53,10 +57,10 @@ class TestResumeRejectionPerAxis:
 
     def test_changed_strategy_recomputes(self, scenario, tmp_path):
         first = Study.from_scenarios([scenario], run_dir=tmp_path).run()[0]
-        assert first.strategy == "hybrid"
-        moved = replace(scenario, strategy="annealing")
+        assert first.spec.strategy == "hybrid"
+        moved = respec(scenario, strategy="annealing")
         second = Study.from_scenarios([moved], run_dir=tmp_path).run()[0]
-        assert second.strategy == "annealing"
+        assert second.spec.strategy == "annealing"
         assert second.created_at != first.created_at
         # And the original strategy still resumes its own artifact.
         resumed = Study.from_scenarios([scenario], run_dir=tmp_path).run()[0]
@@ -64,20 +68,18 @@ class TestResumeRejectionPerAxis:
 
     def test_changed_seed_recomputes(self, scenario, tmp_path):
         first = Study.from_scenarios([scenario], run_dir=tmp_path).run()[0]
-        moved = replace(scenario, seed=scenario.seed + 1)
+        moved = respec(scenario, seed=scenario.spec.seed + 1)
         second = Study.from_scenarios([moved], run_dir=tmp_path).run()[0]
-        assert second.seed == scenario.seed + 1
+        assert second.spec.seed == scenario.spec.seed + 1
         assert second.created_at != first.created_at
         resumed = Study.from_scenarios([scenario], run_dir=tmp_path).run()[0]
         assert resumed == first
 
     def test_changed_platform_recomputes(self, scenario, tmp_path):
         first = Study.from_scenarios([scenario], run_dir=tmp_path).run()[0]
-        moved = replace(
-            scenario, platform=Platform(cache=CacheConfig(miss_cycles=150))
-        )
+        moved = respec(scenario, platform=Platform(cache=CacheConfig(miss_cycles=150)))
         second = Study.from_scenarios([moved], run_dir=tmp_path).run()[0]
-        assert second.platform != first.platform
+        assert second.spec.platform != first.spec.platform
         assert second.created_at != first.created_at
         resumed = Study.from_scenarios([scenario], run_dir=tmp_path).run()[0]
         assert resumed == first

@@ -23,7 +23,7 @@ from repro.experiments.profiles import design_options_for_profile
 from repro.multicore.allocators import GreedyAllocatorOptions, replicate_apps
 from repro.platform import Platform, shared_paper_platform
 from repro.sched.engine.batch import Scenario, synthesize_scenarios
-from repro.sched.schedule import PeriodicSchedule
+from repro.sched.hybrid import HybridOptions
 from repro.sched.strategies.builtin import AnnealingOptions
 from repro.serve.jobs import JobSpec
 from repro.sim import load_transient
@@ -137,39 +137,33 @@ def _hand_platform(args, shared=False):
     return Platform(cache=cache, clock=clock, wcet_model=args.wcet_model or "static")
 
 
-def _hand_case_study(design, platform, n_apps=None, **scenario):
+def _hand_case_study(design, platform, n_apps=None, **run):
     case = build_case_study(platform=platform)
     apps = case.apps if n_apps is None else replicate_apps(case.apps, n_apps)
-    return [
-        Scenario(
-            name="casestudy", apps=apps, clock=case.clock,
-            design_options=design, platform=platform, **scenario,
-        )
-    ]
+    spec = RunSpec(platform=platform, n_apps=n_apps, **run)
+    return [Scenario("casestudy", apps, case.clock, design, spec)]
 
 
 def _hand_scenarios(command, args):
-    """The scenarios ``command`` built when it passed its flags through
-    by hand (the keyword lists of the old ``cmd_*`` functions)."""
+    """The scenarios ``command`` builds from its flags, with each
+    flag's field listed by hand (the keyword lists of the old
+    ``cmd_*`` functions)."""
     design = design_options_for_profile()
     if command == "search":
-        starts = (
-            tuple(PeriodicSchedule(counts) for counts in args.starts)
-            if args.starts
-            else None
-        )
+        starts = tuple(args.starts) if args.starts else None
         return _hand_case_study(
             design, _hand_platform(args), strategy=args.strategy, starts=starts
         )
     platform = _hand_platform(args, shared=args.shared_cache)
     if command == "batch":
-        return synthesize_scenarios(
-            args.suite_size, seed=args.seed, strategy=args.strategy,
-            design_options=design, n_cores=args.n_cores, platform=platform,
+        suite = RunSpec(
+            kind="suite", suite_size=args.suite_size, seed=args.seed,
+            strategy=args.strategy, n_cores=args.n_cores, platform=platform,
             jitter_platform=args.jitter_platform,
             shared_cache=args.shared_cache, allocator=args.allocator,
-            dynamic=args.random_dynamic,
+            random_dynamic=args.random_dynamic,
         )
+        return synthesize_scenarios(suite, design)
     return _hand_case_study(
         design, platform, n_apps=args.n_apps, strategy=args.strategy,
         n_cores=args.n_cores, max_count_per_core=args.max_count_per_core,
@@ -255,6 +249,56 @@ def test_cli_and_server_express_the_same_runs(argv):
         return
     study = Study.from_spec(job, design_options_for_profile())
     assert [scenario_identity(s) for s in study.scenarios] == expected
+
+
+CASE = build_case_study()
+
+
+@st.composite
+def case_study_specs(draw):
+    """``kind="search"`` specs, valid or not, around the app-count rules."""
+    n_apps = draw(st.sampled_from([None, 3, 4]))
+    width = draw(st.integers(2, 5))
+    return RunSpec(
+        strategy=draw(st.sampled_from([None, "hybrid", "exhaustive", "nope"])),
+        options=draw(st.sampled_from([None, HybridOptions(), AnnealingOptions()])),
+        starts=draw(
+            st.none()
+            | st.lists(
+                st.tuples(*[st.integers(0, 3)] * width), min_size=1, max_size=2
+            ).map(tuple)
+        ),
+        n_starts=draw(st.integers(0, 2)),
+        n_cores=draw(st.integers(0, 5)),
+        max_count_per_core=draw(st.integers(0, 2)),
+        platform=draw(st.sampled_from([None, shared_paper_platform()])),
+        shared_cache=draw(st.booleans()),
+        allocator=draw(st.sampled_from([None, "greedy", "bogus"])),
+        n_apps=n_apps,
+        dynamic=draw(st.none() | st.integers(2, 5).map(load_transient)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(spec=case_study_specs())
+def test_scenario_accepts_exactly_the_valid_specs(spec):
+    """A Scenario over ``spec.app_count`` applications accepts exactly
+    the specs ``spec.validate()`` accepts: one rule set, no copy."""
+    try:
+        spec.validate()
+        valid = True
+    except ConfigurationError:
+        valid = False
+    apps = replicate_apps(CASE.apps, spec.app_count) if spec.n_apps else CASE.apps
+    try:
+        scenario = Scenario("s", apps, CASE.clock, None, spec)
+    except ConfigurationError:
+        assert not valid
+        return
+    assert valid
+    # Stored resolved: the run-type defaults are filled in.
+    assert scenario.spec.strategy is not None
+    assert (scenario.spec.allocator is not None) == (spec.n_cores > 1)
 
 
 def test_round_trip_of_option_objects_and_profiles():

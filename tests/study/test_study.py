@@ -1,5 +1,7 @@
 """The unified Study facade: one code path, persisted resumable reports."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.sched import PeriodicSchedule, SearchEngine
@@ -8,7 +10,18 @@ from repro.sched.engine.batch import synthesize_scenarios
 from repro.sched.exhaustive import exhaustive_search
 from repro.sched.feasibility import enumerate_idle_feasible, idle_feasible
 from repro.sched.hybrid import hybrid_search
-from repro.study import RunReport, Study, scenario_digest
+from repro.study import RunReport, RunSpec, Study, scenario_digest
+
+
+def synthesized(design_options, **run):
+    """The first scenario of a one-scenario suite with fields ``run``."""
+    spec = RunSpec(kind="suite", suite_size=1, seed=11, n_apps_choices=(2,), **run)
+    return synthesize_scenarios(spec, design_options)[0]
+
+
+def respec(scenario, **changes):
+    """``scenario`` with its spec's fields ``changes`` (re-resolved)."""
+    return replace(scenario, spec=replace(scenario.spec, **changes))
 
 
 @pytest.fixture(scope="module")
@@ -70,13 +83,11 @@ class TestIdenticalResults:
 @pytest.mark.slow
 class TestStudyRuns:
     def test_report_from_real_run(self, tiny_design_options):
-        scenario = synthesize_scenarios(
-            1, seed=11, design_options=tiny_design_options, n_apps_choices=(2,)
-        )[0]
+        scenario = synthesized(tiny_design_options)
         report = Study.from_scenarios([scenario]).run()[0]
         assert report.scenario == "synth-000"
-        assert report.strategy == "hybrid"
-        assert report.n_cores == 1 and report.cores is None
+        assert report.spec.strategy == "hybrid"
+        assert report.spec.n_cores == 1 and report.cores is None
         assert report.problem == scenario_digest(scenario)
         assert len(report.best_schedule) == 2
         assert report.feasible
@@ -88,14 +99,12 @@ class TestStudyRuns:
         assert RunReport.from_json(report.to_json()) == report
 
     def test_multicore_report(self, tiny_design_options):
-        scenario = synthesize_scenarios(
-            1, seed=11, design_options=tiny_design_options,
-            n_apps_choices=(2,), n_cores=2,
-        )[0]
-        scenario.max_count_per_core = 2
+        scenario = respec(
+            synthesized(tiny_design_options, n_cores=2), max_count_per_core=2
+        )
         report = Study.from_scenarios([scenario]).run()[0]
-        assert report.strategy == "exhaustive"
-        assert report.n_cores == 2
+        assert report.spec.strategy == "exhaustive"
+        assert report.spec.n_cores == 2
         assert report.best_schedule is None
         assert report.cores, "multicore report must carry the partition"
         for core in report.cores:
@@ -104,9 +113,7 @@ class TestStudyRuns:
         assert RunReport.from_json(report.to_json()) == report
 
     def test_run_dir_persists_and_resumes(self, tiny_design_options, tmp_path):
-        scenario = synthesize_scenarios(
-            1, seed=11, design_options=tiny_design_options, n_apps_choices=(2,)
-        )[0]
+        scenario = synthesized(tiny_design_options)
         first = Study.from_scenarios([scenario], run_dir=tmp_path).run()[0]
         path = Study.from_scenarios([scenario], run_dir=tmp_path).report_path(
             scenario
@@ -128,9 +135,7 @@ class TestStudyRuns:
         assert recomputed.overall == first.overall
 
     def test_resume_rejects_stale_artifacts(self, tiny_design_options, tmp_path):
-        scenario = synthesize_scenarios(
-            1, seed=11, design_options=tiny_design_options, n_apps_choices=(2,)
-        )[0]
+        scenario = synthesized(tiny_design_options)
         study = Study.from_scenarios([scenario], run_dir=tmp_path)
         first = study.run()[0]
         # Tamper with the persisted problem digest: the artifact no
@@ -148,14 +153,12 @@ class TestStudyRuns:
         thrash) a single artifact file."""
         from repro.sched.hybrid import HybridOptions
 
-        base = synthesize_scenarios(
-            1, seed=11, design_options=tiny_design_options, n_apps_choices=(2,)
-        )[0]
+        base = synthesized(tiny_design_options)
         study = Study.from_scenarios([base], run_dir=tmp_path)
         default_path = study.report_path(base)
-        base.starts = (PeriodicSchedule.of(1, 1),)
+        base = respec(base, starts=((1, 1),))
         with_starts = study.report_path(base)
-        base.options = HybridOptions(max_steps=1)
+        base = respec(base, options=HybridOptions(max_steps=1))
         with_options = study.report_path(base)
         assert len({default_path, with_starts, with_options}) == 3
 
@@ -163,14 +166,12 @@ class TestStudyRuns:
         """Changing strategy options must invalidate the persisted report."""
         from repro.sched.hybrid import HybridOptions
 
-        scenario = synthesize_scenarios(
-            1, seed=11, design_options=tiny_design_options, n_apps_choices=(2,)
-        )[0]
+        scenario = synthesized(tiny_design_options)
         first = Study.from_scenarios([scenario], run_dir=tmp_path).run()[0]
-        scenario.options = HybridOptions(max_steps=1)
+        scenario = respec(scenario, options=HybridOptions(max_steps=1))
         limited = Study.from_scenarios([scenario], run_dir=tmp_path).run()[0]
         assert limited.created_at != first.created_at
-        assert limited.options == {"tolerance": 0.0, "max_steps": 1}
+        assert limited.spec.options == HybridOptions(tolerance=0.0, max_steps=1)
 
     def test_report_records_platform(self, tiny_design_options):
         from repro.cache import CacheConfig
@@ -179,16 +180,10 @@ class TestStudyRuns:
         platform = Platform(
             cache=CacheConfig(n_sets=64), wcet_model="analytic"
         )
-        scenario = synthesize_scenarios(
-            1,
-            seed=11,
-            design_options=tiny_design_options,
-            n_apps_choices=(2,),
-            platform=platform,
-        )[0]
+        scenario = synthesized(tiny_design_options, platform=platform)
         report = Study.from_scenarios([scenario]).run()[0]
-        assert report.platform == platform.fingerprint()
-        assert report.platform["wcet_model"] == "analytic"
+        assert report.spec.platform == platform
+        assert report.spec.to_dict()["platform"]["wcet_model"] == "analytic"
         assert RunReport.from_json(report.to_json()) == report
 
     def test_resume_rejects_changed_platform(self, tiny_design_options, tmp_path):
@@ -197,13 +192,7 @@ class TestStudyRuns:
         from repro.platform import Platform
 
         def scenario_for(platform):
-            return synthesize_scenarios(
-                1,
-                seed=11,
-                design_options=tiny_design_options,
-                n_apps_choices=(2,),
-                platform=platform,
-            )[0]
+            return synthesized(tiny_design_options, platform=platform)
 
         first = Study.from_scenarios(
             [scenario_for(None)], run_dir=tmp_path
@@ -213,7 +202,7 @@ class TestStudyRuns:
             run_dir=tmp_path,
         ).run()[0]
         assert moved.created_at != first.created_at
-        assert moved.platform != first.platform
+        assert moved.spec.platform != first.spec.platform
         # And the paper-default platform resumes the original artifact.
         resumed = Study.from_scenarios(
             [scenario_for(None)], run_dir=tmp_path
@@ -223,14 +212,15 @@ class TestStudyRuns:
     def test_interleaved_strategy_reports_refinement(self, tiny_design_options):
         from repro.sched.strategies import InterleavedOptions
 
-        scenario = synthesize_scenarios(
-            1, seed=11, design_options=tiny_design_options, n_apps_choices=(2,)
-        )[0]
-        scenario.strategy = "interleaved"
-        scenario.starts = (PeriodicSchedule.of(1, 1), PeriodicSchedule.of(2, 1))
-        scenario.options = InterleavedOptions(max_schedules=20)
+        scenario = synthesized(tiny_design_options)
+        scenario = respec(
+            scenario,
+            strategy="interleaved",
+            starts=((1, 1), (2, 1)),
+            options=InterleavedOptions(max_schedules=20),
+        )
         report = Study.from_scenarios([scenario]).run()[0]
-        assert report.strategy == "interleaved"
+        assert report.spec.strategy == "interleaved"
         refinement = report.search_stats["interleaved"]
         assert refinement["n_evaluated"] > 0
         assert refinement["base_schedule"] == report.best_schedule

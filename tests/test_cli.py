@@ -118,7 +118,7 @@ class TestCli:
              "--wcet-model", "analytic", "--json"]
         ) == 0
         report = RunReport.from_dict(json.loads(capsys.readouterr().out))
-        assert report.platform["wcet_model"] == "analytic"
+        assert report.spec.platform.wcet_model == "analytic"
 
     def test_search_unknown_wcet_model_fails_fast(self, capsys):
         assert main(["search", "--wcet-model", "statik"]) == 2
@@ -143,13 +143,13 @@ class TestCli:
         data = json.loads(out)
         # The stdout payload is exactly one RunReport object.
         report = RunReport.from_dict(data)
-        assert report.strategy == "hybrid"
+        assert report.spec.strategy == "hybrid"
         assert report.scenario == "casestudy"
-        assert report.starts == [[2, 2, 2]]
+        assert report.spec.starts == ((2, 2, 2),)
         assert report.best_schedule is not None
         assert report.engine_stats["n_requested"] > 0
-        assert report.schema_version == 3
-        assert report.platform["wcet_model"] == "static"
+        assert report.schema_version == 4
+        assert report.spec.platform is None  # the paper platform: static WCETs
 
     def test_search_run_dir_persists_report(self, capsys, tmp_path):
         run_dir = tmp_path / "runs"
@@ -176,7 +176,7 @@ class TestCli:
         assert isinstance(data, list) and len(data) == 1
         report = RunReport.from_dict(data[0])
         assert report.scenario == "synth-000"
-        assert report.strategy == "hybrid"
+        assert report.spec.strategy == "hybrid"
 
     @pytest.mark.slow
     def test_multicore_warm_rerun_disk_served(self, capsys, tmp_path):
@@ -209,9 +209,9 @@ class TestCli:
         ]
         assert main(args) == 0
         report = RunReport.from_dict(json.loads(capsys.readouterr().out))
-        assert report.n_cores == 2
+        assert report.spec.n_cores == 2
         assert report.cores and report.best_schedule is None
-        assert report.strategy == "exhaustive"
+        assert report.spec.strategy == "exhaustive"
 
     @pytest.mark.slow
     def test_multicore_shared_cache_warm_rerun(self, capsys, tmp_path):
@@ -223,8 +223,8 @@ class TestCli:
         ]
         assert main(args) == 0
         report = RunReport.from_dict(json.loads(capsys.readouterr().out))
-        assert report.shared_cache is True
-        assert report.platform["cache"]["associativity"] == 4
+        assert report.spec.shared_cache is True
+        assert report.spec.platform.cache.associativity == 4
         ways = [core["ways"] for core in report.cores]
         assert all(isinstance(w, int) and w >= 1 for w in ways)
         assert sum(ways) == 4

@@ -34,10 +34,10 @@ from repro.sched.annealing import AnnealingOptions
 from repro.sched.engine.batch import Scenario
 from repro.sched.engine.keys import problem_digest
 from repro.sched.hybrid import HybridOptions
-from repro.sched.schedule import PeriodicSchedule
 from repro.sched.strategies import available_strategies
 from repro.serve.jobs import JobSpec
 from repro.sim.profiles import DynamicProfile
+from repro.study import RunSpec
 from repro.study.report import scenario_identity
 from repro.units import Clock
 from repro.wcet.results import TaskWcets
@@ -162,7 +162,35 @@ class Subject:
     non_identity: frozenset
     #: Fields derived from others that may differ alongside a change.
     derived: frozenset = frozenset()
+    #: Dataclass fields whose own fields the identity lists instead.
+    flattened: frozenset = frozenset()
 
+
+#: Every RunSpec field (the job spec's, bar its non-identity ``resume``).
+SPEC_VALUES = {
+    "kind": st.sampled_from(["search", "suite"]),
+    "strategy": st.none() | strategies,
+    "starts": st.none() | st.lists(counts, min_size=1, max_size=2).map(tuple),
+    "n_starts": st.integers(1, 4),
+    "seed": st.integers(0, 10**6),
+    "n_cores": st.integers(1, 3),
+    "max_count_per_core": st.integers(1, 6),
+    "shared_cache": st.booleans(),
+    "allocator": allocators,
+    "suite_size": st.integers(1, 8),
+    "platform": st.none() | platforms,
+    "options": st.none()
+    | st.builds(HybridOptions, max_steps=st.integers(1, 99))
+    | st.builds(AnnealingOptions, seed=st.integers(0, 99)),
+    "allocator_options": st.none()
+    | st.builds(GreedyAllocatorOptions, max_partitions=st.integers(1, 99)),
+    "n_apps": st.none() | st.integers(3, 8),
+    "dynamic": st.none()
+    | st.builds(DynamicProfile, horizon=st.floats(0.1, 10.0), adapt=st.booleans()),
+    "n_apps_choices": st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple),
+    "jitter_platform": st.booleans(),
+    "random_dynamic": st.booleans(),
+}
 
 SUBJECTS = [
     Subject(
@@ -174,58 +202,20 @@ SUBJECTS = [
             # Never None here: None resolves to the default budget and
             # platform by design (see test_scenario_defaults_resolve).
             "design_options": designs,
-            "strategy": strategies,
-            "starts": st.none()
-            | st.lists(counts.map(PeriodicSchedule), min_size=1, max_size=2).map(
-                tuple
-            ),
-            "n_starts": st.integers(1, 4),
-            "seed": st.integers(0, 10**6),
-            "n_cores": st.integers(1, 3),
-            "options": st.none()
-            | st.builds(HybridOptions, max_steps=st.integers(1, 99))
-            | st.builds(AnnealingOptions, seed=st.integers(0, 99)),
-            "max_count_per_core": st.integers(1, 6),
-            "platform": platforms,
-            "shared_cache": st.booleans(),
-            "allocator": allocators,
-            "allocator_options": st.none()
-            | st.builds(GreedyAllocatorOptions, max_partitions=st.integers(1, 99)),
-            "dynamic": st.none()
-            | st.builds(
-                DynamicProfile, horizon=st.floats(0.1, 10.0), adapt=st.booleans()
-            ),
+            # A platform of None resolves to the default platform too.
+            "spec": st.fixed_dictionaries(
+                {**SPEC_VALUES, "platform": platforms}
+            ).map(lambda values: build(RunSpec, values)),
         },
         identity=scenario_identity,
         digest=lambda scenario: digest(scenario_identity(scenario)),
         non_identity=frozenset(),
         derived=frozenset({"problem"}),
+        flattened=frozenset({"spec"}),
     ),
     Subject(
         JobSpec,
-        {
-            "kind": st.sampled_from(["search", "suite"]),
-            "strategy": st.none() | strategies,
-            "starts": st.none() | st.lists(counts, min_size=1, max_size=2).map(tuple),
-            "n_starts": st.integers(1, 4),
-            "seed": st.integers(0, 10**6),
-            "n_cores": st.integers(1, 3),
-            "max_count_per_core": st.integers(1, 6),
-            "shared_cache": st.booleans(),
-            "allocator": allocators,
-            "suite_size": st.integers(1, 8),
-            "platform": st.none() | platforms,
-            "options": st.none() | st.builds(HybridOptions, max_steps=st.integers(1, 99)),
-            "allocator_options": st.none()
-            | st.builds(GreedyAllocatorOptions, max_partitions=st.integers(1, 99)),
-            "n_apps": st.none() | st.integers(3, 8),
-            "dynamic": st.none()
-            | st.builds(DynamicProfile, horizon=st.floats(0.1, 10.0), adapt=st.booleans()),
-            "n_apps_choices": st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple),
-            "jitter_platform": st.booleans(),
-            "random_dynamic": st.booleans(),
-            "resume": st.booleans(),
-        },
+        {**SPEC_VALUES, "resume": st.booleans()},
         identity=canonical,
         digest=JobSpec.digest,
         non_identity=frozenset({"resume"}),
@@ -305,8 +295,13 @@ def test_changing_a_field_moves_the_digest_iff_it_is_identity(subject, data):
     named = diff(subject.identity(before), subject.identity(after))
     if identity:
         assert subject.digest(after) != subject.digest(before)
-        assert name in named
-        assert set(named) <= {name} | subject.derived
+        if name in subject.flattened:
+            # Named by the inner fields that moved (``seed``, not ``spec``).
+            inner = {item.name for item in fields(values[name])}
+            assert named and set(named) <= inner | subject.derived
+        else:
+            assert name in named
+            assert set(named) <= {name} | subject.derived
     else:
         assert subject.digest(after) == subject.digest(before)
         assert named == []
@@ -315,13 +310,13 @@ def test_changing_a_field_moves_the_digest_iff_it_is_identity(subject, data):
 def test_scenario_defaults_resolve(case_study):
     """``design_options``/``platform`` of ``None`` are the same run as
     the explicit defaults, exactly as the cache keys resolve them."""
-    implicit = Scenario("s", list(case_study.apps), case_study.clock)
+    implicit = Scenario("s", list(case_study.apps), case_study.clock, None, RunSpec())
     explicit = Scenario(
         "s",
         list(case_study.apps),
         case_study.clock,
-        design_options=DesignOptions(),
-        platform=Platform(clock=case_study.clock),
+        DesignOptions(),
+        RunSpec(platform=Platform(clock=case_study.clock)),
     )
     assert scenario_identity(implicit) == scenario_identity(explicit)
 
