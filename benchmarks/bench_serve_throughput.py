@@ -10,7 +10,9 @@ submits the same case-study search job three ways:
   and the fetched reports must be *byte-identical* to the cold ones;
 * **warm recompute** (``resume=False``) — the search re-runs against
   the shared persistent cache: nothing recomputes
-  (``n_computed == 0``), every evaluation is a disk hit.
+  (``n_computed == 0``), every evaluation is a disk hit, and the job
+  adds zero misses to the WCET-analysis and schedule-space memos (no
+  WCET analysis, no space enumeration).
 
 The warm resubmit must be >= 5x faster than the cold run — that
 speedup is what the shared warm cache across jobs exists for.  Emits
@@ -25,8 +27,10 @@ from __future__ import annotations
 import json
 import time
 
+from repro.sched.feasibility import SPACE_MEMO
 from repro.serve import JobSpec, ServeClient
 from repro.serve.testing import ServerThread
+from repro.wcet.reuse import WCET_MEMO
 
 #: The job under test: a small hybrid case-study search.
 SPEC = JobSpec(strategy="hybrid", starts=((4, 2, 2),), n_starts=1)
@@ -50,6 +54,7 @@ def test_serve_warm_cache_speedup(tmp_path_factory, monkeypatch, bench_json):
 
         cold_time, cold_reports = _timed_job(client, SPEC)
         warm_time, warm_reports = _timed_job(client, SPEC)
+        before = {"wcet": WCET_MEMO.get_stats(), "space": SPACE_MEMO.get_stats()}
         recompute_time, recompute_reports = _timed_job(
             client,
             JobSpec(
@@ -57,6 +62,12 @@ def test_serve_warm_cache_speedup(tmp_path_factory, monkeypatch, bench_json):
                 resume=False,
             ),
         )
+        after = {"wcet": WCET_MEMO.get_stats(), "space": SPACE_MEMO.get_stats()}
+    memo = {
+        f"{name}_{counter}_warm": after[name][counter] - before[name][counter]
+        for name in after
+        for counter in ("hits", "misses")
+    }
 
     # Identical result before any speed claims: the warm resubmit is
     # byte-identical (run-dir resume), and the forced recompute served
@@ -68,12 +79,18 @@ def test_serve_warm_cache_speedup(tmp_path_factory, monkeypatch, bench_json):
     assert stats["n_computed"] == 0, "warm recompute recomputed evaluations"
     assert stats["n_disk_hits"] > 0
     assert recompute_reports[0]["overall"] == cold_reports[0]["overall"]
+    # The (program, platform) and (WCETs, clock) inputs repeat, so the
+    # warm recompute analyzes and enumerates nothing: both memos hit.
+    assert memo["wcet_misses_warm"] == 0, "warm recompute re-ran WCET analysis"
+    assert memo["space_misses_warm"] == 0, "warm recompute re-enumerated the space"
+    assert memo["wcet_hits_warm"] > 0 and memo["space_hits_warm"] > 0
 
     speedup = cold_time / warm_time if warm_time > 0 else float("inf")
     print(
         f"\nserve: cold {cold_time:.2f} s vs warm resubmit {warm_time:.3f} s "
         f"-> speedup {speedup:.0f}x; cache-served recompute "
-        f"{recompute_time:.2f} s ({stats['n_disk_hits']} disk hits)"
+        f"{recompute_time:.2f} s ({stats['n_disk_hits']} disk hits, memo "
+        f"misses: {memo['wcet_misses_warm']} WCET, {memo['space_misses_warm']} space)"
     )
     bench_json(
         "serve_throughput",
@@ -84,6 +101,7 @@ def test_serve_warm_cache_speedup(tmp_path_factory, monkeypatch, bench_json):
             "speedup": speedup,
             "n_disk_hits": stats["n_disk_hits"],
             "n_computed_warm": stats["n_computed"],
+            **memo,
             "byte_identical": True,
         },
     )

@@ -222,7 +222,6 @@ class MulticoreProblem:
                     f"{self.total_ways} (e.g. use "
                     "repro.platform.shared_paper_platform())"
                 )
-        self._spaces: dict[tuple[tuple[int, ...], int | None], list[PeriodicSchedule]] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -243,22 +242,18 @@ class MulticoreProblem:
     def core_schedule_space(
         self, app_indices: tuple[int, ...], ways: int | None = None
     ) -> list[PeriodicSchedule]:
-        """One core's idle-feasible schedule space (cached per block).
+        """One core's idle-feasible schedule space (memoized by
+        :func:`~repro.sched.feasibility.enumerate_idle_feasible`).
 
         For way-allocated blocks the space is derived from the WCETs
         re-analyzed under that allocation — fewer ways mean longer
         effective WCETs, so the idle-feasible space itself moves with
         the way allocation.
         """
-        app_indices = tuple(app_indices)
-        space = self._spaces.get((app_indices, ways))
-        if space is None:
-            core_apps = self.engine.subproblem(app_indices, ways).evaluator.apps
-            space = enumerate_idle_feasible(
-                core_apps, self.clock, max_count=self.max_count_per_core
-            )
-            self._spaces[(app_indices, ways)] = space
-        return space
+        core_apps = self.engine.subproblem(tuple(app_indices), ways).evaluator.apps
+        return enumerate_idle_feasible(
+            core_apps, self.clock, max_count=self.max_count_per_core
+        )
 
     def _block_value(
         self, app_indices: tuple[int, ...], evaluation: ScheduleEvaluation

@@ -59,10 +59,11 @@ class Platform:
 
     def analyze(self, program: Program) -> TaskWcets:
         """Cold/warm :class:`~repro.wcet.results.TaskWcets` of ``program``
-        under this platform's cache and WCET model."""
-        from .wcet.models import get_wcet_model
+        under this platform's cache and WCET model (memoized, see
+        :func:`repro.wcet.reuse.analyze_task_wcets`)."""
+        from .wcet.reuse import analyze_task_wcets
 
-        return get_wcet_model(self.wcet_model).analyze(program, self.cache)
+        return analyze_task_wcets(program, self.cache, self.wcet_model)
 
     def with_ways(self, ways: int) -> "Platform":
         """This platform restricted to ``ways`` ways of its shared cache
@@ -80,13 +81,9 @@ class Platform:
         so their sub-problem digests can never diverge.  Deterministic
         in ``(apps, self, ways)``.
         """
-        from dataclasses import replace as replace_app
-
         from .errors import ConfigurationError
-        from .wcet.models import get_wcet_model
 
-        cache = self.cache.with_ways(ways)
-        model = get_wcet_model(self.wcet_model)
+        restricted = self.with_ways(ways)
         out: list[ControlApplication] = []
         for app in apps:
             if app.program is None:
@@ -94,7 +91,7 @@ class Platform:
                     f"application {app.name!r} carries no program; shared-cache "
                     "co-design must re-analyze WCETs per way allocation"
                 )
-            out.append(replace_app(app, wcets=model.analyze(app.program, cache)))
+            out.append(replace(app, wcets=restricted.analyze(app.program)))
         return out
 
     def fingerprint(self) -> dict:

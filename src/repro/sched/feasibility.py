@@ -10,12 +10,18 @@ Enumeration exploits monotonicity: growing any ``m_j`` grows every other
 application's idle gap, so once a partial assignment (with all remaining
 counts at their minimum) violates eq. (4), the whole subtree is
 infeasible.
+
+The space is a pure function of the WCETs, the idle bounds, the clock
+and the count cap, so :func:`enumerate_idle_feasible` memoizes it in
+:data:`SPACE_MEMO` and every caller gets a fresh list of the memoized
+schedules.
 """
 
 from __future__ import annotations
 
 from ..core.application import ControlApplication
 from ..errors import ScheduleError
+from ..memo import Memo
 from ..units import Clock
 from ..wcet.results import TaskWcets
 from .schedule import PeriodicSchedule
@@ -24,6 +30,11 @@ from .timing import derive_timing
 #: Hard cap on any m_i during enumeration — far above anything a real
 #: idle-time constraint admits; purely a runaway guard.
 MAX_COUNT = 256
+
+#: Memoized spaces, keyed by (WCETs, idle bounds, clock, count cap).  A
+#: case-study job needs one; shared-cache co-design one per core block
+#: and way count.
+SPACE_MEMO: Memo[tuple[PeriodicSchedule, ...]] = Memo("space", maxsize=128)
 
 
 def max_sampling_periods(
@@ -62,11 +73,27 @@ def enumerate_idle_feasible(
     This is the space the paper's exhaustive search walks (76 schedules
     in the case study, two of which later fail the settling-deadline
     constraint).
+
+    Memoized in :data:`SPACE_MEMO`; the returned list is the caller's
+    own.
     """
-    n = len(apps)
-    if n == 0:
+    if not apps:
         raise ScheduleError("need at least one application")
-    wcets = [app.wcets for app in apps]
+    wcets = tuple(app.wcets for app in apps)
+    max_idle = tuple(app.max_idle for app in apps)
+    key = (wcets, max_idle, clock, max_count)
+    return list(
+        SPACE_MEMO.get(
+            key, lambda: _enumerate(list(wcets), list(max_idle), clock, max_count)
+        )
+    )
+
+
+def _enumerate(
+    wcets: list[TaskWcets], max_idle: list[float], clock: Clock, max_count: int
+) -> tuple[PeriodicSchedule, ...]:
+    """The eq. (4) space of :func:`enumerate_idle_feasible`, computed."""
+    n = len(wcets)
     feasible: list[PeriodicSchedule] = []
 
     def decided_feasible(counts: list[int], n_decided: int) -> bool:
@@ -79,15 +106,15 @@ def enumerate_idle_feasible(
         schedule = PeriodicSchedule(tuple(counts))
         periods = max_sampling_periods(schedule, wcets, clock)
         return all(
-            periods[i] <= apps[i].max_idle + 1e-15 for i in range(n_decided)
+            periods[i] <= max_idle[i] + 1e-15 for i in range(n_decided)
         )
 
     def recurse(prefix: list[int]) -> None:
         index = len(prefix)
         if index == n:
-            schedule = PeriodicSchedule(tuple(prefix))
-            if idle_feasible(schedule, apps, clock):
-                feasible.append(schedule)
+            # The last probe was this very schedule with every app
+            # decided: it is feasible.
+            feasible.append(PeriodicSchedule(tuple(prefix)))
             return
         for count in range(1, max_count + 1):
             probe = prefix + [count] + [1] * (n - index - 1)
@@ -100,4 +127,4 @@ def enumerate_idle_feasible(
             recurse(prefix + [count])
 
     recurse([])
-    return feasible
+    return tuple(feasible)

@@ -29,6 +29,7 @@ from .client import ServeClient
 from .jobs import JobRecord, JobSpec
 from .server import ReproServer, run_server
 from .service import (
+    JobRecordGoneError,
     JobService,
     QueueFullError,
     ServerDrainingError,
@@ -37,6 +38,7 @@ from .service import (
 
 __all__ = [
     "JobRecord",
+    "JobRecordGoneError",
     "JobSpec",
     "JobService",
     "QueueFullError",

@@ -20,13 +20,19 @@ from urllib.parse import urlsplit
 from ..errors import ConfigurationError, ReproError, ServeError
 from ..study.report import RunReport
 from .jobs import JobRecord, JobSpec
-from .service import QueueFullError, ServerDrainingError, UnknownJobError
+from .service import (
+    JobRecordGoneError,
+    QueueFullError,
+    ServerDrainingError,
+    UnknownJobError,
+)
 from .wire import TERMINAL_STATES, EventMessage, StatusMessage, decode_message
 
 #: Server error kinds -> the local exception type to re-raise.
 _ERROR_TYPES: dict[str, type[ReproError]] = {
     "ConfigurationError": ConfigurationError,
     "UnknownJobError": UnknownJobError,
+    "JobRecordGoneError": JobRecordGoneError,
     "QueueFullError": QueueFullError,
     "ServerDrainingError": ServerDrainingError,
 }

@@ -18,7 +18,9 @@ natively).  Routes:
 Errors map onto the service's exception types: 400
 :class:`~repro.errors.ConfigurationError` (with the registry-naming
 message, e.g. an unknown strategy), 404
-:class:`~repro.serve.service.UnknownJobError`, 429
+:class:`~repro.serve.service.UnknownJobError`, 410
+:class:`~repro.serve.service.JobRecordGoneError` (a finished job whose
+ledger file is missing or corrupt), 429
 :class:`~repro.serve.service.QueueFullError`, 503
 :class:`~repro.serve.service.ServerDrainingError`.  Error bodies are
 ``{"error": message, "kind": ExceptionClassName}`` so the client can
@@ -45,6 +47,7 @@ from typing import Optional
 from ..errors import ConfigurationError, ReproError
 from .jobs import JobSpec
 from .service import (
+    JobRecordGoneError,
     JobService,
     QueueFullError,
     ServerDrainingError,
@@ -58,6 +61,7 @@ _STATUS_PHRASES = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    410: "Gone",
     413: "Content Too Large",
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
@@ -117,6 +121,8 @@ def _error_status(exc: BaseException) -> int:
     """The HTTP status one service exception maps onto."""
     if isinstance(exc, UnknownJobError):
         return 404
+    if isinstance(exc, JobRecordGoneError):
+        return 410
     if isinstance(exc, QueueFullError):
         return 429
     if isinstance(exc, ServerDrainingError):
@@ -302,7 +308,7 @@ class ReproServer:
         job_id: str,
         headers: dict[str, str],
     ) -> None:
-        self.service.record(job_id)  # 404 *before* any stream bytes
+        self.service.summary(job_id)  # 404 *before* any stream bytes
         sse = "text/event-stream" in headers.get("accept", "")
         content_type = (
             "text/event-stream" if sse else "application/x-ndjson"

@@ -24,13 +24,22 @@ The ledger (``run_dir/jobs/*.json``) is rewritten at every state
 transition, so a drained or killed server restores it on startup:
 finished jobs keep their reports, queued jobs re-enqueue, and jobs
 caught mid-run re-queue (their completed scenarios resume from disk).
+
+Memory stays bounded however many jobs a server runs: full records and
+message histories are kept for in-flight jobs and the
+:data:`RETAINED_FINISHED_JOBS` most recently finished ones.  An older
+finished job keeps its summary; its full record is read back from its
+ledger file, and its event replay is the single terminal status line
+(exactly what a restarted server replays).
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from typing import AsyncIterator, Optional
@@ -44,6 +53,9 @@ from ..study.report import write_artifact
 from .jobs import JobRecord, JobSpec
 from .wire import TERMINAL_STATES, EventMessage, StatusMessage
 
+#: Finished jobs whose full record and message history stay in memory.
+RETAINED_FINISHED_JOBS = 16
+
 
 class QueueFullError(ServeError):
     """The bounded job queue is at capacity (HTTP 429)."""
@@ -55,6 +67,11 @@ class UnknownJobError(ServeError):
 
 class ServerDrainingError(ServeError):
     """The server is shutting down and rejects new jobs (HTTP 503)."""
+
+
+class JobRecordGoneError(ServeError):
+    """A finished job's full record is no longer in memory and its
+    ledger file is missing or unreadable (HTTP 410)."""
 
 
 class JobService:
@@ -111,7 +128,10 @@ class JobService:
         self.engine_workers = engine_workers
         self.queue_size = queue_size
         self.job_timeout = job_timeout
+        # Full records of in-flight and retained finished jobs;
+        # summaries (no reports) of the older finished ones.
         self._records: dict[str, JobRecord] = {}
+        self._retained: OrderedDict[str, None] = OrderedDict()
         self._history: dict[str, list[dict]] = {}
         self._subscribers: dict[str, list[asyncio.Queue[dict]]] = {}
         self._seq: dict[str, int] = {}
@@ -149,6 +169,8 @@ class JobService:
                 record.state = "queued"
                 record.started_at = None
                 self._persist(record)
+            if record.state in TERMINAL_STATES:
+                record.reports = None  # read back from the ledger on demand
             self._records[record.id] = record
             prefix, _, number = record.id.partition("-")
             if prefix == "job" and number.isdigit():
@@ -222,8 +244,22 @@ class JobService:
         return record
 
     def record(self, job_id: str) -> JobRecord:
-        """The ledger entry for ``job_id`` (:class:`UnknownJobError`
-        otherwise)."""
+        """The full ledger entry for ``job_id``, reports included
+        (:class:`UnknownJobError` otherwise).
+
+        A finished job outside the retention window is read back from
+        its ledger file; :class:`JobRecordGoneError` if that file is
+        missing or corrupt.
+        """
+        record = self.summary(job_id)
+        if record.state in TERMINAL_STATES and job_id not in self._retained:
+            return self._load(job_id)
+        return record
+
+    def summary(self, job_id: str) -> JobRecord:
+        """The in-memory entry for ``job_id`` (:class:`UnknownJobError`
+        otherwise); a finished job outside the retention window carries
+        no reports."""
         try:
             return self._records[job_id]
         except KeyError:
@@ -232,7 +268,8 @@ class JobService:
             ) from None
 
     def records(self) -> list[JobRecord]:
-        """Every ledger entry, in submission order."""
+        """Every ledger entry, in submission order (finished jobs
+        outside the retention window carry no reports)."""
         return [self._records[job_id] for job_id in sorted(self._records)]
 
     async def subscribe(self, job_id: str) -> AsyncIterator[dict]:
@@ -243,7 +280,7 @@ class JobService:
         live registration happen in one synchronous block, so no
         message can fall between replay and live delivery.
         """
-        record = self.record(job_id)
+        record = self.summary(job_id)
         history = list(self._history.get(job_id, []))
         queue: asyncio.Queue[dict] | None = None
         if record.state not in TERMINAL_STATES:
@@ -267,8 +304,39 @@ class JobService:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _ledger_path(self, job_id: str) -> Path:
+        return self.jobs_dir / f"{job_id}.json"
+
     def _persist(self, record: JobRecord) -> None:
-        write_artifact(self.jobs_dir / f"{record.id}.json", record.to_json() + "\n")
+        write_artifact(self._ledger_path(record.id), record.to_json() + "\n")
+
+    def _load(self, job_id: str) -> JobRecord:
+        """A finished job's full record, read back from its ledger file."""
+        path = self._ledger_path(job_id)
+        try:
+            record = JobRecord.from_json(path.read_text())
+        except (OSError, UnicodeDecodeError, ConfigurationError) as exc:
+            raise JobRecordGoneError(
+                f"job {job_id!r} finished, but its full record cannot be "
+                f"read back from {path}: {exc}"
+            ) from exc
+        if record.id != job_id:
+            raise JobRecordGoneError(
+                f"ledger file {path} holds job {record.id!r}, not {job_id!r}"
+            )
+        return record
+
+    def _retire(self, job_id: str) -> None:
+        """Enter a just-finished job into the retention window; shrink
+        the job that falls out of it to its summary and terminal line."""
+        self._retained[job_id] = None
+        while len(self._retained) > RETAINED_FINISHED_JOBS:
+            old, _ = self._retained.popitem(last=False)
+            self._records[old] = replace(self._records[old], reports=None)
+            self._history[old] = [
+                next(m for m in reversed(self._history[old]) if m["type"] == "status")
+            ]
+            self._seq.pop(old, None)
 
     def _next_seq(self, job_id: str) -> int:
         seq = self._seq.get(job_id, 0)
@@ -291,6 +359,8 @@ class JobService:
         self._publish(record.id, message.to_dict())
 
     def _publish_event(self, job_id: str, event: StudyEvent) -> None:
+        if self._records[job_id].state in TERMINAL_STATES:
+            return  # a timed-out job's thread runs on; its stream has ended
         message = EventMessage(
             job=job_id, seq=self._next_seq(job_id), event=event
         )
@@ -369,3 +439,4 @@ class JobService:
         record.finished_at = time.time()
         self._persist(record)
         self._publish_status(record)
+        self._retire(record.id)

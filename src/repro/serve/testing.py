@@ -31,8 +31,9 @@ class ServerThread:
 
     Accepts the :class:`~repro.serve.service.JobService` keyword
     options (``cache_dir``, ``max_jobs``, ``queue_size``,
-    ``job_timeout``, ...); ``self.url`` is the bound base URL once the
-    context is entered.
+    ``job_timeout``, ...); ``self.url`` is the bound base URL and
+    ``self.service`` the running :class:`JobService` once the context
+    is entered.
     """
 
     def __init__(
@@ -53,6 +54,7 @@ class ServerThread:
         self._stop: Optional[asyncio.Event] = None
         self._error: Optional[BaseException] = None
         self.url = ""
+        self.service: Optional[JobService] = None
 
     def __enter__(self) -> "ServerThread":
         self._thread = threading.Thread(
@@ -93,7 +95,7 @@ class ServerThread:
             self._ready.set()
 
     async def _main(self) -> None:
-        service = JobService(**self._service_args)
+        service = self.service = JobService(**self._service_args)
         server = ReproServer(service, host=self._host, port=self._port)
         self._stop = asyncio.Event()
         self._loop = asyncio.get_running_loop()
