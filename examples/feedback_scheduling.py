@@ -17,7 +17,8 @@ import os
 # Keep the example snappy; remove for publication-grade numbers.
 os.environ.setdefault("REPRO_PROFILE", "quick")
 
-from repro.experiments import feedback
+from repro.experiments import ExperimentRequest, get_experiment, run_experiment
+from repro.experiments.registry import render_experiment
 from repro.sim import LoadDisturbance, PlantModeChange, ScheduleSwitch
 from repro.study import SimulationProgress
 
@@ -43,9 +44,10 @@ def on_event(study_event) -> None:
 
 def main() -> None:
     print("simulating the load transient (static run, then adaptive)...")
-    summary = feedback.run(on_event=on_event)
+    report = run_experiment("feedback", ExperimentRequest(on_event=on_event))
+    summary = get_experiment("feedback").result_from(report)
     print()
-    print(summary.render())
+    print(render_experiment("feedback", report))
     print()
     print(
         "adaptive beats static by "

@@ -244,25 +244,22 @@ def cmd_experiment(args: argparse.Namespace) -> None:
     # paper cache).  design_options stays None (each experiment
     # resolves the profile itself), so CLI and library runs of one
     # experiment share their persisted --run-dir artifacts.
+    shared = callable(getattr(spec, "default_platform", None))
     request = ExperimentRequest(
-        platform=platform_from_args(
-            args, shared=callable(getattr(spec, "default_platform", None))
-        ),
-        strategy=args.strategy,
+        **{**spec_from_args(args), "platform": platform_from_args(args, shared=shared)},
         workers=args.workers,
         cache_dir=args.cache_dir,
-        max_count_per_core=args.max_count_per_core,
         out=args.out,
         on_event=progress,
     )
     validate_request(args.name, request)  # reject bad flags before output
     try:
         if args.json:
-            report = run_experiment(args.name, request, run_dir=args.run_dir)
+            # The runner writes the output files; --json keeps stdout pure.
             out = effective_out(args.name, request)
-            if out is not None:
-                # Still write the output files; --json keeps stdout pure.
-                get_experiment(args.name).write_outputs(report, out)
+            report = run_experiment(
+                args.name, replace(request, out=out), run_dir=args.run_dir
+            )
             print(report.to_json())
         else:
             print(f"[profile: {current_profile()}]")

@@ -87,7 +87,6 @@ class CodesignProblem:
         self.engine = SearchEngine(
             self.evaluator, workers=workers, cache_dir=cache_dir, platform=platform
         )
-        self._space: list[PeriodicSchedule] | None = None
 
     def close(self) -> None:
         """Release engine resources (worker pool, cache connection)."""
@@ -111,10 +110,9 @@ class CodesignProblem:
         return idle_feasible(schedule, self.apps, self.clock)
 
     def schedule_space(self) -> list[PeriodicSchedule]:
-        """The complete idle-feasible schedule space (cached)."""
-        if self._space is None:
-            self._space = enumerate_idle_feasible(self.apps, self.clock)
-        return self._space
+        """The complete idle-feasible schedule space (memoized per
+        process by :data:`~repro.sched.feasibility.SPACE_MEMO`)."""
+        return enumerate_idle_feasible(self.apps, self.clock)
 
     # ------------------------------------------------------------------
     # Stage 2: optimization

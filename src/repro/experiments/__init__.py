@@ -21,8 +21,12 @@ The mapping to the paper:
 ``shared_cache``  private caches vs one way-partitioned shared cache
 ==============  ======================================================
 
-Each module also keeps its historical ``run(...)`` function returning a
-result object with a ``render()`` method, for direct library use.
+A run is described by an :class:`ExperimentRequest` — a
+:class:`~repro.study.RunSpec` plus the design budget, engine
+configuration, output directory and progress callback; each experiment
+declares the spec fields it honours as ``run_fields``.  The table and
+figure modules also keep a small ``run(...)`` returning a result object
+with a ``render()`` method, for direct library use.
 """
 
 from .profiles import design_options_for_profile, current_profile

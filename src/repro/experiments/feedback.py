@@ -26,18 +26,16 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from ..apps.casestudy import CaseStudy, build_case_study
-from ..control.design import DesignOptions
+from ..apps.casestudy import build_case_study
 from ..core.report import render_table
-from ..platform import Platform
-from ..sched.engine import EngineOptions
-from ..sched.engine.batch import Scenario
 from ..sim.profiles import load_transient
 from ..sim.report import SimReport
-from ..study import RunReport, RunSpec, Study
-from .profiles import design_options_for_profile
+from ..study import RunReport, Study
 from .registry import ExperimentRequest, register_experiment
 from .report import ExperimentReport, new_report
+
+#: Demand multiplier of the overload burst and the simulated horizon (s).
+STRESS, HORIZON = 1.46, 1.0
 
 
 @dataclass
@@ -116,74 +114,40 @@ class FeedbackSummary:
         )
 
 
-def run(
-    case: CaseStudy | None = None,
-    design_options: DesignOptions | None = None,
-    platform: Platform | None = None,
-    stress: float = 1.46,
-    horizon: float = 1.0,
-    strategy: str | None = None,
-    adapt_strategy: str | None = None,
-    workers: int = 0,
-    cache_dir=None,
-    on_event=None,
-) -> FeedbackSummary:
-    """Run the static-vs-adaptive comparison on the case study.
-
-    Both runs simulate the *same* load transient; only ``adapt``
-    differs.  They are the two scenarios of one
-    :class:`~repro.study.Study`, so ``on_event`` receives the study's
-    events — scenario started/finished, engine progress and every
-    runtime simulation event as a
-    :class:`~repro.study.events.SimulationProgress`.  ``strategy``
-    picks the offline search (default ``hybrid``), ``adapt_strategy``
-    the re-optimization the feedback loop invokes (default
-    ``online``).  With a ``cache_dir`` the two runs share persistent
-    evaluations, and the adaptive run's re-optimizations hit the warm
-    engine either way.
-    """
-    case = case or build_case_study(platform=platform)
-    options = design_options or design_options_for_profile()
-    profile = load_transient(
-        len(case.apps),
-        horizon=horizon,
-        stress=stress,
-        adapt_strategy=adapt_strategy,
-    )
-    spec = RunSpec(strategy=strategy, platform=platform)
-    study = Study.from_scenarios(
-        [
-            Scenario(
-                f"casestudy-{name}",
-                case.apps,
-                case.clock,
-                options,
-                replace(spec, dynamic=replace(profile, adapt=adapt)),
-            )
-            for name, adapt in (("static", False), ("adaptive", True))
-        ],
-        EngineOptions(workers=workers, cache_dir=cache_dir),
-    )
-    return FeedbackSummary(stress, horizon, *study.run(on_event=on_event))
-
-
 @register_experiment
 class FeedbackExperiment:
     """Feedback scheduling vs the static optimum under a load transient."""
 
     name = "feedback"
     supports_out = False
-    supports_strategy = True  # offline search the simulation starts from
+    #: ``strategy`` is the offline search the simulation starts from.
+    run_fields = ("platform", "strategy")
 
     def build(self, request: ExperimentRequest) -> ExperimentReport:
-        summary = run(
-            design_options=request.design_options,
-            platform=request.platform,
-            strategy=request.strategy,
-            workers=request.workers,
-            cache_dir=request.cache_dir,
-            on_event=request.on_event,
+        """Run the static-vs-adaptive comparison on the case study.
+
+        Both runs simulate the *same* load transient; only ``adapt``
+        differs.  They are the two scenarios of one
+        :class:`~repro.study.Study`, so ``on_event`` receives the
+        study's events — scenario started/finished, engine progress and
+        every runtime simulation event as a
+        :class:`~repro.study.events.SimulationProgress`.  With a
+        ``cache_dir`` the two runs share persistent evaluations, and
+        the adaptive run's re-optimizations hit the warm engine either
+        way.
+        """
+        case = build_case_study(platform=request.platform)
+        profile = load_transient(len(case.apps), horizon=HORIZON, stress=STRESS)
+        study = Study.from_scenarios(
+            [
+                request.scenario(
+                    f"casestudy-{name}", case, dynamic=replace(profile, adapt=adapt)
+                )
+                for name, adapt in (("static", False), ("adaptive", True))
+            ],
+            request.engine_options(),
         )
+        summary = FeedbackSummary(STRESS, HORIZON, *study.run(on_event=request.on_event))
         data = {
             "stress": summary.stress,
             "horizon": summary.horizon,
@@ -193,10 +157,7 @@ class FeedbackExperiment:
             "n_adaptations": summary.adaptive_sim.n_adaptations,
         }
         return new_report(
-            self.name,
-            data=data,
-            run_reports=[summary.static, summary.adaptive],
-            platform=request.platform,
+            self.name, data=data, run_reports=[summary.static, summary.adaptive]
         )
 
     def render(self, report: ExperimentReport) -> str:

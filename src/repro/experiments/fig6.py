@@ -177,7 +177,6 @@ class Fig6Experiment:
                     for entry in result.series
                 ]
             },
-            platform=request.platform,
         )
 
     def render(self, report: ExperimentReport) -> str:

@@ -3,7 +3,7 @@
 The paper notes the framework "can be naturally extended to a
 multi-core architecture, where each core has its own cache".  This
 experiment quantifies that extension on the case study: partition the
-three applications onto ``n_cores`` private-cache cores (through the
+three applications onto two private-cache cores (through the
 search engine's per-core blocks), and compare the best partition's overall
 control performance against the best single-core schedule of the same
 sweep — the single-core problem is just the one-block partition, so the
@@ -13,17 +13,12 @@ comparison comes from one engine run and one shared cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
-from ..apps.casestudy import CaseStudy, build_case_study
-from ..control.design import DesignOptions
+from ..apps.casestudy import build_case_study
 from ..core.report import render_table
-from ..platform import Platform
-from ..sched.engine import EngineOptions
-from ..sched.engine.batch import Scenario, scenario_engine, search_scenario
+from ..sched.engine.batch import scenario_engine, search_scenario
 from ..sched.schedule import PeriodicSchedule
-from ..study import RunReport, RunSpec
-from .profiles import design_options_for_profile
+from ..study import RunReport
 from .registry import ExperimentRequest, register_experiment
 from .report import ExperimentReport, new_report
 
@@ -86,89 +81,49 @@ class MulticoreSummary:
         )
 
 
-def run(
-    case: CaseStudy | None = None,
-    design_options: DesignOptions | None = None,
-    n_cores: int = 2,
-    max_count_per_core: int = 6,
-    workers: int = 0,
-    cache_dir: str | Path | None = None,
-    platform: Platform | None = None,
-    strategy: str | None = None,
-    on_event=None,
-) -> MulticoreSummary:
-    """Run the multicore partition sweep (and its single-core baseline).
-
-    ``workers``/``cache_dir`` route the sweep through the partitioned
-    engine's worker pool and persistent cache, exactly like the CLI's
-    ``python -m repro multicore --workers N --cache-dir D``.
-    ``strategy`` picks the per-core schedule search (default
-    ``exhaustive``); ``platform`` rebuilds the case study on a
-    different execution platform when no ``case`` is given;
-    ``on_event`` receives the engine's typed progress events.
-    """
-    case = case or build_case_study(platform=platform)
-    options = design_options or design_options_for_profile()
-    spec = RunSpec(
-        strategy=strategy,
-        n_cores=n_cores,
-        max_count_per_core=max_count_per_core,
-        platform=platform,
-    )
-    scenario = Scenario("casestudy-multicore", case.apps, case.clock, options, spec)
-    engine_options = EngineOptions(workers=workers, cache_dir=cache_dir)
-    with scenario_engine(scenario, engine_options, on_event) as problem:
-        sweep = search_scenario(scenario, problem)
-        # The one-block partition *is* the single-core problem; after
-        # the sweep its evaluations are memoized, so this is free.
-        single = problem.best_schedule_for_core(tuple(range(len(case.apps))))
-        if single is None:
-            single_schedule, single_overall = None, None
-        else:
-            single_schedule = single[0]
-            single_overall = sum(
-                case.apps[i].weight * performance
-                for i, performance in single[2].items()
-            )
-        return MulticoreSummary(
-            sweep, single_schedule, single_overall, problem.engine.stats.summary()
-        )
-
-
 @register_experiment
 class MulticoreExperiment:
     """Multicore extension — partitioning gain over one core."""
 
     name = "multicore"
     supports_out = False
-    supports_strategy = True  # per-core schedule search
-    supports_max_count = True  # per-core burst-length cap
+    #: The per-core schedule search and burst-length cap.
+    run_fields = ("platform", "strategy", "max_count_per_core")
 
     def build(self, request: ExperimentRequest) -> ExperimentReport:
-        summary = run(
-            design_options=request.design_options,
-            max_count_per_core=request.max_count_per_core,
-            workers=request.workers,
-            cache_dir=request.cache_dir,
-            platform=request.platform,
-            strategy=request.strategy,
-            on_event=request.on_event,
-        )
+        """Run the multicore partition sweep (and its single-core baseline).
+
+        ``workers``/``cache_dir`` route the sweep through the
+        partitioned engine's worker pool and persistent cache, exactly
+        like ``python -m repro multicore --workers N --cache-dir D``;
+        ``strategy`` picks the per-core schedule search (default
+        ``exhaustive``); ``on_event`` receives the engine's typed
+        progress events.
+        """
+        case = build_case_study(platform=request.platform)
+        scenario = request.scenario("casestudy-multicore", case, n_cores=2)
+        with scenario_engine(
+            scenario, request.engine_options(), request.on_event
+        ) as problem:
+            sweep = search_scenario(scenario, problem)
+            # The one-block partition *is* the single-core problem; after
+            # the sweep its evaluations are memoized, so this is free.
+            single = problem.best_schedule_for_core(tuple(range(len(case.apps))))
+            engine_summary = problem.engine.stats.summary()
+        if single is None:
+            single_schedule, single_overall = None, None
+        else:
+            single_schedule = list(single[0].counts)
+            single_overall = sum(
+                case.apps[i].weight * performance
+                for i, performance in single[2].items()
+            )
         data = {
-            "single_schedule": (
-                list(summary.single_schedule.counts)
-                if summary.single_schedule is not None
-                else None
-            ),
-            "single_overall": summary.single_overall,
-            "engine_summary": summary.engine_summary,
+            "single_schedule": single_schedule,
+            "single_overall": single_overall,
+            "engine_summary": engine_summary,
         }
-        return new_report(
-            self.name,
-            data=data,
-            run_reports=[summary.sweep],
-            platform=request.platform,
-        )
+        return new_report(self.name, data=data, run_reports=[sweep])
 
     def render(self, report: ExperimentReport) -> str:
         return self.result_from(report).render()

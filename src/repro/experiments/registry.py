@@ -1,9 +1,10 @@
 """Pluggable experiment registry — the paper-artifact front door.
 
 An *experiment* is the unit of extensibility of the artifact layer: it
-receives an :class:`ExperimentRequest` (platform, strategy, engine
-configuration, progress callback) and returns a structured
-:class:`~repro.experiments.report.ExperimentReport`.  Experiments
+receives an :class:`ExperimentRequest` (a
+:class:`~repro.study.spec.RunSpec` plus design budget, engine
+configuration, output directory and progress callback) and returns a
+structured :class:`~repro.experiments.report.ExperimentReport`.  Experiments
 register themselves by name with :func:`register_experiment`; every
 entry point (``python -m repro experiment <name>``, the resume-aware
 :func:`run_experiment` runner) resolves names through
@@ -27,7 +28,7 @@ JSON and renders it without re-searching.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Protocol, runtime_checkable
 
@@ -36,34 +37,39 @@ from ..errors import ConfigurationError
 from ..identity import NON_IDENTITY, canonical, diff, digest
 from ..platform import Platform
 from ..registry import Registry
+from ..sched.engine import EngineOptions
+from ..sched.engine.batch import Scenario
 from ..study.report import write_artifact
-from .profiles import current_profile
+from ..study.spec import RunSpec
+from .profiles import current_profile, design_options_for_profile
 from .report import ExperimentReport
 
 
 @dataclass(frozen=True)
-class ExperimentRequest:
-    """Run-time inputs of one experiment, CLI flags made explicit.
+class ExperimentRequest(RunSpec):
+    """One experiment run: a :class:`~repro.study.spec.RunSpec` plus
+    the inputs that only experiments have.
+
+    The inherited spec fields describe the run.  An experiment honours
+    the ones it declares in ``run_fields`` (see :class:`ExperimentSpec`);
+    :func:`validate_request` rejects any other that leaves its default.
+    ``platform=None`` is the experiment's own default platform (see
+    :func:`_target_platform`).  The search-backed experiments build
+    each scenario's spec as this request with the scenario's changes
+    applied (:meth:`scenario`), so the embedded
+    :class:`~repro.study.RunReport`\\ s and the experiment artifact
+    are named by one encoder.
 
     Parameters
     ----------
     design_options:
         Controller-design budget; ``None`` uses the ``REPRO_PROFILE``
         profile (the CLI path).
-    platform:
-        Execution platform to rebuild the case study on; ``None`` is
-        the paper platform.
-    strategy:
-        Registered search strategy for search-backed experiments;
-        ``None`` keeps each experiment's default.  Experiments that
-        run no search ignore it.
     workers / cache_dir:
         Engine configuration for search-backed experiments (worker
         processes, persistent evaluation cache).  Like ``out`` and
         ``on_event`` they change how fast or where a run happens, never
         what it computes, so they are no part of the run's identity.
-    max_count_per_core:
-        Burst-length cap per core for the multicore experiments.
     out:
         Output directory for experiments that write files
         (only ``fig6`` — see :attr:`ExperimentSpec.supports_out`).
@@ -77,15 +83,22 @@ class ExperimentRequest:
     """
 
     design_options: DesignOptions | None = None
-    platform: Platform | None = None
-    strategy: str | None = None
     workers: int = field(default=0, metadata=NON_IDENTITY)
     cache_dir: str | Path | None = field(default=None, metadata=NON_IDENTITY)
-    max_count_per_core: int = 6
     out: str | Path | None = field(default=None, metadata=NON_IDENTITY)
     on_event: Callable | None = field(
         default=None, compare=False, metadata=NON_IDENTITY
     )
+
+    def scenario(self, name: str, case, **changes) -> Scenario:
+        """The case-study scenario ``name``: ``case``'s applications,
+        run as this request with ``changes`` applied."""
+        options = self.design_options or design_options_for_profile()
+        return Scenario(name, case.apps, case.clock, options, replace(self, **changes))
+
+    def engine_options(self) -> EngineOptions:
+        """The engine configuration of this request's searches."""
+        return EngineOptions(workers=self.workers, cache_dir=self.cache_dir)
 
 
 @runtime_checkable
@@ -100,12 +113,15 @@ class ExperimentSpec(Protocol):
     builtin; such experiments must also define ``write_outputs(report,
     directory)``); the CLI rejects ``--out`` for all others.
 
-    Optional attributes: ``supports_strategy`` marks experiments that
-    honor :attr:`ExperimentRequest.strategy` (builtin: ``multicore``,
-    ``shared_cache``; requesting a strategy elsewhere fails fast
-    instead of being silently ignored), and ``default_platform`` — a
-    zero-argument callable — declares the platform an experiment runs
-    on when the request names none (builtin: ``shared_cache`` uses
+    Optional attributes: ``run_fields`` — the
+    :class:`~repro.study.spec.RunSpec` fields of the request the
+    experiment honours (default ``("platform",)``; builtin:
+    ``feedback`` adds ``strategy``, ``multicore`` and ``shared_cache``
+    add ``strategy`` and ``max_count_per_core``).  Any other spec field
+    must keep its default, so a request never forks an artifact on a
+    field the run ignores.  ``default_platform`` — a zero-argument
+    callable — declares the platform an experiment runs on when the
+    request names none (builtin: ``shared_cache`` uses
     :func:`~repro.platform.shared_paper_platform`).
     """
 
@@ -182,11 +198,6 @@ def _target_platform(name: str, request: ExperimentRequest) -> Platform:
     return platform or Platform()
 
 
-def _expected_platform(name: str, request: ExperimentRequest) -> dict:
-    """Fingerprint of :func:`_target_platform`."""
-    return _target_platform(name, request).fingerprint()
-
-
 def _resolved(name: str, request: ExperimentRequest) -> ExperimentRequest:
     """``request`` with its platform resolved by :func:`_target_platform`."""
     return replace(request, platform=_target_platform(name, request))
@@ -250,74 +261,65 @@ def run_experiment(
     resumed report is byte-identical to rendering the original
     (rendering is a pure function of the report).
 
-    ``--out``-style file outputs are only supported by experiments
-    declaring ``supports_out`` (builtin: ``fig6``); requesting one
-    elsewhere raises :class:`~repro.errors.ConfigurationError`.
+    ``request.out`` writes the experiment's output files, fresh or
+    resumed (only experiments declaring ``supports_out``; see
+    :func:`validate_request`).
     """
     spec = get_experiment(name)
     request = request or ExperimentRequest()
     validate_request(name, request)
+    report = None
     if run_dir is not None and resume:
-        existing = load_experiment_report(run_dir, name, request)
-        if existing is not None:
-            if request.out is not None:
-                spec.write_outputs(existing, request.out)
-            return existing
-    started = time.perf_counter()
-    report = spec.build(request)
-    report.wall_time = time.perf_counter() - started
-    report.profile = current_profile()
-    report.request = canonical(_resolved(name, request))
-    if run_dir is not None:
-        path = experiment_report_path(run_dir, name, request)
-        write_artifact(path, report.to_json() + "\n")
+        report = load_experiment_report(run_dir, name, request)
+    if report is None:
+        started = time.perf_counter()
+        report = spec.build(request)
+        report.wall_time = time.perf_counter() - started
+        report.profile = current_profile()
+        report.request = canonical(_resolved(name, request))
+        if run_dir is not None:
+            path = experiment_report_path(run_dir, name, request)
+            write_artifact(path, report.to_json() + "\n")
     if request.out is not None:
-        # An explicitly requested output directory is honored here, so
-        # library callers get their files too (resumed runs re-create
-        # them from the report's data, identically).
+        # Resumed runs re-create the files from the report's data.
         spec.write_outputs(report, request.out)
     return report
 
 
-def _supporting(flag: str) -> str:
-    """Comma-joined names of the experiments declaring ``flag``."""
-    return ", ".join(
-        name
-        for name in available_experiments()
-        if getattr(get_experiment(name), flag, False)
-    )
+def _takes(spec: ExperimentSpec, name: str) -> bool:
+    """Whether the experiment ``spec`` honours the request field ``name``."""
+    if name == "out":
+        return spec.supports_out
+    return name in getattr(spec, "run_fields", ("platform",))
 
 
 def validate_request(name: str, request: ExperimentRequest) -> None:
     """Reject request fields the experiment would silently ignore.
 
-    Raises :class:`~repro.errors.ConfigurationError` when ``out`` or
-    ``strategy`` is set for an experiment that does not consume it.
-    Called by :func:`run_experiment`; the CLI calls it up front so a
-    rejected invocation produces no partial output.
+    The request must validate as a run (:meth:`RunSpec.validate
+    <repro.study.spec.RunSpec.validate>`), and every run field outside
+    the experiment's ``run_fields`` — and ``out`` unless it declares
+    ``supports_out`` — must keep its default; otherwise
+    :class:`~repro.errors.ConfigurationError` names the experiments
+    that do take the field.  Called by :func:`run_experiment`; the CLI
+    calls it up front so a rejected invocation produces no partial
+    output.
     """
     spec = get_experiment(name)
-    if request.out is not None and not getattr(spec, "supports_out", False):
+    request.validate()
+    default = ExperimentRequest()
+    for field_name in (*(item.name for item in fields(RunSpec)), "out"):
+        if _takes(spec, field_name) or (
+            getattr(request, field_name) == getattr(default, field_name)
+        ):
+            continue
+        takers = [
+            other for other in available_experiments()
+            if _takes(get_experiment(other), field_name)
+        ]
         raise ConfigurationError(
-            f"experiment {name!r} writes no output files; "
-            "--out is only supported by: " + _supporting("supports_out")
-        )
-    if request.strategy is not None and not getattr(
-        spec, "supports_strategy", False
-    ):
-        raise ConfigurationError(
-            f"experiment {name!r} runs a fixed search; "
-            "--strategy is only supported by: "
-            + _supporting("supports_strategy")
-        )
-    default_cap = ExperimentRequest().max_count_per_core
-    if request.max_count_per_core != default_cap and not getattr(
-        spec, "supports_max_count", False
-    ):
-        raise ConfigurationError(
-            f"experiment {name!r} has no per-core schedule spaces; "
-            "--max-count-per-core is only supported by: "
-            + _supporting("supports_max_count")
+            f"experiment {name!r} does not take {field_name}; "
+            + (f"experiments that do: {', '.join(takers)}" if takers else "no experiment does")
         )
 
 
@@ -333,7 +335,7 @@ def render_experiment(
     spec = get_experiment(name)
     text = spec.render(report)
     if out is not None:
-        if not getattr(spec, "supports_out", False):
+        if not spec.supports_out:
             raise ConfigurationError(
                 f"experiment {name!r} writes no output files"
             )
@@ -352,9 +354,7 @@ def effective_out(name: str, request: ExperimentRequest) -> str | Path | None:
     if request.out is not None:
         return request.out
     spec = get_experiment(name)
-    if getattr(spec, "supports_out", False):
-        return getattr(spec, "default_out", None)
-    return None
+    return getattr(spec, "default_out", None) if spec.supports_out else None
 
 
 def run_and_render(
@@ -367,8 +367,10 @@ def run_and_render(
 
     ``request.out`` is the output directory for file-writing
     experiments (rejected for all others); ``None`` falls back to
-    :func:`effective_out`'s default.
+    :func:`effective_out`'s default.  The files are written once, by
+    :func:`render_experiment`, which also lists them.
     """
     request = request or ExperimentRequest()
-    report = run_experiment(name, request, run_dir=run_dir)
+    validate_request(name, request)
+    report = run_experiment(name, replace(request, out=None), run_dir=run_dir)
     return render_experiment(name, report, out=effective_out(name, request))

@@ -2,7 +2,7 @@
 
 An :class:`ExperimentReport` is the JSON-serializable artifact of one
 paper-artifact regeneration: which experiment ran, under which design
-profile and platform, the structured per-row / per-series data the
+profile and request (platform included), the structured per-row / per-series data the
 rendered table or figure is built from, the embedded
 :class:`~repro.study.RunReport`\\ s wherever a schedule search ran, and
 the wall time.  Reports round-trip losslessly through
@@ -27,7 +27,7 @@ from ..study.report import RunReport, _json_safe
 from ..study.spec import strict_payload
 
 #: Bump when the report layout changes incompatibly.
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -39,14 +39,14 @@ class ExperimentReport:
     ``run_reports`` embeds one :class:`~repro.study.RunReport` per
     schedule search the experiment executed (empty for pure
     table/figure regenerations).  ``request`` is the canonical
-    encoding (:mod:`repro.identity`) of the resolved request; with
-    ``experiment`` and ``profile`` it is the run's identity, which
-    resume compares as a whole.
+    encoding (:mod:`repro.identity`) of the resolved request — the
+    platform the run was built on included; with ``experiment`` and
+    ``profile`` it is the run's identity, which resume compares as a
+    whole.
     """
 
     experiment: str
     profile: str
-    platform: dict
     request: dict
     data: dict
     run_reports: list[RunReport]
@@ -64,7 +64,6 @@ class ExperimentReport:
         return {
             "experiment": self.experiment,
             "profile": self.profile,
-            "platform": self.platform,
             "request": self.request,
             "data": self.data,
             "run_reports": [report.to_dict() for report in self.run_reports],
@@ -107,22 +106,16 @@ def new_report(
     experiment: str,
     data: dict,
     run_reports: list[RunReport] | None = None,
-    platform=None,
 ) -> ExperimentReport:
     """Fresh report skeleton for one experiment run.
 
     The registry runner stamps ``profile``/``request``/``wall_time``
     after the build, so experiments only fill in what they measured:
-    the data payload, the embedded run reports and the platform the
-    run was built on (``None`` = the paper platform).
+    the data payload and the embedded run reports.
     """
-    # Imported lazily: repro.platform pulls the wcet registry.
-    from ..platform import Platform
-
     return ExperimentReport(
         experiment=experiment,
         profile="",
-        platform=(platform or Platform()).fingerprint(),
         request={},
         data=_json_safe(data),
         run_reports=list(run_reports or []),

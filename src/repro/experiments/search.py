@@ -11,19 +11,14 @@ Reruns the paper's schedule-space experiment:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
-from ..apps.casestudy import CaseStudy, PAPER_BEST_OVERALL, build_case_study
-from ..control.design import DesignOptions
+from ..apps.casestudy import PAPER_BEST_OVERALL, build_case_study
 from ..core.report import render_table
-from ..platform import Platform
-from ..sched.engine import EngineOptions
-from ..sched.engine.batch import Scenario, scenario_engine, search_scenario
+from ..sched.engine.batch import scenario_engine, search_scenario
 from ..sched.feasibility import enumerate_idle_feasible
 from ..sched.schedule import PeriodicSchedule
-from ..study import RunReport, RunSpec, Study
-from .profiles import design_options_for_profile
+from ..study import RunReport, Study
 from .registry import ExperimentRequest, register_experiment
 from .report import ExperimentReport, new_report
 
@@ -42,19 +37,53 @@ PAPER_STATS = {
 
 @dataclass
 class SearchResultSummary:
-    """Our statistics next to the paper's."""
+    """Our statistics next to the paper's.
 
-    n_enumerated: int
-    n_feasible: int
-    optimum: PeriodicSchedule
-    best_overall: float
+    ``exhaustive`` and ``hybrids`` are the
+    :class:`~repro.study.RunReport` of the exhaustive sweep and of one
+    hybrid search per start; the statistics are read from them.  The
+    round-robin baseline and the settling-infeasible schedules are what
+    the warm exhaustive engine answered after the sweep.
+    """
+
+    exhaustive: RunReport
+    hybrids: list[RunReport]
     round_robin_overall: float
-    hybrid_evaluations: dict[tuple[int, ...], int]
-    hybrid_optima: dict[tuple[int, ...], PeriodicSchedule]
     infeasible_schedules: list[PeriodicSchedule]
-    #: One :class:`~repro.study.RunReport` per search that ran — the
-    #: exhaustive sweep plus one hybrid search per start.
-    run_reports: list[RunReport] = field(default_factory=list)
+
+    @property
+    def n_enumerated(self) -> int:
+        """Size of the idle-feasible schedule space."""
+        return self.exhaustive.n_space
+
+    @property
+    def n_feasible(self) -> int:
+        """Schedules the exhaustive sweep found feasible."""
+        return self.exhaustive.search_stats["n_feasible"]
+
+    @property
+    def optimum(self) -> PeriodicSchedule:
+        return PeriodicSchedule(tuple(self.exhaustive.best_schedule))
+
+    @property
+    def best_overall(self) -> float:
+        return self.exhaustive.overall
+
+    @property
+    def hybrid_evaluations(self) -> dict[tuple[int, ...], int]:
+        """Evaluations of the hybrid search, per start."""
+        return {
+            report.spec.starts[0]: report.search_stats["n_evaluations"]
+            for report in self.hybrids
+        }
+
+    @property
+    def hybrid_optima(self) -> dict[tuple[int, ...], PeriodicSchedule]:
+        """Schedule the hybrid search ended on, per start."""
+        return {
+            report.spec.starts[0]: PeriodicSchedule(tuple(report.best_schedule))
+            for report in self.hybrids
+        }
 
     @property
     def hybrid_found_optimum(self) -> bool:
@@ -107,84 +136,6 @@ def _start_label(start: PeriodicSchedule) -> str:
     return "x".join(str(count) for count in start.counts)
 
 
-def run(
-    case: CaseStudy | None = None,
-    design_options: DesignOptions | None = None,
-    starts: tuple[PeriodicSchedule, ...] = PAPER_STARTS,
-    workers: int = 0,
-    cache_dir: str | Path | None = None,
-    platform: Platform | None = None,
-    on_event=None,
-) -> SearchResultSummary:
-    """Rerun the schedule-space experiment.
-
-    ``workers``/``cache_dir`` route every evaluation through the batch
-    search engine (parallel workers, persistent cache); the default is
-    the original serial in-memory path.  With a shared ``cache_dir`` the
-    exhaustive sweep warms the per-start hybrid searches and any later
-    rerun of the whole experiment.  ``platform`` rebuilds the case
-    study on a different execution platform when no ``case`` is given.
-
-    The exhaustive sweep runs on one warm engine, which afterwards
-    answers the infeasible list and the round-robin baseline from its
-    memo.  The hybrid searches run through one
-    :class:`~repro.study.Study`, one scenario per start on a fresh
-    engine each, so every evaluation count is that of a standalone
-    search (the paper reports per-start counts).  ``on_event`` receives
-    the exhaustive engine's typed progress events and the study's
-    events.  Every search that ran is recorded as a
-    :class:`~repro.study.RunReport` in
-    :attr:`SearchResultSummary.run_reports`.
-    """
-    case = case or build_case_study(platform=platform)
-    options = design_options or design_options_for_profile()
-    engine_options = EngineOptions(workers=workers, cache_dir=cache_dir)
-
-    def scenario(name: str, **run) -> Scenario:
-        spec = RunSpec(platform=platform, **run)
-        return Scenario(name, case.apps, case.clock, options, spec)
-
-    exhaustive_scenario = scenario("casestudy-exhaustive", strategy="exhaustive")
-    hybrids = Study.from_scenarios(
-        [
-            scenario(
-                f"casestudy-hybrid-{_start_label(start)}",
-                strategy="hybrid",
-                starts=(start.counts,),
-            )
-            for start in starts
-        ],
-        engine_options,
-    )
-    with scenario_engine(exhaustive_scenario, engine_options, on_event) as engine:
-        # Reported before the infeasibility/round-robin extras below, so
-        # the report accounts the exhaustive sweep alone.
-        exhaustive = search_scenario(exhaustive_scenario, engine)
-        hybrid_reports = hybrids.run(on_event=on_event)
-        space = enumerate_idle_feasible(case.apps, case.clock)
-        infeasible = [
-            schedule for schedule in space if not engine.evaluate(schedule).feasible
-        ]
-        round_robin = engine.evaluate(PeriodicSchedule.round_robin(len(case.apps)))
-    return SearchResultSummary(
-        n_enumerated=len(space),
-        n_feasible=exhaustive.search_stats["n_feasible"],
-        optimum=PeriodicSchedule(tuple(exhaustive.best_schedule)),
-        best_overall=exhaustive.overall,
-        round_robin_overall=round_robin.overall,
-        hybrid_evaluations={
-            start.counts: report.search_stats["n_evaluations"]
-            for start, report in zip(starts, hybrid_reports)
-        },
-        hybrid_optima={
-            start.counts: PeriodicSchedule(tuple(report.best_schedule))
-            for start, report in zip(starts, hybrid_reports)
-        },
-        infeasible_schedules=infeasible,
-        run_reports=[exhaustive, *hybrid_reports],
-    )
-
-
 @register_experiment
 class SearchExperiment:
     """Section V search statistics — exhaustive vs hybrid."""
@@ -193,37 +144,56 @@ class SearchExperiment:
     supports_out = False
 
     def build(self, request: ExperimentRequest) -> ExperimentReport:
-        result = run(
-            design_options=request.design_options,
-            workers=request.workers,
-            cache_dir=request.cache_dir,
-            platform=request.platform,
-            on_event=request.on_event,
+        """Rerun the schedule-space experiment.
+
+        The exhaustive sweep runs on one warm engine, which afterwards
+        answers the infeasible list and the round-robin baseline from
+        its memo.  The hybrid searches run through one
+        :class:`~repro.study.Study`, one scenario per paper start on a
+        fresh engine each, so every evaluation count is that of a
+        standalone search (the paper reports per-start counts).  With a
+        shared ``cache_dir`` the exhaustive sweep warms the hybrid
+        searches and any later rerun of the whole experiment.
+        ``on_event`` receives the exhaustive engine's typed progress
+        events and the study's events.
+        """
+        case = build_case_study(platform=request.platform)
+        exhaustive_scenario = request.scenario(
+            "casestudy-exhaustive", case, strategy="exhaustive"
         )
-        data = {
-            "n_enumerated": int(result.n_enumerated),
-            "n_feasible": int(result.n_feasible),
-            "optimum": list(result.optimum.counts),
-            "best_overall": float(result.best_overall),
-            "round_robin_overall": float(result.round_robin_overall),
-            "hybrid": [
-                {
-                    "start": list(start),
-                    "evaluations": int(result.hybrid_evaluations[start]),
-                    "optimum": list(result.hybrid_optima[start].counts),
-                }
-                for start in result.hybrid_evaluations
+        hybrids = Study.from_scenarios(
+            [
+                request.scenario(
+                    f"casestudy-hybrid-{_start_label(start)}",
+                    case,
+                    strategy="hybrid",
+                    starts=(start.counts,),
+                )
+                for start in PAPER_STARTS
             ],
-            "infeasible": [
-                list(schedule.counts)
-                for schedule in result.infeasible_schedules
-            ],
-        }
+            request.engine_options(),
+        )
+        with scenario_engine(
+            exhaustive_scenario, request.engine_options(), request.on_event
+        ) as engine:
+            # Reported before the infeasibility/round-robin extras below,
+            # so the report accounts the exhaustive sweep alone.
+            exhaustive = search_scenario(exhaustive_scenario, engine)
+            hybrid_reports = hybrids.run(on_event=request.on_event)
+            space = enumerate_idle_feasible(case.apps, case.clock)
+            infeasible = [
+                schedule.counts
+                for schedule in space
+                if not engine.evaluate(schedule).feasible
+            ]
+            round_robin = engine.evaluate(PeriodicSchedule.round_robin(len(case.apps)))
         return new_report(
             self.name,
-            data=data,
-            run_reports=result.run_reports,
-            platform=request.platform,
+            data={
+                "round_robin_overall": float(round_robin.overall),
+                "infeasible": infeasible,
+            },
+            run_reports=[exhaustive, *hybrid_reports],
         )
 
     def render(self, report: ExperimentReport) -> str:
@@ -232,24 +202,12 @@ class SearchExperiment:
     @staticmethod
     def result_from(report: ExperimentReport) -> SearchResultSummary:
         """Rebuild the summary from a (possibly resumed) report."""
-        data = report.data
+        exhaustive, *hybrids = report.run_reports
         return SearchResultSummary(
-            n_enumerated=int(data["n_enumerated"]),
-            n_feasible=int(data["n_feasible"]),
-            optimum=PeriodicSchedule(tuple(data["optimum"])),
-            best_overall=float(data["best_overall"]),
-            round_robin_overall=float(data["round_robin_overall"]),
-            hybrid_evaluations={
-                tuple(entry["start"]): int(entry["evaluations"])
-                for entry in data["hybrid"]
-            },
-            hybrid_optima={
-                tuple(entry["start"]): PeriodicSchedule(tuple(entry["optimum"]))
-                for entry in data["hybrid"]
-            },
+            exhaustive=exhaustive,
+            hybrids=hybrids,
+            round_robin_overall=float(report.data["round_robin_overall"]),
             infeasible_schedules=[
-                PeriodicSchedule(tuple(counts)) for counts in data["infeasible"]
+                PeriodicSchedule(tuple(counts)) for counts in report.data["infeasible"]
             ],
-            run_reports=list(report.run_reports),
         )
-

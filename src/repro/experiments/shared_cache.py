@@ -18,18 +18,14 @@ and the gap between the two optima is the capacity cost of sharing
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from pathlib import Path
+from dataclasses import dataclass
 
-from ..apps.casestudy import CaseStudy, build_case_study
-from ..control.design import DesignOptions
+from ..apps.casestudy import build_case_study
 from ..core.report import render_table
-from ..platform import Platform, shared_paper_platform
-from ..sched.engine import EngineOptions, stats_summary
-from ..sched.engine.batch import Scenario
+from ..platform import shared_paper_platform
+from ..sched.engine import stats_summary
 from ..sched.schedule import PeriodicSchedule
-from ..study import RunReport, RunSpec, Study
-from .profiles import design_options_for_profile
+from ..study import RunReport, Study
 from .registry import ExperimentRequest, register_experiment
 from .report import ExperimentReport, new_report
 
@@ -88,78 +84,49 @@ class SharedCacheSummary:
         )
 
 
-def run(
-    case: CaseStudy | None = None,
-    design_options: DesignOptions | None = None,
-    n_cores: int = 2,
-    platform: Platform | None = None,
-    max_count_per_core: int = 6,
-    workers: int = 0,
-    cache_dir: str | Path | None = None,
-    strategy: str | None = None,
-    on_event=None,
-) -> SharedCacheSummary:
-    """Run the private-vs-shared comparison on one platform.
-
-    The two sweeps are the two scenarios of one
-    :class:`~repro.study.Study`; with a ``cache_dir`` they share disk
-    entries wherever a block's way allocation equals the full geometry.
-    ``strategy`` picks the per-core schedule search (default
-    ``exhaustive``); ``on_event`` receives the study's events.
-    """
-    platform = platform or shared_paper_platform()
-    case = case or build_case_study(platform=platform)
-    options = design_options or design_options_for_profile()
-    spec = RunSpec(
-        strategy=strategy,
-        n_cores=n_cores,
-        max_count_per_core=max_count_per_core,
-        platform=platform,
-    )
-    study = Study.from_scenarios(
-        [
-            Scenario(
-                f"casestudy-{side}",
-                case.apps,
-                case.clock,
-                options,
-                replace(spec, shared_cache=side == "shared"),
-            )
-            for side in ("private", "shared")
-        ],
-        EngineOptions(workers=workers, cache_dir=cache_dir),
-    )
-    return SharedCacheSummary(*study.run(on_event=on_event))
-
-
 @register_experiment
 class SharedCacheExperiment:
     """Private caches vs one way-partitioned shared cache."""
 
     name = "shared_cache"
     supports_out = False
-    supports_strategy = True  # per-core schedule search
-    supports_max_count = True  # per-core burst-length cap
+    #: The per-core schedule search and burst-length cap.
+    run_fields = ("platform", "strategy", "max_count_per_core")
     #: Without an explicit platform the co-design needs ways to
     #: partition, so it runs on the shared paper platform — declared
     #: here so run-dir resume compares against the right fingerprint.
     default_platform = staticmethod(shared_paper_platform)
 
     def build(self, request: ExperimentRequest) -> ExperimentReport:
-        summary = run(
-            design_options=request.design_options,
-            platform=request.platform,
-            max_count_per_core=request.max_count_per_core,
-            workers=request.workers,
-            cache_dir=request.cache_dir,
-            strategy=request.strategy,
-            on_event=request.on_event,
+        """Run the private-vs-shared comparison on one 2-core platform.
+
+        The two sweeps are the two scenarios of one
+        :class:`~repro.study.Study`; with a ``cache_dir`` they share
+        disk entries wherever a block's way allocation equals the full
+        geometry.  ``strategy`` picks the per-core schedule search
+        (default ``exhaustive``); ``on_event`` receives the study's
+        events.
+        """
+        platform = request.platform or shared_paper_platform()
+        case = build_case_study(platform=platform)
+        study = Study.from_scenarios(
+            [
+                request.scenario(
+                    f"casestudy-{side}",
+                    case,
+                    platform=platform,
+                    n_cores=2,
+                    shared_cache=side == "shared",
+                )
+                for side in ("private", "shared")
+            ],
+            request.engine_options(),
         )
+        summary = SharedCacheSummary(*study.run(on_event=request.on_event))
         return new_report(
             self.name,
             data={"partitioning_gain": summary.partitioning_gain},
             run_reports=[summary.private, summary.shared],
-            platform=summary.private.spec.platform,
         )
 
     def render(self, report: ExperimentReport) -> str:

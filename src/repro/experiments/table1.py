@@ -122,7 +122,6 @@ class Table1Experiment:
                 "rows": [asdict(row) for row in result.rows],
                 "methods_agree": bool(result.methods_agree),
             },
-            platform=request.platform,
         )
 
     def render(self, report: ExperimentReport) -> str:

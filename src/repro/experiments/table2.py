@@ -69,7 +69,6 @@ class Table2Experiment:
                 "rows": [list(row) for row in result.rows],
                 "matches_paper": bool(result.matches_paper),
             },
-            platform=request.platform,
         )
 
     def render(self, report: ExperimentReport) -> str:

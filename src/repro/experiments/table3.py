@@ -131,7 +131,6 @@ class Table3Experiment:
                 "rr_feasible": bool(result.rr_feasible),
                 "ca_feasible": bool(result.ca_feasible),
             },
-            platform=request.platform,
         )
 
     def render(self, report: ExperimentReport) -> str:

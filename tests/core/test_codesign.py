@@ -28,7 +28,7 @@ class TestStageOne:
     def test_schedule_space_cached(self, problem):
         space1 = problem.schedule_space()
         space2 = problem.schedule_space()
-        assert space1 is space2
+        assert space1 == space2
         assert len(space1) == 77
 
     def test_idle_feasible(self, problem):

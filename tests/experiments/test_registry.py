@@ -1,6 +1,7 @@
 """The experiment registry: contract, round-tripping reports, resume."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -15,8 +16,9 @@ from repro.experiments import (
     run_experiment,
     unregister_experiment,
 )
-from repro.experiments.registry import render_experiment
-from repro.study import ScenarioFinished, ScenarioStarted, SimulationProgress
+from repro.experiments.registry import render_experiment, run_and_render
+from repro.experiments.report import new_report
+from repro.study import RunSpec, ScenarioFinished, ScenarioStarted, SimulationProgress
 
 
 ALL_EXPERIMENTS = (
@@ -130,17 +132,92 @@ class TestRegistryContract:
         """Regression: shared_cache builds on the shared paper platform
         when no platform is requested; the resume fingerprint must
         compare against that, not the direct-mapped paper default."""
-        from repro.experiments.registry import _expected_platform
+        from repro.experiments.registry import _target_platform
         from repro.platform import Platform, shared_paper_platform
 
         assert (
-            _expected_platform("shared_cache", ExperimentRequest())
+            _target_platform("shared_cache", ExperimentRequest()).fingerprint()
             == shared_paper_platform().fingerprint()
         )
         assert (
-            _expected_platform("table1", ExperimentRequest())
+            _target_platform("table1", ExperimentRequest()).fingerprint()
             == Platform().fingerprint()
         )
+
+    @pytest.mark.parametrize(
+        "name, changes, field, takers",
+        [
+            ("table1", {"seed": 7}, "seed", "no experiment does"),
+            ("multicore", {"n_cores": 2}, "n_cores", "no experiment does"),
+            ("search", {"starts": ((4, 2, 2),)}, "starts", "no experiment does"),
+            ("fig6", {"strategy": "hybrid"}, "strategy",
+             "experiments that do: feedback, multicore, shared_cache"),
+        ],
+    )
+    def test_fields_outside_run_fields_rejected(self, name, changes, field, takers):
+        """A spec field the experiment does not declare in
+        ``run_fields`` must keep its default, before anything runs;
+        the error names the experiments that take it."""
+        with pytest.raises(ConfigurationError) as excinfo:
+            run_experiment(name, ExperimentRequest(**changes))
+        message = str(excinfo.value)
+        assert name in message and field in message
+        assert message.endswith(takers)
+
+
+class TestOutputsWrittenOnce:
+    """One run writes its output files exactly once, on every path."""
+
+    @pytest.fixture
+    def calls(self, tmp_path):
+        calls = []
+
+        @register_experiment
+        class OutputProbe:
+            """Records every build and every output write."""
+
+            name = "output-probe"
+            supports_out = True
+            default_out = tmp_path / "default"
+
+            def build(self, request):
+                calls.append("build")
+                return new_report(self.name, data={"value": 1})
+
+            def render(self, report):
+                return f"value {report.data['value']}"
+
+            def write_outputs(self, report, directory):
+                calls.append(Path(directory))
+                return [Path(directory) / "probe.csv"]
+
+        try:
+            yield calls
+        finally:
+            unregister_experiment("output-probe")
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_cli_writes_once_per_run_and_resume(self, calls, json_flag, tmp_path, capsys):
+        from repro.__main__ import main
+
+        out = tmp_path / "out"
+        args = ["experiment", "output-probe", "--out", str(out), "--run-dir", str(tmp_path)]
+        assert main(args + json_flag) == 0
+        first = capsys.readouterr().out
+        assert main(args + json_flag) == 0  # resumed from the run dir
+        assert capsys.readouterr().out == first
+        assert calls == ["build", out, out]
+        if not json_flag:
+            assert first.rstrip().endswith(f"CSV written to: {out / 'probe.csv'}")
+
+    def test_library_writes_only_an_explicit_out(self, calls, tmp_path):
+        run_experiment("output-probe")
+        assert calls == ["build"]
+        run_experiment("output-probe", ExperimentRequest(out=tmp_path))
+        assert calls == ["build", "build", tmp_path]
+        text = run_and_render("output-probe")
+        assert calls[3:] == ["build", tmp_path / "default"]
+        assert text.endswith(f"CSV written to: {tmp_path / 'default' / 'probe.csv'}")
 
 
 def _request(options, **kwargs) -> ExperimentRequest:
@@ -153,9 +230,9 @@ class TestRoundTripCheap:
     @pytest.mark.parametrize("name", ["table1", "table2"])
     def test_report_round_trips(self, name):
         report = run_experiment(name)
-        assert report.schema_version == 1
+        assert report.schema_version == 2
         assert report.profile
-        assert report.platform["wcet_model"] == "static"
+        assert report.request["platform"]["wcet_model"] == "static"
         assert report.run_reports == []
         assert ExperimentReport.from_json(report.to_json()) == report
         # Rendering is a pure function of the report.
@@ -204,9 +281,13 @@ class TestRoundTripDesignHeavy:
             "casestudy-hybrid-4x2x2", "casestudy-hybrid-1x2x1",
         ]
         assert [e.report for e in finished] == report.run_reports[1:]
-        assert [
-            entry["evaluations"] for entry in report.data["hybrid"]
-        ] == [r.search_stats["n_evaluations"] for r in report.run_reports[1:]]
+        # The statistics are read from the embedded reports, not echoed.
+        assert sorted(report.data) == ["infeasible", "round_robin_overall"]
+        summary = get_experiment("search").result_from(report)
+        assert list(summary.hybrid_evaluations.values()) == [
+            r.search_stats["n_evaluations"] for r in report.run_reports[1:]
+        ]
+        assert list(summary.hybrid_evaluations) == [(4, 2, 2), (1, 2, 1)]
         assert [r.spec.strategy for r in report.run_reports] == [
             "exhaustive",
             "hybrid",
@@ -214,7 +295,7 @@ class TestRoundTripDesignHeavy:
         ]
         exhaustive = report.run_reports[0]
         stats = exhaustive.engine_stats
-        assert stats["n_requested"] == report.data["n_enumerated"]
+        assert stats["n_requested"] == exhaustive.n_space == summary.n_enumerated
         # Rendered statistics come from the report's data alone.
         rendered = render_experiment("search", report)
         assert "Section V" in rendered
@@ -228,7 +309,8 @@ class TestRoundTripDesignHeavy:
         )
         assert ExperimentReport.from_json(report.to_json()) == report
         (embedded,) = report.run_reports
-        assert embedded.spec.n_cores == 2 and embedded.cores
+        assert embedded.spec == RunSpec(n_cores=2, max_count_per_core=2).resolved(3)
+        assert embedded.cores
         rendered = render_experiment("multicore", report)
         assert f"multicore P_all = {embedded.overall:.4f}" in rendered
 
@@ -283,7 +365,7 @@ class TestRoundTripDesignHeavy:
         assert all(
             isinstance(core["ways"], int) for core in shared.cores
         )
-        assert report.platform["cache"]["associativity"] == 4
+        assert report.request["platform"]["cache"]["associativity"] == 4
 
 
 @pytest.mark.slow
@@ -369,7 +451,7 @@ class TestSchemaMigration:
         with pytest.raises(ConfigurationError) as excinfo:
             ExperimentReport.from_json(path.read_text())
         assert "schema_version 0" in str(excinfo.value)
-        assert "speaks 1" in str(excinfo.value)
+        assert "speaks 2" in str(excinfo.value)
         again = run_experiment("table1", request, run_dir=tmp_path)
         assert again.created_at != cold.created_at
         assert again.data == cold.data

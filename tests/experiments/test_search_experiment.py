@@ -7,7 +7,9 @@ validated structurally.
 
 import pytest
 
+from repro.experiments import ExperimentRequest, get_experiment, run_experiment
 from repro.experiments import search as search_experiment
+from repro.experiments.registry import render_experiment
 from repro.sched import PeriodicSchedule
 
 
@@ -23,12 +25,15 @@ class TestPaperConstants:
 
 @pytest.mark.slow
 class TestRunQuick:
-    def test_full_experiment_quick_profile(self, case_study, quick_design_options):
-        result = search_experiment.run(case_study, quick_design_options)
+    def test_full_experiment_quick_profile(self, quick_design_options):
+        request = ExperimentRequest(design_options=quick_design_options)
+        report = run_experiment("search", request)
+        result = get_experiment("search").result_from(report)
         assert result.n_enumerated == 77
         assert result.n_feasible <= result.n_enumerated
         assert result.hybrid_found_optimum in (True, False)
         assert result.hybrid_cheaper_than_exhaustive
-        rendered = result.render()
+        rendered = render_experiment("search", report)
+        assert rendered == result.render()
         assert "Section V" in rendered
         assert "hybrid evaluations from (4, 2, 2)" in rendered

@@ -223,13 +223,12 @@ SUBJECTS = [
     Subject(
         ExperimentRequest,
         {
-            "design_options": st.none() | designs,
+            **SPEC_VALUES,
             # Never None here: None resolves to the experiment's default.
             "platform": platforms,
-            "strategy": st.none() | strategies,
+            "design_options": st.none() | designs,
             "workers": st.integers(0, 8),
             "cache_dir": st.sampled_from([None, "cache", Path("other")]),
-            "max_count_per_core": st.integers(1, 6),
             "out": st.sampled_from([None, "out", Path("figures")]),
             "on_event": st.sampled_from([None, print, repr]),
         },
