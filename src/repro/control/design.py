@@ -113,9 +113,14 @@ class DesignOptions:
             raise ControlError(f"restarts must be >= 1, got {self.restarts}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ControllerDesign:
-    """Result of a holistic design for one application and timing."""
+    """Result of a holistic design for one application and timing.
+
+    Frozen: a decoded design is shared between jobs and threads (the
+    evaluation store's memo), so :meth:`from_dict` also makes its
+    arrays read-only.
+    """
 
     gains: np.ndarray         # (m, l)
     feedforward: np.ndarray   # (m,)
@@ -160,10 +165,14 @@ class ControllerDesign:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ControllerDesign":
-        """Inverse of :meth:`to_dict`."""
+        """Inverse of :meth:`to_dict` (with read-only arrays)."""
+        gains = np.asarray(data["gains"], dtype=float)
+        feedforward = np.asarray(data["feedforward"], dtype=float)
+        gains.setflags(write=False)
+        feedforward.setflags(write=False)
         return cls(
-            gains=np.asarray(data["gains"], dtype=float),
-            feedforward=np.asarray(data["feedforward"], dtype=float),
+            gains=gains,
+            feedforward=feedforward,
             settling=float(data["settling"]),
             u_peak=float(data["u_peak"]),
             spectral_radius=float(data["spectral_radius"]),

@@ -41,13 +41,23 @@ STRESS, HORIZON = 1.46, 1.0
 @dataclass
 class FeedbackSummary:
     """Adaptive feedback scheduling next to the static baseline: the
-    load transient's ``stress``/``horizon`` and the
-    :class:`~repro.study.RunReport` of each run."""
+    :class:`~repro.study.RunReport` of each run, which records its load
+    transient (``spec.dynamic``) and its simulation (``sim``)."""
 
-    stress: float
-    horizon: float
     static: RunReport
     adaptive: RunReport
+
+    @property
+    def stress(self) -> float:
+        """Demand multiplier of the overload burst."""
+        return max(
+            max(demands) for _at, demands in self.adaptive.spec.dynamic.disturbances
+        )
+
+    @property
+    def horizon(self) -> float:
+        """Simulated horizon (s)."""
+        return self.adaptive.spec.dynamic.horizon
 
     @cached_property
     def static_sim(self) -> SimReport:
@@ -147,17 +157,9 @@ class FeedbackExperiment:
             ],
             request.engine_options(),
         )
-        summary = FeedbackSummary(STRESS, HORIZON, *study.run(on_event=request.on_event))
-        data = {
-            "stress": summary.stress,
-            "horizon": summary.horizon,
-            "static_cost": summary.static_cost,
-            "adaptive_cost": summary.adaptive_cost,
-            "improvement": summary.improvement,
-            "n_adaptations": summary.adaptive_sim.n_adaptations,
-        }
+        # Everything the summary shows is read from the two reports.
         return new_report(
-            self.name, data=data, run_reports=[summary.static, summary.adaptive]
+            self.name, data={}, run_reports=study.run(on_event=request.on_event)
         )
 
     def render(self, report: ExperimentReport) -> str:
@@ -166,5 +168,4 @@ class FeedbackExperiment:
     @staticmethod
     def result_from(report: ExperimentReport) -> FeedbackSummary:
         """Rebuild the summary from a (possibly resumed) report."""
-        data = report.data
-        return FeedbackSummary(data["stress"], data["horizon"], *report.run_reports)
+        return FeedbackSummary(*report.run_reports)

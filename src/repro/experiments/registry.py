@@ -119,10 +119,14 @@ class ExperimentSpec(Protocol):
     ``feedback`` adds ``strategy``, ``multicore`` and ``shared_cache``
     add ``strategy`` and ``max_count_per_core``).  Any other spec field
     must keep its default, so a request never forks an artifact on a
-    field the run ignores.  ``default_platform`` — a zero-argument
-    callable — declares the platform an experiment runs on when the
-    request names none (builtin: ``shared_cache`` uses
-    :func:`~repro.platform.shared_paper_platform`).
+    field the run ignores (``table2`` takes none).  ``default_platform``
+    — a zero-argument callable — declares the platform an experiment
+    runs on when the request names none (builtin: ``shared_cache`` uses
+    :func:`~repro.platform.shared_paper_platform`).  ``check_request``
+    — a method taking the request — rejects, with
+    :class:`~repro.errors.ConfigurationError`, values of the fields it
+    takes that the run would ignore (builtin: ``table1`` takes only the
+    platform's cache).
     """
 
     name: str
@@ -301,9 +305,10 @@ def validate_request(name: str, request: ExperimentRequest) -> None:
     the experiment's ``run_fields`` — and ``out`` unless it declares
     ``supports_out`` — must keep its default; otherwise
     :class:`~repro.errors.ConfigurationError` names the experiments
-    that do take the field.  Called by :func:`run_experiment`; the CLI
-    calls it up front so a rejected invocation produces no partial
-    output.
+    that do take the field.  Last, the experiment's own
+    ``check_request`` runs, if it declares one.  Called by
+    :func:`run_experiment`; the CLI calls it up front so a rejected
+    invocation produces no partial output.
     """
     spec = get_experiment(name)
     request.validate()
@@ -321,6 +326,9 @@ def validate_request(name: str, request: ExperimentRequest) -> None:
             f"experiment {name!r} does not take {field_name}; "
             + (f"experiments that do: {', '.join(takers)}" if takers else "no experiment does")
         )
+    check = getattr(spec, "check_request", None)
+    if check is not None:
+        check(request)
 
 
 def render_experiment(

@@ -9,11 +9,14 @@ table exactly (deviation 0.00 us).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from ..apps.casestudy import PAPER_TABLE1_US, build_case_study
 from ..cache.config import CacheConfig
 from ..core.report import render_table
+from ..errors import ConfigurationError
+from ..identity import diff
+from ..platform import Platform
 from ..units import Clock
 from ..wcet.reuse import analyze_task_wcets
 from .registry import ExperimentRequest, register_experiment
@@ -113,6 +116,21 @@ class Table1Experiment:
 
     name = "table1"
     supports_out = False
+
+    def check_request(self, request: ExperimentRequest) -> None:
+        """Only the platform's cache moves Table I: it reports at the
+        paper's 20 MHz clock through both WCET models, so any other
+        platform change would fork the artifact without changing it."""
+        if request.platform is None:
+            return
+        default = Platform()
+        differs = diff(replace(request.platform, cache=default.cache), default)
+        if differs:
+            raise ConfigurationError(
+                f"experiment 'table1' takes only the platform's cache (it "
+                f"reports at the paper's 20 MHz clock through both WCET "
+                f"models); got a non-default {', '.join(differs)}"
+            )
 
     def build(self, request: ExperimentRequest) -> ExperimentReport:
         result = run(request.platform.cache if request.platform else None)

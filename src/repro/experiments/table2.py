@@ -60,6 +60,8 @@ class Table2Experiment:
 
     name = "table2"
     supports_out = False
+    #: Table II is the case study's configuration: no run field moves it.
+    run_fields = ()
 
     def build(self, request: ExperimentRequest) -> ExperimentReport:
         result = run()

@@ -1,4 +1,4 @@
-"""One bounded, thread-safe LRU memo for the pure analysis functions.
+"""One bounded, thread-safe LRU memo for the warm path's pure functions.
 
 Two functions of the paper's first stage are pure and dominate a warm
 job: the Table-I / eq. (5) WCET analysis
@@ -8,12 +8,16 @@ idle-feasible enumeration
 one process-wide :class:`Memo` *inside* the function, so every caller
 — case-study builds, synthesized suites, the multicore per-block
 spaces, the experiments and the server's warm jobs — shares its hits.
+An open evaluation store keeps a third one of decoded evaluations
+(:attr:`repro.sched.engine.store.PersistentCache.decoded`).
 
 A memo holds at most ``maxsize`` entries and evicts the least recently
 used one past that.  Its counters are API: :meth:`Memo.get_stats`
 reports hits, misses and size.  Keys must be hashable and must cover
 every input of the memoized function; values are shared between
-callers, so memoize only immutable values.
+callers, so memoize only immutable values.  A computed ``None`` means
+"nothing to keep" (a row absent from a store): it is returned but not
+memoized, so the key is computed again next time.
 """
 
 from __future__ import annotations
@@ -45,7 +49,8 @@ class Memo(Generic[V]):
         self.misses = 0
 
     def get(self, key: Hashable, compute: Callable[[], V]) -> V:
-        """The value memoized under ``key``, computing it on a miss."""
+        """The value memoized under ``key``, computing it on a miss (a
+        computed ``None`` is not memoized)."""
         with self._lock:
             if key in self._entries:
                 self.hits += 1
@@ -53,6 +58,8 @@ class Memo(Generic[V]):
                 return self._entries[key]
             self.misses += 1
         value = compute()
+        if value is None:
+            return value
         with self._lock:
             value = self._entries.setdefault(key, value)
             self._entries.move_to_end(key)

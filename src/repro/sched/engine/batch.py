@@ -18,6 +18,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -55,6 +56,10 @@ class Scenario:
     ``spec.dynamic`` profile is simulated through
     :class:`~repro.sim.loop.FeedbackLoop` on the scenario's still-warm
     engine after the static search.
+
+    Its :attr:`identity` and :attr:`problem` digest are computed once,
+    on first use, and shared by the run-dir lookup, the engine and the
+    report — so do not change a scenario's fields after reading them.
     """
 
     name: str
@@ -65,6 +70,22 @@ class Scenario:
 
     def __post_init__(self) -> None:
         self.spec = self.spec.resolved(len(self.apps))
+
+    @cached_property
+    def identity(self) -> dict[str, str]:
+        """:func:`~repro.study.report.scenario_identity` of this run."""
+        # Imported lazily: repro.study builds on this module.
+        from ...study.report import scenario_identity
+
+        return scenario_identity(self)
+
+    @cached_property
+    def problem(self) -> str:
+        """:func:`~repro.study.report.scenario_digest` of this problem —
+        the digest its engine keys the persistent cache with."""
+        from ...study.report import scenario_digest
+
+        return scenario_digest(self)
 
 
 @contextmanager
@@ -85,7 +106,9 @@ def scenario_engine(
     spec = scenario.spec
     if spec.n_cores == 1:
         evaluator = ScheduleEvaluator(scenario.apps, scenario.clock, scenario.design_options)
-        with options.build(evaluator, platform=spec.platform, on_event=on_event) as engine:
+        with options.build(
+            evaluator, platform=spec.platform, on_event=on_event, problem=scenario.problem
+        ) as engine:
             yield engine
         return
     # Imported lazily: repro.multicore builds on repro.sched.

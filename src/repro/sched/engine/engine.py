@@ -11,7 +11,9 @@ of them:
    block, the caller's own evaluator);
 2. a persistent, disk-backed evaluation cache keyed by a stable hash of
    schedule + the block's application timing + design options +
-   platform (warm starts across runs, ablations and processes);
+   platform (warm starts across runs, ablations and processes), shared
+   by every engine of the process on that directory together with its
+   memo of decoded rows (:mod:`~.store`);
 3. batch computation of the remaining misses — serially, or fanned out
    to a process pool when ``workers >= 2``.
 
@@ -72,13 +74,15 @@ class EngineOptions:
         evaluator: ScheduleEvaluator,
         platform: Platform | None = None,
         on_event=None,
+        problem: str | None = None,
     ) -> "SearchEngine":
         """An engine over ``evaluator`` with these options.
 
         ``platform`` declares the platform the evaluator's WCETs were
         analyzed on; it becomes part of the persistent-cache keys.
         ``on_event`` receives the engine's typed progress events
-        (:mod:`~repro.sched.engine.events`).
+        (:mod:`~repro.sched.engine.events`); ``problem`` is the whole
+        problem's digest when the caller already holds it.
         """
         return SearchEngine(
             evaluator,
@@ -86,6 +90,7 @@ class EngineOptions:
             cache_dir=self.cache_dir,
             platform=platform,
             on_event=on_event,
+            problem=problem,
         )
 
 
@@ -178,6 +183,12 @@ class SearchEngine:
     handed an engine wherever it expects an evaluator.  The engine's own
     block is the whole problem; :meth:`for_block` gives the same engine
     scoped to one block.
+
+    ``problem`` is the whole problem's digest,
+    ``problem_digest(evaluator.apps, clock, design_options, platform)``,
+    when the caller already computed it (a
+    :class:`~repro.sched.engine.batch.Scenario` holds it); by default the
+    engine computes it.
     """
 
     def __init__(
@@ -187,6 +198,7 @@ class SearchEngine:
         cache_dir: str | Path | None = None,
         platform: Platform | None = None,
         on_event=None,
+        problem: str | None = None,
     ) -> None:
         self.evaluator = evaluator
         self.workers = int(workers)
@@ -196,7 +208,9 @@ class SearchEngine:
         # State shared with every block-scoped copy lives on the root.
         self._root = self
         self._best_overall: float | None = None
-        self._store = PersistentCache(cache_dir) if cache_dir is not None else None
+        self._store = (
+            PersistentCache.shared(cache_dir) if cache_dir is not None else None
+        )
         self._subproblems: dict[Block, Subproblem] = {}
         self._variants: dict[int, list] = {}
         if self.workers >= 2:
@@ -205,7 +219,10 @@ class SearchEngine:
             )
         else:
             self._backend = SerialBackend()
-        self._sub = self.subproblem(range(len(evaluator.apps)))
+        whole = Block(tuple(range(len(evaluator.apps))))
+        if problem is not None:
+            self._subproblems[whole] = Subproblem(whole, evaluator, problem)
+        self._sub = self.subproblem(whole)
 
     # ------------------------------------------------------------------
     # ScheduleEvaluator duck-type surface
@@ -367,21 +384,31 @@ class SearchEngine:
     def _load_from_disk(self, sub: Subproblem, schedule: PeriodicSchedule) -> bool:
         """Try to satisfy a miss from the persistent store.
 
-        A row that does not decode to this schedule's evaluation is a
-        miss: it is recomputed, its row overwritten, and it is counted
-        in ``n_disk_corrupt``.
+        The store's memo of decoded rows answers first; a memo hit is
+        a disk hit like any other.  A row that does not decode to this
+        schedule's evaluation is a miss: it is recomputed, its row
+        overwritten, and it is counted in ``n_disk_corrupt``.
         """
-        if self._store is None:
+        store = self._store
+        if store is None:
             return False
-        try:
-            payload = self._store.get(evaluation_key(sub.digest, schedule))
+        key = evaluation_key(sub.digest, schedule)
+
+        def read() -> ScheduleEvaluation | None:
+            payload = store.get(key)
             if payload is None:
-                return False
+                return None
             evaluation = evaluation_from_dict(payload)
             if evaluation.schedule.counts != schedule.counts:
                 raise ValueError("row holds another schedule")
+            return evaluation
+
+        try:
+            evaluation = store.decoded.get(key, read)
         except (ValueError, LookupError, TypeError, AttributeError, ScheduleError):
             self.stats.n_disk_corrupt += 1
+            return False
+        if evaluation is None:
             return False
         sub.evaluator.adopt(evaluation)
         return True
@@ -427,11 +454,11 @@ class SearchEngine:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut down workers and the store (idempotent)."""
+        """Shut down workers and release the store (idempotent)."""
         root = self._root
         root._backend.close()
         if root._store is not None:
-            root._store.close()
+            root._store.release()
             root._store = None
 
     def __enter__(self) -> "SearchEngine":

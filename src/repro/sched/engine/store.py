@@ -13,23 +13,36 @@ processes (e.g. two ``python -m repro batch`` runs pointed at the same
 lets readers proceed during a write, and writers that do collide wait
 out the lock instead of dying with "database is locked".
 
-Within one process the store is additionally *thread-safe*: the
-connection is opened with ``check_same_thread=False`` and every
-operation is serialized behind an internal lock, so one shared cache
-directory can serve engines running on different threads — the
-``repro serve`` job server drains its queue into executor threads that
-all warm-start from (and feed) the same evaluation cache.
+Within one process there is **one open store per cache directory**:
+:meth:`PersistentCache.shared` hands every engine on a directory the
+same instance, reference-counted, and the last :meth:`~PersistentCache.release`
+closes it — so a long-lived ``repro serve`` keeps one SQLite connection,
+not one per job.  The store is *thread-safe*: the connection is opened
+with ``check_same_thread=False`` and every operation is serialized
+behind an internal lock, so the server's job threads all warm-start
+from (and feed) the same evaluation cache.
+
+An open store also keeps a bounded memo of **decoded** evaluations
+(:attr:`PersistentCache.decoded`, keyed by evaluation key), filled only
+by a successful decode of a row, so a warm job reads and decodes
+nothing another job already did.  Rows are content-addressed — a key's
+payload never changes — so a memo hit is what the row would decode to.
+The memo lives and dies with the open store: a row corrupted on disk
+while nobody holds the store is detected (and recomputed) by the next
+holder.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sqlite3
 import threading
 import time
 from pathlib import Path
 
 from ...errors import ConfigurationError
+from ...memo import Memo
 
 #: File name inside the cache directory.
 DB_FILENAME = "evaluations.sqlite"
@@ -37,12 +50,31 @@ DB_FILENAME = "evaluations.sqlite"
 #: How long a writer waits on a locked database before giving up (s).
 BUSY_TIMEOUT_S = 10.0
 
+#: Decoded evaluations an open store keeps (a case-study space is 231
+#: schedules; a decoded case-study evaluation takes ~3 KiB).
+DECODED_MEMO_SIZE = 1024
+
+#: The open shared stores of this process, by resolved cache directory.
+_SHARED: dict[Path, "PersistentCache"] = {}
+_SHARED_LOCK = threading.Lock()
+
 
 class PersistentCache:
-    """A persistent key -> JSON-payload store for schedule evaluations."""
+    """A persistent key -> JSON-payload store for schedule evaluations.
+
+    Constructing one opens a private connection; engines go through
+    :meth:`shared` instead.  ``n_reads`` counts the rows read from
+    SQLite (:meth:`get` calls).
+    """
 
     def __init__(self, cache_dir: str | Path) -> None:
         self.cache_dir = Path(cache_dir)
+        self.n_reads = 0
+        #: Decoded evaluations by evaluation key (see the module notes).
+        self.decoded: Memo = Memo("decoded evaluations", DECODED_MEMO_SIZE)
+        self._holders = 0
+        self._shared_as: Path | None = None
+        self._pid = os.getpid()
         try:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
         except (FileExistsError, NotADirectoryError) as exc:
@@ -81,6 +113,34 @@ class PersistentCache:
                 "remove it or pass another cache dir"
             ) from exc
 
+    @classmethod
+    def shared(cls, cache_dir: str | Path) -> "PersistentCache":
+        """The process's open store of ``cache_dir``, with one more holder.
+
+        The first holder opens it; every holder calls :meth:`release`
+        once.  A store inherited through ``fork`` is never shared: its
+        connection belongs to the parent.
+        """
+        key = Path(cache_dir).resolve()
+        with _SHARED_LOCK:
+            store = _SHARED.get(key)
+            if store is None or store.closed or store._pid != os.getpid():
+                store = _SHARED[key] = cls(cache_dir)
+                store._shared_as = key
+            store._holders += 1
+        return store
+
+    def release(self) -> None:
+        """Drop one holder; the last one closes the store (a private
+        store closes at once)."""
+        with _SHARED_LOCK:
+            self._holders -= 1
+            if self._holders > 0:
+                return
+            if self._shared_as is not None and _SHARED.get(self._shared_as) is self:
+                del _SHARED[self._shared_as]
+        self.close()
+
     def _connection(self) -> sqlite3.Connection:
         """The live connection, or a clear error after :meth:`close`."""
         if self._conn is None:
@@ -98,6 +158,7 @@ class PersistentCache:
     def get(self, key: str) -> dict | None:
         """The stored payload for ``key``, or ``None`` on a miss."""
         with self._lock:
+            self.n_reads += 1
             row = self._connection().execute(
                 "SELECT payload FROM evaluations WHERE key = ?", (key,)
             ).fetchone()
@@ -159,13 +220,16 @@ class PersistentCache:
             conn = self._connection()
             conn.execute("DELETE FROM evaluations")
             conn.commit()
+            self.decoded.clear()
 
     def close(self) -> None:
-        """Close the underlying connection (idempotent)."""
+        """Close the underlying connection and drop the decoded memo
+        (idempotent)."""
         with self._lock:
             if self._conn is not None:
                 self._conn.close()
                 self._conn = None
+            self.decoded.clear()
 
     def __enter__(self) -> "PersistentCache":
         return self

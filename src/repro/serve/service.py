@@ -14,6 +14,10 @@ Two properties carry the whole design:
   warm-starts from every prior job's evaluations and a resubmitted job
   resumes its persisted report byte-identically — the resume semantics
   are exactly those of the CLI's ``--run-dir``/``--cache-dir`` flags.
+  The service holds the directory's one open store
+  (:meth:`~repro.sched.engine.store.PersistentCache.shared`) from
+  :meth:`JobService.start` to :meth:`JobService.drain`, so jobs share
+  its SQLite connection and its memo of decoded evaluations.
 * **Identical jobs collapse.**  Jobs with the same
   :meth:`~repro.serve.jobs.JobSpec.digest` are serialized behind a
   per-digest lock: the first computes and persists, the rest resume
@@ -46,7 +50,7 @@ from typing import AsyncIterator, Optional
 
 from ..errors import ConfigurationError, ReproError, ServeError
 from ..experiments.profiles import design_options_for_profile
-from ..sched.engine import EngineOptions
+from ..sched.engine import EngineOptions, PersistentCache
 from ..study import Study
 from ..study.events import StudyEvent
 from ..study.report import write_artifact
@@ -141,6 +145,8 @@ class JobService:
         self._workers: list[asyncio.Task[None]] = []
         self._executor: ThreadPoolExecutor | None = None
         self._draining = False
+        #: The shared evaluation store while the service runs.
+        self.store: PersistentCache | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -149,6 +155,7 @@ class JobService:
         """Restore the persisted ledger and start the queue workers."""
         self.jobs_dir.mkdir(parents=True, exist_ok=True)
         self.runs_dir.mkdir(parents=True, exist_ok=True)
+        self.store = PersistentCache.shared(self.cache_dir)
         self._restore()
         self._executor = ThreadPoolExecutor(
             max_workers=self.max_jobs, thread_name_prefix="repro-serve-job"
@@ -202,6 +209,9 @@ class JobService:
         if self._executor is not None:
             self._executor.shutdown(wait=True)
             self._executor = None
+        if self.store is not None:
+            self.store.release()
+            self.store = None
 
     @property
     def draining(self) -> bool:

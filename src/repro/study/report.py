@@ -62,6 +62,8 @@ def scenario_identity(scenario) -> dict[str, str]:
     ``design_options``/``platform`` of ``None`` resolve exactly as in
     :func:`scenario_digest`; that ``problem`` digest joins the record,
     pinning the cache-key schema the results were computed under.
+    A :class:`~repro.sched.engine.batch.Scenario` computes this once
+    (its ``identity``).
     """
     tree = canonical(scenario)
     tree.update(tree.pop("spec"))
@@ -70,7 +72,7 @@ def scenario_identity(scenario) -> dict[str, str]:
         default_platform(scenario.clock)
     )
     identity = {name: digest(value) for name, value in tree.items()}
-    identity["problem"] = scenario_digest(scenario)
+    identity["problem"] = scenario.problem
     return identity
 
 
@@ -204,7 +206,7 @@ class RunReport:
         return cls(
             scenario=scenario.name,
             spec=scenario.spec,
-            problem=scenario_digest(scenario),
+            problem=scenario.problem,
             n_space=n_space,
             backend=engine.backend_name,
             engine_stats=_json_safe(engine.stats.as_dict()),
@@ -217,7 +219,7 @@ class RunReport:
             created_at=time.time(),
             search_stats=search_stats,
             sim=sim.to_dict() if sim is not None else None,
-            identity=scenario_identity(scenario),
+            identity=dict(scenario.identity),
         )
 
     # ------------------------------------------------------------------

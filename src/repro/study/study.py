@@ -42,7 +42,7 @@ from .events import (
     SimulationProgress,
     StudyEvent,
 )
-from .report import RunReport, scenario_identity, write_artifact
+from .report import RunReport, write_artifact
 from .spec import RunSpec
 
 
@@ -167,13 +167,14 @@ class Study:
         run directory).
 
         The filename is a readable name/strategy/seed/cores prefix plus
-        a short digest of the run's whole :func:`scenario_identity`, so
-        runs differing in any input — the design budget included —
-        never collide on (and thrash) a single artifact.
+        a short digest of the run's whole identity
+        (:attr:`Scenario.identity`), so runs differing in any input —
+        the design budget included — never collide on (and thrash) a
+        single artifact.
         """
         if self.run_dir is None:
             return None
-        tag = digest(scenario_identity(scenario))[:8]
+        tag = digest(scenario.identity)[:8]
         spec = scenario.spec
         filename = (
             f"{_slug(scenario.name)}--{_slug(spec.strategy)}"
@@ -206,7 +207,7 @@ class Study:
             return None, f"incompatible artifact: {exc}"
         except (ValueError, KeyError, TypeError) as exc:
             return None, f"corrupt artifact: {type(exc).__name__}: {exc}"
-        differs = diff(report.identity, scenario_identity(scenario))
+        differs = diff(report.identity, scenario.identity)
         if differs:
             return None, "differs in: " + ", ".join(differs)
         return report, None

@@ -1,5 +1,7 @@
-"""The warm path of a long-lived server: bounded per-job memory, and
-process-wide analysis memos that never serve one job another's inputs.
+"""The warm path of a long-lived server: bounded per-job memory,
+process-wide analysis memos that never serve one job another's inputs,
+and one shared evaluation store whose decoded-row memo changes no
+report.
 
 Searches run under the quick design profile (conftest).
 """
@@ -11,7 +13,7 @@ import pytest
 from repro.cache import CacheConfig
 from repro.experiments.profiles import design_options_for_profile
 from repro.platform import Platform
-from repro.sched.engine import EngineOptions
+from repro.sched.engine import EngineOptions, PersistentCache
 from repro.sched.feasibility import SPACE_MEMO
 from repro.serve import JobRecord, JobRecordGoneError, JobSpec, ServeClient
 from repro.serve.service import RETAINED_FINISHED_JOBS
@@ -136,3 +138,63 @@ class TestMemoAcrossJobs:
             assert json.dumps(_computed(record.reports[0]), sort_keys=True) == json.dumps(
                 _computed(report), sort_keys=True
             )
+
+
+class TestSharedStore:
+    def test_the_service_holds_one_store_for_its_lifetime(self, serve_dir):
+        with ServerThread(run_dir=serve_dir) as server:
+            store = server.service.store
+            assert store is not None and not store.closed
+            assert PersistentCache.shared(serve_dir / "cache") is store
+            store.release()
+            client = ServeClient(server.url)
+            # Computed, then decoded from disk, then served by the memo.
+            for _ in range(3):
+                assert client.wait(client.submit(_spec(resume=False)).id).state == "done"
+            # Every job released its engine's reference; the service's
+            # own keeps the store (and its decoded-row memo) open.
+            assert server.service.store is store and not store.closed
+            assert store.decoded.get_stats()["hits"] > 0
+        assert store.closed
+
+    def test_racing_jobs_return_the_serial_reports(self, serve_dir, tmp_path):
+        """Exhaustive and hybrid resubmits racing on a two-job server
+        return what one job at a time returns, with equal engine stats —
+        and both equal a direct run through a store nobody holds, which
+        reads and decodes every row from SQLite (memo-served rows count
+        as disk hits)."""
+        specs = [
+            JobSpec(strategy="exhaustive", resume=False),
+            JobSpec(strategy="hybrid", starts=((4, 2, 2),), resume=False),
+        ]
+        with ServerThread(run_dir=serve_dir) as server:
+            client = ServeClient(server.url)
+            for spec in specs:  # cold: computes and fills the cache
+                assert client.wait(client.submit(spec).id).state == "done"
+            serial = [client.wait(client.submit(spec).id).reports[0] for spec in specs]
+        assert all(report["engine_stats"]["n_computed"] == 0 for report in serial)
+
+        direct = []
+        for spec in specs:
+            study = Study.from_spec(
+                spec,
+                design_options_for_profile(),
+                EngineOptions(cache_dir=str(serve_dir / "cache")),
+                run_dir=tmp_path / "direct",
+            )
+            [report] = study.run(resume=False)
+            direct.append(report.to_dict())
+
+        with ServerThread(
+            run_dir=tmp_path / "race", cache_dir=serve_dir / "cache", max_jobs=2
+        ) as server:
+            client = ServeClient(server.url)
+            for _ in range(2):  # cold memo, then warm memo
+                submitted = [client.submit(spec) for spec in specs]
+                racing = [client.wait(record.id) for record in submitted]
+                for record, expected, plain in zip(racing, serial, direct):
+                    assert record.state == "done"
+                    report = record.reports[0]
+                    assert report["engine_stats"] == expected["engine_stats"]
+                    assert report["engine_stats"] == plain["engine_stats"]
+                    assert _computed(report) == _computed(expected) == _computed(plain)

@@ -91,6 +91,29 @@ class TestCli:
         err = capsys.readouterr().err
         assert "fig6" in err
 
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            (["table2", "--cache-sets", "64"], "does not take platform"),
+            (["table1", "--clock-mhz", "40"], "non-default clock"),
+        ],
+        ids=["table2-cache-sets", "table1-clock"],
+    )
+    def test_experiment_rejects_platform_flags_it_ignores(
+        self, capsys, tmp_path, argv, reason
+    ):
+        """A platform flag that cannot change the table must not fork
+        its run-dir artifact: rejected before any output."""
+        assert main(["experiment", *argv, "--run-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert reason in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_table1_takes_the_platform_cache(self, capsys):
+        assert main(["experiment", "table1", "--cache-sets", "64", "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["request"]["platform"]["cache"]["n_sets"] == 64
+
     def test_experiment_json_round_trips(self, capsys):
         from repro.experiments import ExperimentReport
 

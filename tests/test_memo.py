@@ -60,6 +60,15 @@ class TestMemo:
         memo.clear()
         assert memo.get_stats() == {"hits": 0, "misses": 0, "size": 0, "maxsize": 2}
 
+    def test_none_is_returned_but_not_memoized(self):
+        """``None`` means "nothing to keep" (a row absent from a store):
+        the next lookup computes again."""
+        memo: Memo[int | None] = Memo("t", maxsize=2)
+        assert memo.get("a", lambda: None) is None
+        assert memo.get("a", lambda: 7) == 7
+        assert memo.get("a", lambda: 99) == 7
+        assert memo.get_stats() == {"hits": 1, "misses": 2, "size": 1, "maxsize": 2}
+
     def test_failed_compute_is_not_memoized(self):
         memo: Memo[int] = Memo("t", maxsize=4)
 
