@@ -22,6 +22,8 @@ from __future__ import annotations
 import time
 
 from repro.multicore import MulticoreProblem, enumerate_partitions, replicate_apps
+from repro.sched.engine.batch import Scenario, scenario_engine
+from repro.study import RunSpec
 
 #: Burst cap per core: keeps the per-block schedule spaces small so the
 #: benchmark measures partition streaming, not schedule enumeration.
@@ -36,17 +38,12 @@ MIN_SPEEDUP = 10.0
 
 
 def _optimize(apps, clock, n_cores, design_options, allocator, max_count):
-    problem = MulticoreProblem(
-        apps,
-        clock,
-        n_cores=n_cores,
-        design_options=design_options,
-        max_count_per_core=max_count,
-        allocator=allocator,
-    )
-    started = time.perf_counter()
-    result = problem.optimize()
-    elapsed = time.perf_counter() - started
+    spec = RunSpec(n_cores=n_cores, max_count_per_core=max_count, allocator=allocator)
+    scenario = Scenario("bench-allocators", apps, clock, design_options, spec)
+    with scenario_engine(scenario) as engine:
+        started = time.perf_counter()
+        result = MulticoreProblem(engine, scenario.spec).optimize()
+        elapsed = time.perf_counter() - started
     return result, elapsed
 
 

@@ -26,6 +26,9 @@ import time
 import pytest
 
 from repro.multicore import MulticoreProblem
+from repro.sched.engine import EngineOptions
+from repro.sched.engine.batch import Scenario, scenario_engine
+from repro.study import RunSpec
 
 #: Cores to partition the three applications onto.
 CORES = 2
@@ -36,18 +39,15 @@ MAX_COUNT = 3
 
 
 def _timed_run(case_study, design_options, **engine_kwargs):
-    with MulticoreProblem(
-        case_study.apps,
-        case_study.clock,
-        n_cores=CORES,
-        design_options=design_options,
-        max_count_per_core=MAX_COUNT,
-        **engine_kwargs,
-    ) as problem:
+    spec = RunSpec(n_cores=CORES, max_count_per_core=MAX_COUNT)
+    scenario = Scenario(
+        "bench-multicore", case_study.apps, case_study.clock, design_options, spec
+    )
+    with scenario_engine(scenario, EngineOptions(**engine_kwargs)) as engine:
         started = time.perf_counter()
-        result = problem.optimize()
+        result = MulticoreProblem(engine, scenario.spec).optimize()
         elapsed = time.perf_counter() - started
-        stats = problem.engine.stats.as_dict()
+        stats = engine.stats.as_dict()
     return elapsed, result, stats
 
 

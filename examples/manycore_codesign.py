@@ -20,6 +20,8 @@ from repro import build_case_study
 from repro.experiments.profiles import design_options_for_profile
 from repro.multicore import MulticoreProblem, replicate_apps
 from repro.multicore.allocators import GreedyAllocatorOptions, available_allocators
+from repro.sched.engine.batch import Scenario, scenario_engine
+from repro.study import RunSpec
 
 N_APPS = 16
 N_CORES = 16
@@ -33,25 +35,24 @@ def main() -> None:
     print(f"registered allocators: {', '.join(available_allocators())}")
     print(f"{N_APPS} applications on {N_CORES} cores (private caches)")
 
-    with MulticoreProblem(
-        apps,
-        case.clock,
+    spec = RunSpec(
         n_cores=N_CORES,
-        design_options=options,
         max_count_per_core=2,
         allocator="greedy",
         allocator_options=GreedyAllocatorOptions(max_partitions=24, patience=8),
-    ) as problem:
-        result = problem.optimize()
+    )
+    scenario = Scenario("manycore", apps, case.clock, options, spec)
+    with scenario_engine(scenario) as engine:
+        result = MulticoreProblem(engine, scenario.spec).optimize()
         print(f"best of {result.n_partitions} streamed partitions: "
               f"P_all = {result.overall:.4f}")
         for core in result.cores:
             names = ", ".join(apps[i].name for i in core.app_indices)
             print(f"  core: [{names}] schedule {core.schedule}")
-        stats = problem.engine.stats
+        stats = engine.stats
         print(f"  engine: {stats.n_computed} evaluations over "
               f"{stats.as_dict()['n_batches']} batches "
-              f"({problem.engine.n_subproblems} distinct core blocks)")
+              f"({engine.n_subproblems} distinct core blocks)")
 
 
 if __name__ == "__main__":

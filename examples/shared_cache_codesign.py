@@ -23,6 +23,8 @@ from repro import build_case_study
 from repro.experiments.profiles import design_options_for_profile
 from repro.multicore import MulticoreProblem
 from repro.platform import shared_paper_platform
+from repro.sched.engine.batch import Scenario, scenario_engine
+from repro.study import RunSpec
 
 #: The paper's capacity with ways to partition: 32 sets x 4 ways x 16 B.
 PLATFORM = shared_paper_platform()
@@ -32,26 +34,27 @@ def main() -> None:
     case = build_case_study(platform=PLATFORM)
     options = design_options_for_profile()
 
-    # Keep the lone-app schedule spaces small so the demo stays quick.
-    with MulticoreProblem(
-        case.apps, case.clock, n_cores=2, design_options=options,
-        max_count_per_core=2, platform=PLATFORM,
-    ) as problem:
-        private = problem.optimize()
+    def optimize(name, **run):
+        """Best two-core co-design on ``PLATFORM`` and its engine's accounting."""
+        # Keep the lone-app schedule spaces small so the demo stays quick.
+        spec = RunSpec(n_cores=2, max_count_per_core=2, platform=PLATFORM, **run)
+        scenario = Scenario(name, case.apps, case.clock, options, spec)
+        with scenario_engine(scenario) as engine:
+            result = MulticoreProblem(engine, scenario.spec).optimize()
+            return result, (
+                f"{engine.stats.summary()} "
+                f"({engine.n_subproblems} distinct (block, ways) sub-problems)"
+            )
+
+    private, _ = optimize("private")
     print(f"two cores, private caches:  P_all = {private.overall:.4f}")
 
-    with MulticoreProblem(
-        case.apps, case.clock, n_cores=2, design_options=options,
-        max_count_per_core=2, platform=PLATFORM, shared_cache=True,
-    ) as problem:
-        shared = problem.optimize()
-        print(f"two cores, shared 4 ways:   P_all = {shared.overall:.4f}")
-        for core in shared.cores:
-            names = ", ".join(case.apps[i].name for i in core.app_indices)
-            print(f"  core: [{names}] ways={core.ways} schedule {core.schedule}")
-        stats = problem.engine.stats
-        print(f"  engine: {stats.summary()} "
-              f"({problem.engine.n_subproblems} distinct (block, ways) sub-problems)")
+    shared, accounting = optimize("shared", shared_cache=True)
+    print(f"two cores, shared 4 ways:   P_all = {shared.overall:.4f}")
+    for core in shared.cores:
+        names = ", ".join(case.apps[i].name for i in core.app_indices)
+        print(f"  core: [{names}] ways={core.ways} schedule {core.schedule}")
+    print(f"  engine: {accounting}")
 
     print("capacity cost of sharing:   "
           f"{private.overall - shared.overall:+.4f} P_all")

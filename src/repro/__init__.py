@@ -11,10 +11,11 @@ The library implements the paper's complete stack from scratch:
   (:mod:`repro.control`);
 * the schedule model, timing derivation, feasibility constraints and
   the hybrid schedule-space search (:mod:`repro.sched`);
-* the automotive case study (:mod:`repro.apps`), the two-stage
-  co-design facade (:mod:`repro.core`), the pluggable search-strategy
-  registry (:mod:`repro.sched.strategies`) and the unified study API
-  with persisted run reports (:mod:`repro.study`);
+* the automotive case study (:mod:`repro.apps`), the applications and
+  performance index of the two-stage co-design (:mod:`repro.core`), the
+  pluggable search-strategy registry (:mod:`repro.sched.strategies`)
+  and the unified study API with persisted run reports
+  (:mod:`repro.study`);
 * the paper's named extensions: multi-core partitioning
   (:mod:`repro.multicore`) and interleaved schedules
   (:mod:`repro.sched.interleaved`).
@@ -42,7 +43,7 @@ from .control import (
     TrackingSpec,
     design_controller,
 )
-from .core import CodesignProblem, ControlApplication
+from .core import ControlApplication
 from .errors import ReproError
 from .program import Program, ProgramBuilder, make_control_program
 from .sched import (
@@ -76,7 +77,6 @@ __version__ = "1.0.0"
 __all__ = [
     "CacheConfig",
     "Clock",
-    "CodesignProblem",
     "ControlApplication",
     "ControllerDesign",
     "DesignOptions",

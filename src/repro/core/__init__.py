@@ -1,24 +1,22 @@
-"""Co-design facade: applications, performance index and reporting.
+"""Co-design building blocks: applications, performance index and reporting.
 
-This package ties the substrates together into the paper's two-stage
-framework (Section I): given a set of control applications sharing a
-cached microcontroller,
+The paper's two-stage framework (Section I) co-designs a set of control
+applications sharing a cached microcontroller:
 
 1. for any candidate schedule, a holistic controller design maximizes
    each application's control performance under the induced timing;
 2. a schedule-space search maximizes the weighted overall performance.
 
-:class:`~repro.core.codesign.CodesignProblem` is the main entry point.
+This package holds the applications and the performance index; both
+stages run on one search engine (:mod:`repro.sched.engine`), and
+:class:`~repro.study.Study` is the main entry point.
 """
 
 from .application import ControlApplication
 from .performance import overall_performance, performance_index
-from .codesign import CodesignProblem, CodesignResult
 from .report import render_table
 
 __all__ = [
-    "CodesignProblem",
-    "CodesignResult",
     "ControlApplication",
     "overall_performance",
     "performance_index",

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from ..apps.casestudy import build_case_study
 from ..core.report import render_table
+from ..multicore import MulticoreProblem
 from ..sched.engine.batch import scenario_engine, search_scenario
 from ..sched.schedule import PeriodicSchedule
 from ..study import RunReport
@@ -94,7 +95,7 @@ class MulticoreExperiment:
         """Run the multicore partition sweep (and its single-core baseline).
 
         ``workers``/``cache_dir`` route the sweep through the
-        partitioned engine's worker pool and persistent cache, exactly
+        scenario engine's worker pool and persistent cache, exactly
         like ``python -m repro multicore --workers N --cache-dir D``;
         ``strategy`` picks the per-core schedule search (default
         ``exhaustive``); ``on_event`` receives the engine's typed
@@ -104,12 +105,14 @@ class MulticoreExperiment:
         scenario = request.scenario("casestudy-multicore", case, n_cores=2)
         with scenario_engine(
             scenario, request.engine_options(), request.on_event
-        ) as problem:
-            sweep = search_scenario(scenario, problem)
+        ) as engine:
+            sweep = search_scenario(scenario, engine)
             # The one-block partition *is* the single-core problem; after
             # the sweep its evaluations are memoized, so this is free.
-            single = problem.best_schedule_for_core(tuple(range(len(case.apps))))
-            engine_summary = problem.engine.stats.summary()
+            single = MulticoreProblem(engine, scenario.spec).best_schedule_for_core(
+                tuple(range(len(case.apps)))
+            )
+            engine_summary = engine.stats.summary()
         if single is None:
             single_schedule, single_overall = None, None
         else:

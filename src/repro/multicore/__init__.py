@@ -7,8 +7,13 @@ cores, each core runs its own periodic schedule against its private
 instruction cache, and the overall control performance is maximized
 over both the partition and the per-core schedules.
 
-Beyond the paper, ``MulticoreProblem(..., shared_cache=True)``
-co-designs the partition with a *way allocation* of one shared
+The sweep is :class:`~repro.multicore.partition.MulticoreProblem` on a
+scenario's search engine: each core block is one of that engine's
+sub-problems, and the run's :class:`~repro.study.spec.RunSpec` (``n_cores
+> 1``) says how to sweep (per-core strategy, burst cap, allocator).
+
+Beyond the paper, ``RunSpec(shared_cache=True)`` co-designs the
+partition with a *way allocation* of one shared
 set-associative cache (after Sun et al.'s cache-partitioning /
 task-scheduling co-optimization): each core gets a slice of the ways,
 WCETs are re-analyzed per slice, and the sweep jointly optimizes

@@ -3,20 +3,20 @@
 For each partition of the applications onto cores, every core is an
 independent instance of the single-core problem (its own cache slice,
 its own periodic schedule, smaller interference set Δ), so the
-single-core machinery is reused per core — through the search engine
-(:class:`repro.sched.engine.SearchEngine`), which serves every core's
-block of applications as one of its sub-problems:
+single-core machinery is reused per core — through the scenario's
+search engine (:class:`repro.sched.engine.SearchEngine`), which serves
+every core's block of applications as one of its sub-problems:
 
 * every block of applications gets a real
   :class:`~repro.sched.evaluator.ScheduleEvaluator` (so femtosecond
   timing quantization and per-application design seeding live in
   exactly one place, the evaluator);
 * all ``(core-block, schedule)`` candidates of the whole partition
-  sweep are submitted as one batch, which fans out to worker processes
-  when ``workers >= 2``; per-core strategies run on a block-scoped
+  sweep are submitted as one batch, which fans out to the engine's
+  worker processes; per-core strategies run on a block-scoped
   engine (:meth:`SearchEngine.for_block
   <repro.sched.engine.SearchEngine.for_block>`);
-* evaluations persist to ``cache_dir`` keyed by the per-core
+* evaluations persist to the engine's cache directory keyed by the per-core
   sub-problem digest, so a block's entries are reused across
   partitions, across runs, and by single-core searches of the same
   applications.
@@ -26,7 +26,7 @@ Two multicore models are supported:
 * **private caches** (default, the paper's Section-VI extension): every
   core owns a full copy of the platform cache, so a block's evaluation
   depends only on the block.
-* **shared cache, way-partitioned** (``shared_cache=True``, after Sun
+* **shared cache, way-partitioned** (``RunSpec.shared_cache``, after Sun
   et al.'s cache-partitioning/task-scheduling co-design): all cores
   share one set-associative cache whose ways are divided between them.
   The co-design then optimizes the application partition *and* the
@@ -40,19 +40,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-from ..control.design import DesignOptions
-from ..core.application import ControlApplication
 from ..errors import ConfigurationError, ScheduleError, SearchError
-from ..platform import Platform, default_platform
+from ..platform import default_platform
 from ..sched.engine import Block, SearchEngine
-from ..sched.evaluator import ScheduleEvaluation, ScheduleEvaluator
+from ..sched.evaluator import ScheduleEvaluation
 from ..sched.feasibility import enumerate_idle_feasible, idle_feasible
 from ..sched.schedule import PeriodicSchedule
-from ..sched.strategies import StrategySpec, get_strategy
-from ..units import Clock
+from ..sched.strategies import StrategySpec
+
+if TYPE_CHECKING:  # repro.study builds on repro.sched
+    from ..study.spec import RunSpec
 
 #: How many partitions one lazily-drawn chunk of the sweep scores at
 #: once.  Large enough that small problems (the 2-core case study) still
@@ -139,102 +138,47 @@ def way_allocations(total_ways: int, n_blocks: int) -> Iterator[tuple[int, ...]]
 class MulticoreProblem:
     """Co-design over partitions and per-core periodic schedules.
 
-    ``workers`` and ``cache_dir`` configure the shared search engine
-    exactly like the single-core ``CodesignProblem``: with
-    ``workers >= 2`` candidate evaluations fan out to worker processes,
-    and with a ``cache_dir`` every evaluation persists to disk so
-    repeated runs (and overlapping partitions) warm-start.
+    ``engine`` is the scenario's :class:`~repro.sched.engine.SearchEngine`
+    over all applications (see
+    :func:`~repro.sched.engine.batch.scenario_engine`); every core block
+    is one of its sub-problems, so its workers, persistent cache and
+    progress events serve the whole sweep.  The caller owns the engine
+    and closes it.  ``spec`` is the run's resolved
+    :class:`~repro.study.spec.RunSpec` (:attr:`Scenario.spec
+    <repro.sched.engine.batch.Scenario.spec>`): it gives the core count,
+    the per-core burst cap (a lone application never violates its idle
+    bound, so its schedule space is otherwise unbounded), the per-core
+    search (strategy,
+    ``n_starts``, seed, options) and the partition allocator (see
+    :mod:`repro.multicore.allocators`).
 
-    ``platform`` declares the execution platform (cache geometry,
-    clock, WCET model; default: the paper platform at ``clock``).  With
-    ``shared_cache=True`` the cores share that platform's
-    set-associative cache and the sweep co-optimizes the application
-    partition with the per-core way allocation; the cache needs at
-    least as many ways as cores that could be used
-    (``min(n_cores, len(apps))``).
-
-    ``allocator`` names the registered partition allocator the sweep
-    draws its partitions from (default ``"exhaustive"``; see
-    :mod:`repro.multicore.allocators`), ``allocator_options`` its
-    options dataclass.  ``on_event`` receives the shared engine's typed
-    progress events (:mod:`repro.sched.engine.events`) while the sweep
-    runs.
+    The platform is the engine's (default: the paper platform at the
+    engine's clock).  With ``spec.shared_cache`` the cores share that
+    platform's set-associative cache and the sweep co-optimizes the
+    application partition with the per-core way allocation; the cache
+    needs at least one way per core.
     """
 
-    def __init__(
-        self,
-        apps: list[ControlApplication],
-        clock: Clock,
-        n_cores: int,
-        design_options: DesignOptions | None = None,
-        max_count_per_core: int = 6,
-        workers: int = 0,
-        cache_dir: str | Path | None = None,
-        platform: Platform | None = None,
-        shared_cache: bool = False,
-        on_event=None,
-        allocator: str | None = None,
-        allocator_options: object | None = None,
-    ) -> None:
-        from .allocators import get_allocator, resolve_allocator_options
+    def __init__(self, engine: SearchEngine, spec: RunSpec) -> None:
+        from .allocators import resolve_allocator_options
 
-        if n_cores < 1:
-            raise ConfigurationError(f"need at least one core, got {n_cores}")
-        if n_cores > len(apps):
-            raise ConfigurationError(
-                f"{n_cores} cores for {len(apps)} applications: every extra "
-                "core beyond n_apps can only stay empty, so n_cores must be "
-                f"between 1 and {len(apps)}"
-            )
-        if max_count_per_core < 1:
-            raise ScheduleError(
-                f"max_count_per_core must be >= 1, got {max_count_per_core}"
-            )
-        self.apps = list(apps)
-        self.clock = clock
-        self.n_cores = n_cores
-        self.design_options = design_options or DesignOptions()
-        self.shared_cache = bool(shared_cache)
-        self.allocator_name = allocator or "exhaustive"
-        self.allocator = get_allocator(self.allocator_name)
+        self.engine = engine
+        self.spec = spec
+        self.apps = engine.apps
+        self.clock = engine.clock
+        self.allocator = spec.allocator_plugin()
         self.allocator_options = resolve_allocator_options(
-            self.allocator, allocator_options
+            self.allocator, spec.allocator_options
         )
-        # A lone application on a core never violates its idle bound
-        # (Delta = 0), so its schedule space is unbounded; burst lengths
-        # are capped where the cache-reuse benefit has long saturated.
-        self.max_count_per_core = max_count_per_core
-        self.platform = platform or default_platform(clock)
-        self.engine = SearchEngine(
-            ScheduleEvaluator(self.apps, clock, self.design_options),
-            workers=workers,
-            cache_dir=cache_dir,
-            platform=self.platform,
-            on_event=on_event,
-        )
+        self.platform = engine.platform or default_platform(self.clock)
         self.total_ways = self.platform.cache.associativity
-        if self.shared_cache:
-            usable_cores = min(self.n_cores, len(self.apps))
-            if self.total_ways < usable_cores:
-                raise ConfigurationError(
-                    f"shared-cache co-design over {usable_cores} cores needs a "
-                    f"cache with associativity >= {usable_cores}, got "
-                    f"{self.total_ways} (e.g. use "
-                    "repro.platform.shared_paper_platform())"
-                )
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release engine resources (worker pool, cache connection)."""
-        self.engine.close()
-
-    def __enter__(self) -> "MulticoreProblem":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
+        if spec.shared_cache and self.total_ways < spec.n_cores:
+            raise ConfigurationError(
+                f"shared-cache co-design over {spec.n_cores} cores needs a "
+                f"cache with associativity >= {spec.n_cores}, got "
+                f"{self.total_ways} (e.g. use "
+                "repro.platform.shared_paper_platform())"
+            )
 
     # ------------------------------------------------------------------
     # Per-core machinery
@@ -252,7 +196,7 @@ class MulticoreProblem:
         """
         core_apps = self.engine.subproblem(tuple(app_indices), ways).evaluator.apps
         return enumerate_idle_feasible(
-            core_apps, self.clock, max_count=self.max_count_per_core
+            core_apps, self.clock, max_count=self.spec.max_count_per_core
         )
 
     def _block_value(
@@ -268,25 +212,6 @@ class MulticoreProblem:
             self.apps[global_index].weight * app_eval.performance
             for global_index, app_eval in zip(app_indices, evaluation.apps)
         )
-
-    def evaluate_core(
-        self,
-        app_indices: tuple[int, ...],
-        schedule: PeriodicSchedule,
-        ways: int | None = None,
-    ) -> tuple[dict[int, float], dict[int, float], bool]:
-        """Evaluate one core; returns (settling, performance, idle_ok)."""
-        app_indices = tuple(app_indices)
-        evaluation = self.engine.for_block(app_indices, ways).evaluate(schedule)
-        settling = {
-            global_index: app_eval.settling
-            for global_index, app_eval in zip(app_indices, evaluation.apps)
-        }
-        performances = {
-            global_index: app_eval.performance
-            for global_index, app_eval in zip(app_indices, evaluation.apps)
-        }
-        return settling, performances, evaluation.idle_ok
 
     def _best_in_block(
         self, app_indices: tuple[int, ...], evaluations: list[ScheduleEvaluation]
@@ -306,15 +231,10 @@ class MulticoreProblem:
         return best
 
     def _search_block(
-        self,
-        strat,
-        block: tuple[int, ...],
-        n_starts: int,
-        seed: int,
-        options: object | None,
-        ways: int | None = None,
+        self, strat, block: tuple[int, ...], ways: int | None = None
     ) -> tuple[float, ScheduleEvaluation] | None:
-        """Optimize one core's schedule with a registered strategy.
+        """Optimize one core's schedule with a registered strategy (the
+        spec's ``n_starts``, seed and options).
 
         Returns the same ``(global-weight value, evaluation)`` shape as
         :meth:`_best_in_block`; ``None`` marks the block infeasible
@@ -327,15 +247,18 @@ class MulticoreProblem:
         # Strategies walk the space through eq. (4) only; re-add the
         # burst-length cap so a lone-app core (Delta = 0, everything
         # idle-feasible) cannot wander past the enumerated space.
-        block_apps, clock, cap = engine.apps, self.clock, self.max_count_per_core
+        block_apps, clock, cap = engine.apps, self.clock, self.spec.max_count_per_core
         feasible = lambda s: (
             max(s.counts) <= cap and idle_feasible(s, block_apps, clock)
         )
-        spec = StrategySpec(
-            n_starts=n_starts, seed=seed, options=options, feasible=feasible
+        strategy_spec = StrategySpec(
+            n_starts=self.spec.n_starts,
+            seed=self.spec.seed,
+            options=self.spec.options,
+            feasible=feasible,
         )
         try:
-            result = strat.run(engine, space, spec)
+            result = strat.run(engine, space, strategy_spec)
         except SearchError:
             return None
         return self._block_value(block, result.best), result.best
@@ -362,19 +285,13 @@ class MulticoreProblem:
     # ------------------------------------------------------------------
     # Partition sweep
     # ------------------------------------------------------------------
-    def optimize(
-        self,
-        strategy: str = "exhaustive",
-        n_starts: int = 2,
-        seed: int = 2018,
-        options: object | None = None,
-    ) -> MulticoreEvaluation:
+    def optimize(self) -> MulticoreEvaluation:
         """Search all partitions; per core, search the schedule space.
 
-        ``strategy`` names the registered search strategy each core's
-        schedule is optimized with (resolved through the registry —
-        unknown names raise :class:`~repro.errors.ConfigurationError`).
-        The default ``"exhaustive"`` evaluates a core's complete
+        ``spec.strategy`` names the registered search strategy each
+        core's schedule is optimized with, from ``spec.n_starts`` starts
+        drawn with ``spec.seed``.  The multicore default
+        ``"exhaustive"`` evaluates a core's complete
         idle-feasible space; since that sweep needs no start points, the
         runner collects every distinct block over all partitions and
         batches *all* their candidate schedules through the engine in
@@ -383,13 +300,13 @@ class MulticoreProblem:
         block-scoped engine, still sharing the engine's caches and
         pool.  Partitions are then scored from the per-block optima.
 
-        With ``shared_cache=True`` each partition is additionally swept
+        With ``spec.shared_cache`` each partition is additionally swept
         over every allocation of the cache's ways to its cores, so the
         result jointly optimizes partition, way allocation and per-core
         schedules.
 
-        Partitions are drawn lazily from the problem's *allocator*
-        (``MulticoreProblem(allocator=...)``) in chunks of
+        Partitions are drawn lazily from the spec's *allocator*
+        (``spec.allocator``) in chunks of
         :data:`PARTITION_CHUNK`, so memory stays flat even under the
         ``exhaustive`` allocator; heuristic allocators with a
         ``patience`` option additionally stop the sweep after that many
@@ -397,9 +314,9 @@ class MulticoreProblem:
         """
         from .allocators import allocation_problem, check_partition
 
-        strat = get_strategy(strategy)
+        strat = self.spec.strategy_plugin()
         stream = self.allocator.partitions(
-            allocation_problem(self.apps, self.platform, self.n_cores),
+            allocation_problem(self.apps, self.platform, self.spec.n_cores),
             self.allocator_options,
         )
         full_space = bool(getattr(strat, "evaluates_full_space", False))
@@ -418,14 +335,12 @@ class MulticoreProblem:
         stopped = False
         while not stopped:
             chunk = [
-                check_partition(partition, len(self.apps), self.n_cores)
+                check_partition(partition, len(self.apps), self.spec.n_cores)
                 for partition in islice(stream, PARTITION_CHUNK)
             ]
             if not chunk:
                 break
-            self._evaluate_chunk_blocks(
-                chunk, strat, n_starts, seed, options, best_per_block, full_space
-            )
+            self._evaluate_chunk_blocks(chunk, strat, best_per_block, full_space)
             for partition in chunk:
                 n_partitions += 1
                 improved = False
@@ -451,7 +366,7 @@ class MulticoreProblem:
         self, partition: tuple[tuple[int, ...], ...]
     ) -> Iterator[tuple[int | None, ...]]:
         """A partition's way-allocation sweep (a fresh lazy iterator)."""
-        if self.shared_cache:
+        if self.spec.shared_cache:
             return way_allocations(self.total_ways, len(partition))
         return iter(((None,) * len(partition),))
 
@@ -459,9 +374,6 @@ class MulticoreProblem:
         self,
         chunk: list[tuple[tuple[int, ...], ...]],
         strat,
-        n_starts: int,
-        seed: int,
-        options: object | None,
         best_per_block: dict,
         full_space: bool,
     ) -> None:
@@ -499,9 +411,7 @@ class MulticoreProblem:
                 best_per_block[key] = self._best_in_block(key[0], results)
         else:
             for block, ways in new_blocks:
-                best_per_block[(block, ways)] = self._search_block(
-                    strat, block, n_starts, seed, options, ways=ways
-                )
+                best_per_block[(block, ways)] = self._search_block(strat, block, ways)
 
     def _score_candidate(
         self,

@@ -26,7 +26,7 @@ Implements Sections II-C and IV of the paper:
 from .schedule import InterleavedSchedule, PeriodicSchedule
 from .timing import AppTiming, ScheduleTiming, derive_timing, derive_timing_interleaved
 from .feasibility import enumerate_idle_feasible, idle_feasible, max_sampling_periods
-from .evaluator import AppEvaluation, ScheduleEvaluation, ScheduleEvaluator, evaluate_many
+from .evaluator import AppEvaluation, ScheduleEvaluation, ScheduleEvaluator
 from .results import SearchResult, SearchTrace
 from .hybrid import HybridOptions, hybrid_search
 from .exhaustive import exhaustive_search
@@ -62,7 +62,6 @@ __all__ = [
     "get_strategy",
     "register_strategy",
     "derive_timing",
-    "evaluate_many",
     "derive_timing_interleaved",
     "enumerate_idle_feasible",
     "exhaustive_search",

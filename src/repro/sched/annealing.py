@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SearchError
-from .evaluator import ScheduleEvaluator, evaluate_many
+from .evaluator import ScheduleEvaluator
 from .results import SearchResult, SearchTrace
 from .schedule import PeriodicSchedule
 
@@ -86,8 +86,8 @@ def annealing_search(
                     for n in neighbors
                     if n.counts != candidate.counts and not evaluator.is_cached(n)
                 ]
-                evaluate_many(evaluator, [candidate] + speculated[: budget - 1])
-            candidate_eval = evaluate_many(evaluator, [candidate])[0]
+                evaluator.evaluate_batch([candidate] + speculated[: budget - 1])
+            candidate_eval = evaluator.evaluate_batch([candidate])[0]
             requested.add(candidate.counts)
             if not candidate_eval.feasible:
                 continue

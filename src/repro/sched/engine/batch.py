@@ -31,7 +31,7 @@ from ..evaluator import ScheduleEvaluator
 from ..feasibility import enumerate_idle_feasible
 from ..schedule import PeriodicSchedule
 from ..strategies import StrategySpec, get_strategy
-from .engine import EngineOptions
+from .engine import EngineOptions, SearchEngine
 
 if TYPE_CHECKING:  # repro.study builds on this module
     from ...study.report import RunReport
@@ -52,7 +52,8 @@ class Scenario:
     registered ones.
 
     ``spec.n_cores > 1`` makes the scenario a *multicore* co-design run
-    through :class:`repro.multicore.MulticoreProblem`; a
+    through :class:`repro.multicore.MulticoreProblem` on the scenario's
+    engine; a
     ``spec.dynamic`` profile is simulated through
     :class:`~repro.sim.loop.FeedbackLoop` on the scenario's still-warm
     engine after the static search.
@@ -91,47 +92,26 @@ class Scenario:
 @contextmanager
 def scenario_engine(
     scenario: Scenario, engine_options: EngineOptions | None = None, on_event=None
-) -> Iterator:
-    """The warm engine one scenario runs on, closed on exit.
+) -> Iterator[SearchEngine]:
+    """The warm :class:`~repro.sched.engine.SearchEngine` one scenario
+    runs on, closed on exit.
 
-    A :class:`~repro.sched.engine.SearchEngine` over the scenario's
-    applications for single-core runs, a
-    :class:`~repro.multicore.MulticoreProblem` for multicore ones.
-    ``on_event`` receives the engine's typed progress events
+    It serves the scenario's whole application set; a multicore run
+    sweeps its core blocks as sub-problems of the same engine (see
+    :class:`~repro.multicore.MulticoreProblem`).  ``on_event`` receives
+    the engine's typed progress events
     (:mod:`repro.sched.engine.events`).  Callers that query the engine's
     memo after the search (the ``search`` and ``multicore``
     experiments) hold it open around :func:`search_scenario`.
     """
-    options = engine_options or EngineOptions()
-    spec = scenario.spec
-    if spec.n_cores == 1:
-        evaluator = ScheduleEvaluator(scenario.apps, scenario.clock, scenario.design_options)
-        with options.build(
-            evaluator, platform=spec.platform, on_event=on_event, problem=scenario.problem
-        ) as engine:
-            yield engine
-        return
-    # Imported lazily: repro.multicore builds on repro.sched.
-    from ...multicore.partition import MulticoreProblem
-
-    with MulticoreProblem(
-        scenario.apps,
-        scenario.clock,
-        spec.n_cores,
-        scenario.design_options,
-        max_count_per_core=spec.max_count_per_core,
-        workers=options.workers,
-        cache_dir=options.cache_dir,
-        platform=spec.platform,
-        shared_cache=spec.shared_cache,
-        on_event=on_event,
-        allocator=spec.allocator,
-        allocator_options=spec.allocator_options,
-    ) as problem:
-        yield problem
+    evaluator = ScheduleEvaluator(scenario.apps, scenario.clock, scenario.design_options)
+    with (engine_options or EngineOptions()).build(
+        evaluator, platform=scenario.spec.platform, on_event=on_event, problem=scenario.problem
+    ) as engine:
+        yield engine
 
 
-def search_scenario(scenario: Scenario, engine, on_sim_event=None) -> RunReport:
+def search_scenario(scenario: Scenario, engine: SearchEngine, on_sim_event=None) -> RunReport:
     """Run the scenario's search (and simulation) on its open engine;
     the run's :class:`~repro.study.RunReport`.
 
@@ -149,14 +129,15 @@ def search_scenario(scenario: Scenario, engine, on_sim_event=None) -> RunReport:
     strategy = get_strategy(spec.strategy)
     started = time.perf_counter()
     if spec.n_cores > 1:
-        evaluation = engine.optimize(
-            strategy=strategy.name, n_starts=spec.n_starts, seed=spec.seed, options=spec.options
-        )
+        # Imported lazily: repro.multicore builds on repro.sched.
+        from ...multicore.partition import MulticoreProblem
+
+        evaluation = MulticoreProblem(engine, spec).optimize()
         return RunReport.from_run(
             scenario,
-            engine.engine,
+            engine,
             time.perf_counter() - started,
-            engine.engine.stats.n_requested,
+            engine.stats.n_requested,
             multicore=evaluation,
         )
     space = enumerate_idle_feasible(engine.apps, engine.clock)

@@ -179,10 +179,9 @@ class SearchEngine:
     """Layered (memo -> disk -> workers) schedule-evaluation service.
 
     Duck-compatible with :class:`ScheduleEvaluator`, so every search
-    algorithm (and :class:`repro.core.codesign.CodesignProblem`) can be
-    handed an engine wherever it expects an evaluator.  The engine's own
-    block is the whole problem; :meth:`for_block` gives the same engine
-    scoped to one block.
+    strategy can be handed an engine wherever it expects an evaluator.
+    The engine's own block is the whole problem; :meth:`for_block` gives
+    the same engine scoped to one block (a multicore sweep's cores).
 
     ``problem`` is the whole problem's digest,
     ``problem_digest(evaluator.apps, clock, design_options, platform)``,

@@ -209,9 +209,8 @@ class ScheduleEvaluator:
         (see the class docstring), then each schedule is scored; errors
         surface in schedule order.
         :class:`repro.sched.engine.SearchEngine` overrides this entry
-        point with parallel workers and a persistent cache.  Search
-        algorithms submit candidates through :func:`evaluate_many` so
-        either implementation can serve them.
+        point with parallel workers and a persistent cache; search
+        algorithms submit candidates here, so either can serve them.
         """
         self._prefetch_designs(schedules)
         return [self._score(schedule) for schedule in schedules]
@@ -303,15 +302,3 @@ class ScheduleEvaluator:
         """Whether ``schedule`` has already been evaluated."""
         return schedule.counts in self._schedule_cache
 
-
-def evaluate_many(evaluator, schedules: list[PeriodicSchedule]) -> list[ScheduleEvaluation]:
-    """Evaluate ``schedules`` through ``evaluator``'s best batch entry point.
-
-    Ducks between :class:`ScheduleEvaluator` / the engine (both provide
-    ``evaluate_batch``) and minimal evaluator stand-ins that only expose
-    ``evaluate`` (e.g. the test fakes).
-    """
-    batch = getattr(evaluator, "evaluate_batch", None)
-    if batch is not None:
-        return batch(list(schedules))
-    return [evaluator.evaluate(schedule) for schedule in schedules]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from ..core.application import ControlApplication
 from ..errors import SearchError
 from ..units import Clock
-from .evaluator import ScheduleEvaluator, evaluate_many
+from .evaluator import ScheduleEvaluator
 from .feasibility import enumerate_idle_feasible
 from .results import SearchResult, SearchTrace
 
@@ -51,7 +51,7 @@ def exhaustive_search(
 
     # One batch submission: embarrassingly parallel under the engine's
     # process-pool backend, a plain serial loop otherwise.
-    evaluations = evaluate_many(evaluator, schedules)
+    evaluations = evaluator.evaluate_batch(list(schedules))
     feasible = [e for e in evaluations if e.feasible]
     if not feasible:
         raise SearchError("no schedule satisfies the settling deadlines")

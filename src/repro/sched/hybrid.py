@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import SearchError
-from .evaluator import ScheduleEvaluator, evaluate_many
+from .evaluator import ScheduleEvaluator
 from .results import SearchResult, SearchTrace
 from .schedule import PeriodicSchedule
 
@@ -96,7 +96,7 @@ def _run_single(
             dim_neighbors.append((plus, minus))
             batch.extend(n for n in (plus, minus) if n is not None)
         requested.update(n.counts for n in batch)
-        batch_evaluations = evaluate_many(evaluator, batch)
+        batch_evaluations = evaluator.evaluate_batch(batch)
         neighbor_values = {
             n.counts: e.overall for n, e in zip(batch, batch_evaluations)
         }

@@ -5,9 +5,8 @@ algorithm, the exhaustive baseline, simulated annealing, the
 interleaved-schedule extension — is a *strategy*: an object with a
 ``name``, a strategy-specific options dataclass and a
 ``run(engine, space, spec) -> SearchResult`` method, registered by name
-in a global registry.  All entry points
-(:meth:`repro.core.codesign.CodesignProblem.optimize`, the batch
-scenario runner, :class:`repro.study.Study`, ``python -m repro search
+in a global registry.  All entry points (the scenario runner and the
+multicore sweep, :class:`repro.study.Study`, ``python -m repro search
 --strategy ...``) resolve strategies through this registry, so adding a
 new search is one registration away from every front end:
 
@@ -43,8 +42,8 @@ strategies.
 The engine handed to ``run`` is duck-compatible with
 :class:`~repro.sched.evaluator.ScheduleEvaluator` — typically a
 :class:`~repro.sched.engine.SearchEngine`, so batched evaluations
-(`evaluate_many`) inherit its in-memory memo, persistent disk cache and
-worker-pool parallelism for free.
+(``evaluate_batch``) inherit its in-memory memo, persistent disk cache
+and worker-pool parallelism for free.
 """
 
 from .base import (

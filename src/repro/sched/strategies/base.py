@@ -7,8 +7,8 @@ idle-feasible schedule space and a :class:`StrategySpec`, and returns a
 :class:`~repro.sched.results.SearchResult`.  Strategies register
 themselves by name with :func:`register_strategy` (a binding of the
 :data:`STRATEGIES` :class:`~repro.registry.Registry`); every entry point
-(``CodesignProblem.optimize``, the batch scenario runner, the
-``Study`` facade, the CLI) resolves names through :func:`get_strategy`,
+(the scenario runner and the multicore sweep, the ``Study`` facade,
+the CLI) resolves names through :func:`get_strategy`,
 so an unknown name fails fast with the list of registered strategies
 instead of silently falling back to some default.
 """

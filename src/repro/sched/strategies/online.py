@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ...errors import SearchError
-from ..evaluator import ScheduleEvaluation, evaluate_many
+from ..evaluator import ScheduleEvaluation
 from ..results import SearchResult, SearchTrace
 from ..schedule import PeriodicSchedule
 from .base import (
@@ -80,7 +80,7 @@ class OnlineStrategy:
                 seeds.append(seed)
 
         visited = {seed.counts for seed in seeds}
-        evaluations = evaluate_many(engine, seeds)
+        evaluations = engine.evaluate_batch(seeds)
         n_evaluations = len(evaluations)
         best: ScheduleEvaluation | None = None
         for evaluation in evaluations:
@@ -105,7 +105,7 @@ class OnlineStrategy:
             if not neighbors:
                 break
             visited.update(neighbor.counts for neighbor in neighbors)
-            batch = evaluate_many(engine, neighbors)
+            batch = engine.evaluate_batch(neighbors)
             n_evaluations += len(batch)
             for evaluation in batch:
                 if evaluation.feasible and (

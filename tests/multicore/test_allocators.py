@@ -17,7 +17,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.multicore import (
     AllocationProblem,
-    MulticoreProblem,
     allocation_problem,
     available_allocators,
     canonical_partition,
@@ -34,6 +33,8 @@ from repro.multicore.allocators import (
     allocator_description,
     resolve_allocator_options,
 )
+
+from .helpers import open_problem
 
 
 def synthetic_problem(n_apps: int, n_cores: int) -> AllocationProblem:
@@ -242,11 +243,11 @@ class TestSweepIntegration:
         streams' lengths are recorded on the evaluation."""
         results = {}
         for allocator in ("exhaustive", "greedy"):
-            with MulticoreProblem(
+            with open_problem(
                 three_apps,
                 case_study.clock,
-                2,
                 tiny_design_options,
+                n_cores=2,
                 max_count_per_core=2,
                 allocator=allocator,
             ) as problem:
@@ -259,11 +260,11 @@ class TestSweepIntegration:
     def test_patience_early_stop_still_feasible(
         self, three_apps, case_study, tiny_design_options
     ):
-        with MulticoreProblem(
+        with open_problem(
             three_apps,
             case_study.clock,
-            2,
             tiny_design_options,
+            n_cores=2,
             max_count_per_core=2,
             allocator="greedy",
             allocator_options=GreedyAllocatorOptions(patience=1),
@@ -281,24 +282,19 @@ class TestDigestDiscipline:
         evaluated, never what a block evaluates to — so the per-block
         evaluation digests (and the shared disk cache) are identical
         across allocators."""
-        exhaustive = MulticoreProblem(
-            three_apps, case_study.clock, 2, tiny_design_options
-        )
-        greedy = MulticoreProblem(
+        with open_problem(
+            three_apps, case_study.clock, tiny_design_options, n_cores=2
+        ) as exhaustive, open_problem(
             three_apps,
             case_study.clock,
-            2,
             tiny_design_options,
+            n_cores=2,
             allocator="greedy",
             allocator_options=GreedyAllocatorOptions(max_partitions=3),
-        )
-        try:
+        ) as greedy:
             for block in [(0,), (1, 2), (0, 1, 2)]:
                 assert exhaustive.engine.digest_for(block) == \
                     greedy.engine.digest_for(block)
-        finally:
-            exhaustive.close()
-            greedy.close()
 
     def test_allocator_keys_the_resume_artifacts(
         self, tiny_design_options, tmp_path

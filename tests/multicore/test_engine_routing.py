@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.multicore import MulticoreProblem, enumerate_partitions
+from repro.multicore import enumerate_partitions
 from repro.sched import PeriodicSchedule, SearchEngine
 from repro.sched.engine import subproblem_digest
 from repro.sched.evaluator import ScheduleEvaluator
+
+from .helpers import open_problem
 
 #: Tiny per-core burst cap: keeps every space (and the test) small.
 MAX_COUNT = 2
@@ -44,9 +46,9 @@ def cache_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("multicore-cache")
 
 
-def make_problem(apps, clock, options, n_cores=2, **kwargs) -> MulticoreProblem:
-    return MulticoreProblem(
-        apps, clock, n_cores, options, max_count_per_core=MAX_COUNT, **kwargs
+def make_problem(apps, clock, options, n_cores=2, **kwargs):
+    return open_problem(
+        apps, clock, options, n_cores=n_cores, max_count_per_core=MAX_COUNT, **kwargs
     )
 
 
@@ -187,11 +189,11 @@ class TestCrossPartitionReuse:
     def test_block_digest_is_partition_independent(
         self, three_apps, case_study, tiny_design_options
     ):
-        two = make_problem(three_apps, case_study.clock, tiny_design_options)
-        three = make_problem(
+        with make_problem(
+            three_apps, case_study.clock, tiny_design_options
+        ) as two, make_problem(
             three_apps, case_study.clock, tiny_design_options, n_cores=3
-        )
-        try:
+        ) as three:
             for block in [(0,), (1, 2), (0, 1, 2)]:
                 assert two.engine.digest_for(block) == three.engine.digest_for(block)
                 assert two.engine.digest_for(block) == subproblem_digest(
@@ -199,9 +201,6 @@ class TestCrossPartitionReuse:
                 )
             # Different blocks are different problems.
             assert two.engine.digest_for((0,)) != two.engine.digest_for((1,))
-        finally:
-            two.close()
-            three.close()
 
     def test_full_block_digest_matches_single_core_engine(
         self, three_apps, case_study, tiny_design_options, cache_dir, cold_run
@@ -226,18 +225,6 @@ class TestCrossPartitionReuse:
 
 
 class TestPerCoreApi:
-    def test_evaluate_core_maps_global_indices(
-        self, three_apps, case_study, tiny_design_options, cache_dir, cold_run
-    ):
-        with make_problem(
-            three_apps, case_study.clock, tiny_design_options, cache_dir=cache_dir
-        ) as problem:
-            settling, performances, idle_ok = problem.evaluate_core(
-                (1, 2), PeriodicSchedule.of(1, 1)
-            )
-        assert set(settling) == set(performances) == {1, 2}
-        assert isinstance(idle_ok, bool)
-
     def test_single_app_space_capped_by_burst_limit(
         self, three_apps, case_study, tiny_design_options
     ):

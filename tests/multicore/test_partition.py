@@ -1,10 +1,14 @@
 """Tests for the multi-core extension."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ScheduleError
 from repro.multicore import MulticoreProblem, enumerate_partitions
 from repro.sched import SearchEngine
+
+from .helpers import open_problem
 
 
 class TestEnumeratePartitions:
@@ -78,17 +82,22 @@ class TestWayAllocations:
         assert list(way_allocations(4, 0)) == []
 
 
+@pytest.fixture(scope="module")
+def two_apps(case_study):
+    """Two apps keep the per-core schedule spaces small and fast."""
+    return [
+        replace(case_study.apps[1], weight=0.6),
+        replace(case_study.apps[2], weight=0.4),
+    ]
+
+
 class TestMulticoreProblem:
     @pytest.fixture(scope="class")
-    def problem(self, case_study, quick_design_options):
-        # Two apps keep the per-core schedule spaces small and fast.
-        from dataclasses import replace
-
-        apps = [
-            replace(case_study.apps[1], weight=0.6),
-            replace(case_study.apps[2], weight=0.4),
-        ]
-        return MulticoreProblem(apps, case_study.clock, 2, quick_design_options)
+    def problem(self, two_apps, case_study, quick_design_options):
+        with open_problem(
+            two_apps, case_study.clock, quick_design_options, n_cores=2
+        ) as problem:
+            yield problem
 
     def test_optimize_finds_feasible_assignment(self, problem):
         result = problem.optimize()
@@ -103,49 +112,20 @@ class TestMulticoreProblem:
         result = problem.optimize()
         assert result.n_cores_used == 2
 
-    def test_single_core_matches_shared_problem(self, case_study, quick_design_options):
+    def test_single_core_matches_shared_problem(
+        self, two_apps, case_study, quick_design_options
+    ):
         """n_cores=1 degenerates to the single-core co-design."""
-        from dataclasses import replace
-
-        apps = [
-            replace(case_study.apps[1], weight=0.6),
-            replace(case_study.apps[2], weight=0.4),
-        ]
-        single = MulticoreProblem(apps, case_study.clock, 1, quick_design_options)
-        result = single.optimize()
+        with open_problem(
+            two_apps,
+            case_study.clock,
+            quick_design_options,
+            n_cores=1,
+            strategy="exhaustive",
+        ) as single:
+            result = single.optimize()
         assert result.n_cores_used == 1
         assert result.feasible
-
-    def test_validation(self, case_study):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError):
-            MulticoreProblem(case_study.apps, case_study.clock, 0)
-
-    def test_more_cores_than_apps_fails_fast(self, case_study):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError) as excinfo:
-            MulticoreProblem(
-                case_study.apps, case_study.clock, len(case_study.apps) + 1
-            )
-        assert str(len(case_study.apps)) in str(excinfo.value)
-
-    def test_unknown_allocator_rejected(self, case_study):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError) as excinfo:
-            MulticoreProblem(
-                case_study.apps, case_study.clock, 2, allocator="oracle"
-            )
-        assert "greedy" in str(excinfo.value)
-
-    def test_unknown_strategy_rejected(self, problem):
-        from repro.errors import ConfigurationError
-
-        with pytest.raises(ConfigurationError) as excinfo:
-            problem.optimize(strategy="oracle")
-        assert "exhaustive" in str(excinfo.value)
 
     def test_block_engine_forwards_parallelism(self, case_study, quick_design_options):
         serial = SearchEngine(case_study.evaluator(quick_design_options))
@@ -165,8 +145,9 @@ class TestMulticoreProblem:
         """Non-exhaustive strategies run per block through the shared
         engine; the exhaustive sweep bounds them from above."""
         exhaustive = problem.optimize()
-        hybrid = problem.optimize(strategy="hybrid", n_starts=1, seed=7)
+        spec = replace(problem.spec, strategy="hybrid", n_starts=1, seed=7)
+        hybrid = MulticoreProblem(problem.engine, spec).optimize()
         assert hybrid.feasible
         assert hybrid.overall <= exhaustive.overall + 1e-12
         for core in hybrid.cores:
-            assert max(core.schedule.counts) <= problem.max_count_per_core
+            assert max(core.schedule.counts) <= spec.max_count_per_core

@@ -12,9 +12,11 @@ import pytest
 
 from repro.apps import build_case_study
 from repro.errors import ConfigurationError
-from repro.multicore import MulticoreProblem, way_allocations
+from repro.multicore import way_allocations
 from repro.platform import shared_paper_platform
 from repro.sched.engine import Block
+
+from .helpers import open_problem
 
 #: Tiny per-core burst cap: keeps every space (and the test) small.
 MAX_COUNT = 2
@@ -35,12 +37,12 @@ def cache_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("shared-cache")
 
 
-def make_problem(case, options, **kwargs) -> MulticoreProblem:
-    return MulticoreProblem(
+def make_problem(case, options, **kwargs):
+    return open_problem(
         case.apps,
         case.clock,
-        2,
         options,
+        n_cores=2,
         max_count_per_core=MAX_COUNT,
         platform=SHARED_PLATFORM,
         shared_cache=True,
@@ -182,11 +184,11 @@ class TestWayAwareDigests:
         is still keyed as a declared platform — equal to the private
         engine on the same platform."""
         with make_problem(shared_case, tiny_design_options) as shared:
-            with MulticoreProblem(
+            with open_problem(
                 shared_case.apps,
                 shared_case.clock,
-                2,
                 tiny_design_options,
+                n_cores=2,
                 max_count_per_core=MAX_COUNT,
                 platform=SHARED_PLATFORM,
             ) as private:
@@ -198,13 +200,14 @@ class TestWayAwareDigests:
 class TestConfigurationContract:
     def test_too_few_ways_fails_fast(self, shared_case, tiny_design_options):
         with pytest.raises(ConfigurationError) as excinfo:
-            MulticoreProblem(
+            with open_problem(
                 shared_case.apps,
                 shared_case.clock,
-                2,
                 tiny_design_options,
+                n_cores=2,
                 shared_cache=True,  # paper platform: direct-mapped, 1 way
-            )
+            ):
+                pass
         assert "associativity" in str(excinfo.value)
 
     def test_programless_app_fails_fast(
@@ -213,20 +216,17 @@ class TestConfigurationContract:
         from dataclasses import replace
 
         stripped = [replace(app, program=None) for app in shared_case.apps]
-        problem = MulticoreProblem(
+        with open_problem(
             stripped,
             shared_case.clock,
-            2,
             tiny_design_options,
+            n_cores=2,
             platform=SHARED_PLATFORM,
             shared_cache=True,
-        )
-        try:
+        ) as problem:
             with pytest.raises(ConfigurationError) as excinfo:
                 problem.engine.subproblem((0,), 2)
-            assert "program" in str(excinfo.value)
-        finally:
-            problem.close()
+        assert "program" in str(excinfo.value)
 
     def test_block_spec_normalization(self, shared_case, tiny_design_options):
         with make_problem(shared_case, tiny_design_options) as problem:

@@ -183,6 +183,66 @@ class TestSynthesis:
                 problem_digest(b.apps, b.clock, tiny_design_options)
 
 
+class TestMulticoreSpecRules:
+    """A multicore run's configuration is checked once, by its spec,
+    when the scenario is built."""
+
+    def test_validation(self, case_study):
+        with pytest.raises(ConfigurationError):
+            Scenario("bad", case_study.apps, case_study.clock, None, RunSpec(n_cores=0))
+
+    def test_more_cores_than_apps_fails_fast(self, case_study):
+        with pytest.raises(ConfigurationError) as excinfo:
+            Scenario(
+                "bad", case_study.apps, case_study.clock, None,
+                RunSpec(n_cores=len(case_study.apps) + 1),
+            )
+        assert str(len(case_study.apps)) in str(excinfo.value)
+
+    def test_unknown_allocator_rejected(self, case_study):
+        with pytest.raises(ConfigurationError) as excinfo:
+            Scenario(
+                "bad", case_study.apps, case_study.clock, None,
+                RunSpec(n_cores=2, allocator="oracle"),
+            )
+        assert "greedy" in str(excinfo.value)
+
+    def test_unknown_strategy_rejected(self, case_study):
+        with pytest.raises(ConfigurationError) as excinfo:
+            Scenario(
+                "bad", case_study.apps, case_study.clock, None,
+                RunSpec(n_cores=2, strategy="oracle"),
+            )
+        assert "exhaustive" in str(excinfo.value)
+
+
+class TestWholeProblemDigest:
+    @pytest.mark.parametrize(
+        "run",
+        [{"starts": ((2, 2, 2),)}, {"n_cores": 2, "max_count_per_core": 2}],
+        ids=["single-core", "two-core"],
+    )
+    def test_study_digests_the_whole_problem_once(
+        self, run, tiny_design_options, monkeypatch
+    ):
+        """The scenario's digest keys its engine too: a run hashes the
+        whole application set once, multicore sweeps included."""
+        import repro.sched.engine.engine as engine_module
+        import repro.study.report as report_module
+
+        whole = []
+
+        def counted(apps, *args, **kwargs):
+            whole.append(len(apps) == 3)
+            return problem_digest(apps, *args, **kwargs)
+
+        for module in (engine_module, report_module):
+            monkeypatch.setattr(module, "problem_digest", counted)
+        (report,) = Study.from_spec(RunSpec(**run), tiny_design_options).run()
+        assert report.feasible
+        assert sum(whole) == 1
+
+
 @pytest.mark.slow
 class TestRunBatch:
     def test_suite_runs_and_reports(self, tiny_design_options, tmp_path):

@@ -1,8 +1,8 @@
 """A fake schedule evaluator for search-algorithm tests.
 
 The real evaluator runs PSO controller designs (seconds per schedule);
-the search algorithms only need ``evaluate(schedule)`` returning an
-object with ``overall``, ``feasible`` and ``schedule`` — this fake
+the search algorithms only need ``evaluate_batch(schedules)`` returning
+objects with ``overall``, ``feasible`` and ``schedule`` — this fake
 computes a cheap analytic landscape so search behaviour can be tested
 exhaustively and deterministically.
 """
@@ -45,6 +45,9 @@ class FakeEvaluator:
                 feasible=self.feasible(key),
             )
         return self._cache[key]
+
+    def evaluate_batch(self, schedules: list[PeriodicSchedule]) -> list[FakeEvaluation]:
+        return [self.evaluate(schedule) for schedule in schedules]
 
     @property
     def n_schedule_evaluations(self) -> int:

@@ -87,3 +87,6 @@ class FakeSimEngine:
         )
         self._memo[key] = evaluation
         return evaluation
+
+    def evaluate_batch(self, schedules: list[PeriodicSchedule]) -> list[FakeEvaluation]:
+        return [self.evaluate(schedule) for schedule in schedules]

@@ -36,8 +36,8 @@ def fresh_engine(case, design_options) -> SearchEngine:
 
 
 class TestIdenticalResults:
-    """`Study.run()` reproduces the pre-redesign `CodesignProblem.optimize`
-    (which called the search functions below directly) for each strategy."""
+    """`Study.run()` reproduces a direct call of each strategy's search
+    function on a fresh engine."""
 
     def test_hybrid_matches_pre_redesign_search(self, case, quick_design_options):
         starts = [PeriodicSchedule.of(4, 2, 2), PeriodicSchedule.of(1, 2, 1)]

@@ -8,17 +8,15 @@ performance -> schedule search.
 import pytest
 
 from repro import (
-    CodesignProblem,
     PeriodicSchedule,
     build_case_study,
 )
-from repro.sched import hybrid_search
+from repro.sched import hybrid_search, idle_feasible
 
 
 @pytest.fixture(scope="module")
 def problem(quick_design_options_module):
-    case = build_case_study()
-    return CodesignProblem(case.apps, case.clock, quick_design_options_module)
+    return build_case_study().evaluator(quick_design_options_module)
 
 
 @pytest.fixture(scope="module")
@@ -50,9 +48,9 @@ class TestEndToEnd:
         """Both of the paper's start points must reach a common optimum
         using far fewer evaluations than the 77-schedule space."""
         result = hybrid_search(
-            problem.evaluator,
+            problem,
             [PeriodicSchedule.of(4, 2, 2), PeriodicSchedule.of(1, 2, 1)],
-            problem.idle_feasible,
+            lambda schedule: idle_feasible(schedule, problem.apps, problem.clock),
         )
         assert result.best.feasible
         ends = {trace.end.counts for trace in result.traces}
