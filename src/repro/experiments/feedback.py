@@ -141,10 +141,10 @@ class FeedbackExperiment:
         :class:`~repro.study.Study`, so ``on_event`` receives the
         study's events — scenario started/finished, engine progress and
         every runtime simulation event as a
-        :class:`~repro.study.events.SimulationProgress`.  With a
-        ``cache_dir`` the two runs share persistent evaluations, and
-        the adaptive run's re-optimizations hit the warm engine either
-        way.
+        :class:`~repro.study.events.SimulationProgress`.  The two runs
+        share one problem, so the adaptive run's offline search is
+        served from the static run's design memo and only its
+        re-optimizations can compute.
         """
         case = build_case_study(platform=request.platform)
         profile = load_transient(len(case.apps), horizon=HORIZON, stress=STRESS)

@@ -77,9 +77,9 @@ class ExperimentRequest(RunSpec):
         Receives the typed progress events while searches run: the
         study events (:mod:`repro.study.events`) of the scenarios an
         experiment runs through a :class:`~repro.study.Study`, the bare
-        engine events (:mod:`repro.sched.engine.events`) of a warm
-        engine it holds itself (the ``multicore`` sweep, ``search``'s
-        exhaustive sweep).
+        engine events (:mod:`repro.sched.engine.events`) of the one
+        experiment that holds an engine itself (the ``multicore``
+        sweep).
     """
 
     design_options: DesignOptions | None = None

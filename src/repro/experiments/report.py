@@ -27,7 +27,9 @@ from ..study.report import RunReport, _json_safe
 from ..study.spec import strict_payload
 
 #: Bump when the report layout changes incompatibly.
-SCHEMA_VERSION = 2
+#: v3: ``search`` reads its infeasible list and round-robin baseline from
+#: the exhaustive run report, not from ``data``.
+SCHEMA_VERSION = 3
 
 
 @dataclass

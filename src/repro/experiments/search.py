@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 from ..apps.casestudy import PAPER_BEST_OVERALL, build_case_study
 from ..core.report import render_table
-from ..sched.engine.batch import scenario_engine, search_scenario
-from ..sched.feasibility import enumerate_idle_feasible
 from ..sched.schedule import PeriodicSchedule
 from ..study import RunReport, Study
 from .registry import ExperimentRequest, register_experiment
@@ -41,15 +39,11 @@ class SearchResultSummary:
 
     ``exhaustive`` and ``hybrids`` are the
     :class:`~repro.study.RunReport` of the exhaustive sweep and of one
-    hybrid search per start; the statistics are read from them.  The
-    round-robin baseline and the settling-infeasible schedules are what
-    the warm exhaustive engine answered after the sweep.
+    hybrid search per start; every statistic is read from them.
     """
 
     exhaustive: RunReport
     hybrids: list[RunReport]
-    round_robin_overall: float
-    infeasible_schedules: list[PeriodicSchedule]
 
     @property
     def n_enumerated(self) -> int:
@@ -68,6 +62,21 @@ class SearchResultSummary:
     @property
     def best_overall(self) -> float:
         return self.exhaustive.overall
+
+    @property
+    def infeasible_schedules(self) -> list[PeriodicSchedule]:
+        """Schedules of the sweep that miss a settling deadline."""
+        return [
+            PeriodicSchedule(tuple(counts))
+            for counts in self.exhaustive.search_stats["infeasible"]
+        ]
+
+    @property
+    def round_robin_overall(self) -> float:
+        """Overall performance of round robin, which the sweep evaluated
+        (it is in every non-empty idle-feasible space)."""
+        round_robin = PeriodicSchedule.round_robin(len(self.exhaustive.apps))
+        return self.exhaustive.search_stats["overalls"][round_robin.text]
 
     @property
     def hybrid_evaluations(self) -> dict[tuple[int, ...], int]:
@@ -146,54 +155,28 @@ class SearchExperiment:
     def build(self, request: ExperimentRequest) -> ExperimentReport:
         """Rerun the schedule-space experiment.
 
-        The exhaustive sweep runs on one warm engine, which afterwards
-        answers the infeasible list and the round-robin baseline from
-        its memo.  The hybrid searches run through one
-        :class:`~repro.study.Study`, one scenario per paper start on a
-        fresh engine each, so every evaluation count is that of a
-        standalone search (the paper reports per-start counts).  With a
-        shared ``cache_dir`` the exhaustive sweep warms the hybrid
-        searches and any later rerun of the whole experiment.
-        ``on_event`` receives the exhaustive engine's typed progress
-        events and the study's events.
+        The exhaustive sweep and one hybrid search per paper start are
+        the three scenarios of one :class:`~repro.study.Study`.  They
+        share one problem, so the hybrids are served from the designs
+        the sweep computed; each still counts its own evaluations, as
+        the paper reports per-start counts.  The infeasible list and
+        the round-robin baseline come from the sweep's report.
+        ``on_event`` receives the study's events.
         """
         case = build_case_study(platform=request.platform)
-        exhaustive_scenario = request.scenario(
-            "casestudy-exhaustive", case, strategy="exhaustive"
-        )
-        hybrids = Study.from_scenarios(
-            [
-                request.scenario(
-                    f"casestudy-hybrid-{_start_label(start)}",
-                    case,
-                    strategy="hybrid",
-                    starts=(start.counts,),
-                )
-                for start in PAPER_STARTS
-            ],
-            request.engine_options(),
-        )
-        with scenario_engine(
-            exhaustive_scenario, request.engine_options(), request.on_event
-        ) as engine:
-            # Reported before the infeasibility/round-robin extras below,
-            # so the report accounts the exhaustive sweep alone.
-            exhaustive = search_scenario(exhaustive_scenario, engine)
-            hybrid_reports = hybrids.run(on_event=request.on_event)
-            space = enumerate_idle_feasible(case.apps, case.clock)
-            infeasible = [
-                schedule.counts
-                for schedule in space
-                if not engine.evaluate(schedule).feasible
-            ]
-            round_robin = engine.evaluate(PeriodicSchedule.round_robin(len(case.apps)))
+        exhaustive = request.scenario("casestudy-exhaustive", case, strategy="exhaustive")
+        hybrids = [
+            request.scenario(
+                f"casestudy-hybrid-{_start_label(start)}",
+                case,
+                strategy="hybrid",
+                starts=(start.counts,),
+            )
+            for start in PAPER_STARTS
+        ]
+        study = Study.from_scenarios([exhaustive, *hybrids], request.engine_options())
         return new_report(
-            self.name,
-            data={
-                "round_robin_overall": float(round_robin.overall),
-                "infeasible": infeasible,
-            },
-            run_reports=[exhaustive, *hybrid_reports],
+            self.name, data={}, run_reports=study.run(on_event=request.on_event)
         )
 
     def render(self, report: ExperimentReport) -> str:
@@ -203,11 +186,4 @@ class SearchExperiment:
     def result_from(report: ExperimentReport) -> SearchResultSummary:
         """Rebuild the summary from a (possibly resumed) report."""
         exhaustive, *hybrids = report.run_reports
-        return SearchResultSummary(
-            exhaustive=exhaustive,
-            hybrids=hybrids,
-            round_robin_overall=float(report.data["round_robin_overall"]),
-            infeasible_schedules=[
-                PeriodicSchedule(tuple(counts)) for counts in report.data["infeasible"]
-            ],
-        )
+        return SearchResultSummary(exhaustive=exhaustive, hybrids=hybrids)

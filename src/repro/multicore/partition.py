@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import TYPE_CHECKING, Iterator
 
-from ..errors import ConfigurationError, ScheduleError, SearchError
+from ..errors import ScheduleError, SearchError
 from ..platform import default_platform
 from ..sched.engine import Block, SearchEngine
 from ..sched.evaluator import ScheduleEvaluation
@@ -156,7 +156,8 @@ class MulticoreProblem:
     engine's clock).  With ``spec.shared_cache`` the cores share that
     platform's set-associative cache and the sweep co-optimizes the
     application partition with the per-core way allocation; the cache
-    needs at least one way per core.
+    has at least one way per core (:meth:`RunSpec.validate
+    <repro.study.spec.RunSpec.validate>` checks it).
     """
 
     def __init__(self, engine: SearchEngine, spec: RunSpec) -> None:
@@ -172,13 +173,6 @@ class MulticoreProblem:
         )
         self.platform = engine.platform or default_platform(self.clock)
         self.total_ways = self.platform.cache.associativity
-        if spec.shared_cache and self.total_ways < spec.n_cores:
-            raise ConfigurationError(
-                f"shared-cache co-design over {spec.n_cores} cores needs a "
-                f"cache with associativity >= {spec.n_cores}, got "
-                f"{self.total_ways} (e.g. use "
-                "repro.platform.shared_paper_platform())"
-            )
 
     # ------------------------------------------------------------------
     # Per-core machinery

@@ -1,11 +1,12 @@
-"""Scenario runner: one co-design problem through a fresh engine.
+"""Scenario runner: one co-design problem through its own engine.
 
 A *scenario* is one complete co-design problem — an application set
 (plants, tracking constraints, analyzed control programs), a clock and
 a design budget — plus the :class:`~repro.study.spec.RunSpec` of the
 run to make on it (strategy, starts, seed, cores, platform, allocator,
-dynamic profile).  :func:`run_scenario` runs one on a fresh engine;
-:class:`~repro.study.Study` drives scenario lists through it.
+dynamic profile).  :func:`scenario_engine` opens the engine one runs on
+and :func:`search_scenario` runs it there; :class:`~repro.study.Study`
+drives scenario lists through the two.
 
 :func:`synthesize_scenarios` generates the deterministic random
 workloads of a suite spec by jittering the case study's calibrated
@@ -91,7 +92,10 @@ class Scenario:
 
 @contextmanager
 def scenario_engine(
-    scenario: Scenario, engine_options: EngineOptions | None = None, on_event=None
+    scenario: Scenario,
+    engine_options: EngineOptions | None = None,
+    on_event=None,
+    evaluator: ScheduleEvaluator | None = None,
 ) -> Iterator[SearchEngine]:
     """The warm :class:`~repro.sched.engine.SearchEngine` one scenario
     runs on, closed on exit.
@@ -100,11 +104,15 @@ def scenario_engine(
     sweeps its core blocks as sub-problems of the same engine (see
     :class:`~repro.multicore.MulticoreProblem`).  ``on_event`` receives
     the engine's typed progress events
-    (:mod:`repro.sched.engine.events`).  Callers that query the engine's
-    memo after the search (the ``search`` and ``multicore``
-    experiments) hold it open around :func:`search_scenario`.
+    (:mod:`repro.sched.engine.events`).  ``evaluator`` is the design
+    memo the engine serves the whole problem from (default: a fresh
+    one); a :class:`~repro.study.Study` passes one memo to every
+    scenario of a problem.  Callers that query the engine's memo after
+    the search (the ``multicore`` experiment) hold it open around
+    :func:`search_scenario`.
     """
-    evaluator = ScheduleEvaluator(scenario.apps, scenario.clock, scenario.design_options)
+    if evaluator is None:
+        evaluator = ScheduleEvaluator(scenario.apps, scenario.clock, scenario.design_options)
     with (engine_options or EngineOptions()).build(
         evaluator, platform=scenario.spec.platform, on_event=on_event, problem=scenario.problem
     ) as engine:
@@ -175,18 +183,6 @@ def search_scenario(scenario: Scenario, engine: SearchEngine, on_sim_event=None)
         result=result,
         sim=sim_report,
     )
-
-
-def run_scenario(
-    scenario: Scenario,
-    engine_options: EngineOptions | None = None,
-    on_event=None,
-    on_sim_event=None,
-) -> RunReport:
-    """Run one scenario on a fresh engine (see :func:`scenario_engine`
-    and :func:`search_scenario`)."""
-    with scenario_engine(scenario, engine_options, on_event) as engine:
-        return search_scenario(scenario, engine, on_sim_event)
 
 
 # ----------------------------------------------------------------------

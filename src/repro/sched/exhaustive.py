@@ -38,8 +38,10 @@ def exhaustive_search(
     Returns
     -------
     SearchResult
-        ``stats`` holds ``n_enumerated``, ``n_feasible`` and the full
-        ``ranking`` (feasible evaluations, best first).
+        ``stats`` (JSON-safe): ``n_enumerated``, ``n_feasible``, the
+        counts of the ``infeasible`` schedules and every schedule's
+        overall by its :attr:`~repro.sched.schedule.PeriodicSchedule.text`
+        (``overalls``), in evaluation order.
     """
     if schedules is None:
         if clock is None:
@@ -55,19 +57,18 @@ def exhaustive_search(
     feasible = [e for e in evaluations if e.feasible]
     if not feasible:
         raise SearchError("no schedule satisfies the settling deadlines")
-    ranking = sorted(feasible, key=lambda e: e.overall, reverse=True)
-
     trace = SearchTrace(start=schedules[0])
     trace.path = [(e.schedule, e.overall) for e in evaluations]
     trace.n_evaluations = len(schedules)
 
     return SearchResult(
-        best=ranking[0],
+        best=max(feasible, key=lambda e: e.overall),
         n_evaluations=len(schedules),
         traces=[trace],
         stats={
             "n_enumerated": len(schedules),
             "n_feasible": len(feasible),
-            "ranking": ranking,
+            "infeasible": [list(e.schedule.counts) for e in evaluations if not e.feasible],
+            "overalls": {e.schedule.text: float(e.overall) for e in evaluations},
         },
     )

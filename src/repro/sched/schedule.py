@@ -49,6 +49,11 @@ class PeriodicSchedule:
         return len(self.counts)
 
     @property
+    def text(self) -> str:
+        """The counts comma-separated, ``"4,2,2"`` — the form ``--starts`` takes."""
+        return ",".join(map(str, self.counts))
+
+    @property
     def tasks_per_period(self) -> int:
         """Total task executions in one schedule period."""
         return sum(self.counts)

@@ -212,6 +212,14 @@ class RunSpec:
                     )
         else:
             ALLOCATORS.resolve_options(self.allocator_plugin(), self.allocator_options)
+            # A suite's jittered platforms keep the base cache's ways.
+            ways = (self.platform or Platform()).cache.associativity
+            if self.shared_cache and ways < self.n_cores:
+                raise ConfigurationError(
+                    f"shared-cache co-design over {self.n_cores} cores needs a "
+                    f"cache with associativity >= {self.n_cores}, got {ways} "
+                    "(e.g. use repro.platform.shared_paper_platform())"
+                )
             if self.dynamic is not None or self.random_dynamic:
                 raise ConfigurationError(
                     "feedback-scheduling simulation (dynamic) is "

@@ -4,9 +4,11 @@ A :class:`Study` is a list of scenarios plus one engine configuration
 and an optional run directory.  It is the single front door to the
 search machinery: the paper case study, a synthesized workload suite
 and explicit scenario lists all run through exactly one code path
-(:func:`repro.sched.engine.batch.run_scenario` → strategy registry →
-engine), whether the scenarios are single-core searches, batch sweeps
-or multicore co-designs.  Every run produces a
+(:func:`~repro.sched.engine.batch.scenario_engine` →
+:func:`~repro.sched.engine.batch.search_scenario` → strategy registry),
+whether the scenarios are single-core searches, batch sweeps or
+multicore co-designs; scenarios of one problem share its design memo.
+Every run produces a
 :class:`~repro.study.report.RunReport`; with a ``run_dir`` the reports
 persist as JSON and matching reruns are served from disk (resumable
 sweeps, comparable across commits).
@@ -30,7 +32,8 @@ from ..control.design import DesignOptions
 from ..errors import ConfigurationError
 from ..identity import diff, digest
 from ..sched.engine import EngineOptions
-from ..sched.engine.batch import Scenario, run_scenario, synthesize_scenarios
+from ..sched.engine.batch import Scenario, scenario_engine, search_scenario, synthesize_scenarios
+from ..sched.evaluator import ScheduleEvaluator
 from ..sched.schedule import PeriodicSchedule
 from ..sim.report import SimReport
 from .events import (
@@ -60,7 +63,8 @@ class Study:
         The :class:`~repro.sched.engine.batch.Scenario` list to run.
     engine_options:
         Worker-pool / persistent-cache configuration shared by every
-        scenario (each scenario still gets its own engine instance).
+        scenario.  Each scenario runs on its own engine (stats, events,
+        pool); the scenarios of one ``problem`` share its design memo.
     run_dir:
         Directory the per-scenario :class:`RunReport` JSON artifacts
         persist under; ``None`` keeps reports in memory only.
@@ -216,13 +220,15 @@ class Study:
         self,
         scenario: Scenario,
         resume: bool,
+        memos: dict[str, ScheduleEvaluator],
         on_engine_event=None,
         on_sim_event=None,
     ) -> tuple[RunReport, bool, float, str | None]:
         """Run (or resume) one scenario.
 
         Returns ``(report, resumed, wall_time, recompute_reason)`` (see
-        :meth:`_lookup` for the reason); ``on_engine_event``
+        :meth:`_lookup` for the reason); a scenario that runs takes its
+        problem's design memo from ``memos``, built on first need; ``on_engine_event``
         receives the engine's progress events while the search runs,
         ``on_sim_event`` the runtime events of a dynamic scenario's
         feedback-scheduling simulation.
@@ -230,13 +236,14 @@ class Study:
         report, reason = self._lookup(scenario, resume)
         if report is not None:
             return report, True, 0.0, None
+        memo = memos.get(scenario.problem)
+        if memo is None:
+            memo = memos[scenario.problem] = ScheduleEvaluator(
+                scenario.apps, scenario.clock, scenario.design_options
+            )
         started = time.perf_counter()
-        report = run_scenario(
-            scenario,
-            self.engine_options,
-            on_event=on_engine_event,
-            on_sim_event=on_sim_event,
-        )
+        with scenario_engine(scenario, self.engine_options, on_engine_event, memo) as engine:
+            report = search_scenario(scenario, engine, on_sim_event)
         wall_time = time.perf_counter() - started
         path = self.report_path(scenario)
         if path is not None:
@@ -289,10 +296,14 @@ class Study:
         it while the search runs (and not yielded afterwards); without
         it, engine events are buffered and yielded as
         :class:`ScenarioProgress` once the scenario ends — a generator
-        cannot yield from inside the engine's callback.
+        cannot yield from inside the engine's callback.  A problem's
+        design memo is dropped after its last scenario, so distinct
+        problems hold one at a time.
         """
         n_computed_total = 0
         search_seconds_total = 0.0
+        memos: dict[str, ScheduleEvaluator] = {}
+        last_use = {scenario.problem: index for index, scenario in enumerate(self.scenarios)}
         for index, scenario in enumerate(self.scenarios):
             yield self._started_event(index, scenario)
             common = dict(
@@ -313,8 +324,10 @@ class Study:
                 engine_cb = buffered.append
                 sim_cb = buffered_sim.append
             report, resumed, wall_time, reason = self._run_one(
-                scenario, resume, on_engine_event=engine_cb, on_sim_event=sim_cb
+                scenario, resume, memos, on_engine_event=engine_cb, on_sim_event=sim_cb
             )
+            if last_use[scenario.problem] == index:
+                memos.pop(scenario.problem, None)
             for engine_event in buffered:
                 yield ScenarioProgress(engine=engine_event, **common)
             for sim_event in buffered_sim:

@@ -230,7 +230,7 @@ class TestRoundTripCheap:
     @pytest.mark.parametrize("name", ["table1", "table2"])
     def test_report_round_trips(self, name):
         report = run_experiment(name)
-        assert report.schema_version == 2
+        assert report.schema_version == 3
         assert report.profile
         assert report.request["platform"]["wcet_model"] == "static"
         assert report.run_reports == []
@@ -273,16 +273,21 @@ class TestRoundTripDesignHeavy:
             "search", _request(tiny_design_options, on_event=events.append)
         )
         assert ExperimentReport.from_json(report.to_json()) == report
-        # The per-start hybrids run through one Study: one started and
-        # one finished event each, whose reports are the embedded ones.
+        # The sweep and the per-start hybrids run through one Study: one
+        # started and one finished event each, whose reports are the
+        # embedded ones.
         started = [e for e in events if isinstance(e, ScenarioStarted)]
         finished = [e for e in events if isinstance(e, ScenarioFinished)]
         assert [e.scenario for e in started] == [
-            "casestudy-hybrid-4x2x2", "casestudy-hybrid-1x2x1",
+            "casestudy-exhaustive", "casestudy-hybrid-4x2x2", "casestudy-hybrid-1x2x1",
         ]
-        assert [e.report for e in finished] == report.run_reports[1:]
+        assert [e.report for e in finished] == report.run_reports
         # The statistics are read from the embedded reports, not echoed.
-        assert sorted(report.data) == ["infeasible", "round_robin_overall"]
+        assert report.data == {}
+        # The hybrids are served from the sweep's design memo.
+        for run in report.run_reports[1:]:
+            assert run.engine_stats["n_computed"] == 0
+            assert run.engine_stats["n_memo_hits"] == run.engine_stats["n_requested"]
         summary = get_experiment("search").result_from(report)
         assert list(summary.hybrid_evaluations.values()) == [
             r.search_stats["n_evaluations"] for r in report.run_reports[1:]
@@ -450,6 +455,34 @@ class TestSchemaMigration:
         assert again.data == cold.data
         assert ExperimentReport.from_json(path.read_text()) == again
 
+    def test_parent_search_artifact_recomputes(self, tiny_design_options, tmp_path):
+        """A ``search`` artifact of schema 2 kept the infeasible list and
+        the round-robin baseline in ``data``, and its exhaustive report
+        lacks the sweep's ``infeasible``/``overalls`` statistics: it is
+        recomputed, not rendered from missing keys."""
+        from repro.experiments.registry import experiment_report_path
+
+        request = _request(tiny_design_options)
+        cold = run_experiment("search", request, run_dir=tmp_path)
+        path = experiment_report_path(tmp_path, "search", request)
+        data = json.loads(path.read_text())
+        data["schema_version"] = 2
+        stats = data["run_reports"][0]["search_stats"]
+        summary = get_experiment("search").result_from(cold)
+        data["data"] = {
+            "infeasible": stats.pop("infeasible"),
+            "round_robin_overall": summary.round_robin_overall,
+        }
+        stats.pop("overalls")
+        stats["ranking"] = []
+        path.write_text(json.dumps(data))
+        with pytest.raises(ConfigurationError, match="schema_version 2"):
+            ExperimentReport.from_json(path.read_text())
+        again = run_experiment("search", request, run_dir=tmp_path)
+        assert again.created_at != cold.created_at
+        assert render_experiment("search", again) == render_experiment("search", cold)
+        assert ExperimentReport.from_json(path.read_text()) == again
+
     def test_other_experiment_schema_recomputes(self, tmp_path):
         def bump(data):
             data["schema_version"] = 0
@@ -458,7 +491,7 @@ class TestSchemaMigration:
         with pytest.raises(ConfigurationError) as excinfo:
             ExperimentReport.from_json(path.read_text())
         assert "schema_version 0" in str(excinfo.value)
-        assert "speaks 2" in str(excinfo.value)
+        assert "speaks 3" in str(excinfo.value)
         again = run_experiment("table1", request, run_dir=tmp_path)
         assert again.created_at != cold.created_at
         assert again.data == cold.data

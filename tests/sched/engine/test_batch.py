@@ -8,7 +8,7 @@ from repro.cache import CacheConfig
 from repro.errors import ConfigurationError
 from repro.platform import Platform
 from repro.sched.engine import EngineOptions
-from repro.sched.engine.batch import Scenario, run_scenario, synthesize_scenarios
+from repro.sched.engine.batch import Scenario, synthesize_scenarios
 from repro.sched.engine.keys import problem_digest
 from repro.study import RunSpec, Study
 
@@ -18,6 +18,12 @@ def suite(size: int = 1, design_options=None, **run) -> list[Scenario]:
     return synthesize_scenarios(
         RunSpec(kind="suite", suite_size=size, **run), design_options
     )
+
+
+def run_alone(scenario: Scenario, engine_options: EngineOptions):
+    """The report of ``scenario`` run by a study of its own (its own
+    design memo, so a rerun reads the disk cache)."""
+    return Study.from_scenarios([scenario], engine_options).run()[0]
 
 
 #: Golden values of the default suite for seed 2018 captured before the
@@ -131,7 +137,7 @@ class TestSynthesis:
         # replace() on the spec bypasses the Scenario's resolution
         scenario.spec = replace(scenario.spec, strategy="anealing")
         with pytest.raises(ConfigurationError) as excinfo:
-            run_scenario(scenario)
+            Study.from_scenarios([scenario]).run()
         message = str(excinfo.value)
         assert "anealing" in message and "annealing" in message
 
@@ -262,8 +268,8 @@ class TestRunBatch:
         scenarios = suite(
             1, seed=11, design_options=tiny_design_options, n_apps_choices=(2,)
         )
-        cold = run_scenario(scenarios[0], EngineOptions(cache_dir=tmp_path))
-        warm = run_scenario(scenarios[0], EngineOptions(cache_dir=tmp_path))
+        cold = run_alone(scenarios[0], EngineOptions(cache_dir=tmp_path))
+        warm = run_alone(scenarios[0], EngineOptions(cache_dir=tmp_path))
         assert warm.engine_stats["n_computed"] == 0
         assert warm.engine_stats["n_disk_hits"] > 0
         assert warm.best_schedule == cold.best_schedule
@@ -274,12 +280,12 @@ class TestRunBatch:
             1, seed=11, design_options=tiny_design_options,
             n_apps_choices=(2,), n_cores=2,
         )[0]
-        cold = run_scenario(scenario, EngineOptions(cache_dir=tmp_path))
+        cold = run_alone(scenario, EngineOptions(cache_dir=tmp_path))
         assert cold.spec.strategy == "exhaustive"
         assert cold.best_schedule is None
         assert cold.cores and cold.feasible
         assert len(cold.apps) == 2
-        warm = run_scenario(scenario, EngineOptions(cache_dir=tmp_path))
+        warm = run_alone(scenario, EngineOptions(cache_dir=tmp_path))
         assert warm.engine_stats["n_computed"] == 0
         assert warm.cores == cold.cores
         assert warm.overall == cold.overall

@@ -1,5 +1,7 @@
 """Tests for the exhaustive and simulated-annealing baselines."""
 
+import json
+
 import pytest
 
 from repro.errors import SearchError
@@ -30,12 +32,14 @@ class TestExhaustive:
         assert result.n_evaluations == 27
         assert result.stats["n_enumerated"] == 27
 
-    def test_ranking_is_sorted(self):
+    def test_stats_record_every_overall(self):
+        space = small_space()
         evaluator = FakeEvaluator(concave_peak((1, 1, 1)))
-        result = exhaustive_search(evaluator, schedules=small_space())
-        ranking = result.stats["ranking"]
-        values = [e.overall for e in ranking]
-        assert values == sorted(values, reverse=True)
+        result = exhaustive_search(evaluator, schedules=space)
+        overalls = result.stats["overalls"]
+        assert list(overalls) == [schedule.text for schedule in space]
+        assert overalls["1,1,1"] == max(overalls.values()) == result.best_value
+        assert json.loads(json.dumps(result.stats)) == result.stats
 
     def test_counts_feasible_separately(self):
         bad = {(1, 1, 1), (2, 2, 2)}
@@ -44,6 +48,7 @@ class TestExhaustive:
         )
         result = exhaustive_search(evaluator, schedules=small_space())
         assert result.stats["n_feasible"] == 25
+        assert result.stats["infeasible"] == [[1, 1, 1], [2, 2, 2]]
 
     def test_empty_space_rejected(self):
         with pytest.raises(SearchError):

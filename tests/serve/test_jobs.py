@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.platform import shared_paper_platform
 from repro.serve.jobs import JobRecord, JobSpec
 from repro.sim import load_transient
 
@@ -111,7 +112,7 @@ class TestJobSpecValidation:
         with pytest.raises(ConfigurationError) as exc:
             JobSpec(shared_cache=True).validate()
         assert "n_cores" in str(exc.value)
-        JobSpec(shared_cache=True, n_cores=2).validate()
+        JobSpec(shared_cache=True, n_cores=2, platform=shared_paper_platform()).validate()
 
     def test_unknown_allocator_names_registry(self):
         with pytest.raises(ConfigurationError) as exc:

@@ -100,6 +100,27 @@ class TestHttpBasics:
             assert client.jobs() == []
         assert list((serve_dir / "jobs").iterdir()) == []
 
+    def test_too_few_shared_cache_ways_is_a_400_before_the_ledger(self, serve_dir):
+        # Without a platform the cache is the direct-mapped paper cache:
+        # one way cannot be split between two cores.
+        with ServerThread(run_dir=serve_dir) as server:
+            client = ServeClient(server.url)
+            conn = http.client.HTTPConnection(
+                client.host, client.port, timeout=30
+            )
+            try:
+                body = json.dumps({"n_cores": 2, "shared_cache": True})
+                conn.request("POST", "/jobs", body=body)
+                response = conn.getresponse()
+                payload = json.loads(response.read())
+            finally:
+                conn.close()
+            assert response.status == 400
+            assert payload["kind"] == "ConfigurationError"
+            assert "associativity >= 2, got 1" in payload["error"]
+            assert client.jobs() == []
+        assert list((serve_dir / "jobs").iterdir()) == []
+
     def test_queue_bound_rejects_with_429(self, serve_dir):
         with ServerThread(run_dir=serve_dir, queue_size=0) as server:
             client = ServeClient(server.url)

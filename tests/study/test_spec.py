@@ -318,6 +318,28 @@ def test_round_trip_of_option_objects_and_profiles():
     assert multicore.validate() is multicore
 
 
+#: The paper cache, stated explicitly: direct-mapped (one way).
+ONE_WAY = Platform(cache=CacheConfig(associativity=1))
+
+
+@pytest.mark.parametrize("kind", ["search", "suite"])
+def test_shared_cache_rejects_an_explicit_one_way_platform(kind):
+    spec = RunSpec(kind=kind, n_cores=2, shared_cache=True, platform=ONE_WAY)
+    with pytest.raises(ConfigurationError, match="associativity >= 2, got 1"):
+        spec.validate()
+    assert replace(spec, platform=shared_paper_platform()).validate()
+
+
+@pytest.mark.parametrize("kind", ["search", "suite"])
+def test_shared_cache_rejects_an_omitted_platform(kind):
+    """No platform is the direct-mapped paper platform: the run fails
+    when it is built, not when its co-design starts."""
+    with pytest.raises(ConfigurationError, match="associativity >= 2, got 1"):
+        RunSpec(kind=kind, n_cores=2, shared_cache=True).validate()
+    with pytest.raises(ConfigurationError, match="associativity >= 2, got 1"):
+        Study.from_case_study(n_cores=2, shared_cache=True)
+
+
 _FIELDS = [item.name for item in fields(RunSpec)]
 
 #: A value of the wrong type for every field.

@@ -1,5 +1,7 @@
 """The unified Study facade: one code path, persisted resumable reports."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -7,10 +9,12 @@ import pytest
 from repro.sched import PeriodicSchedule, SearchEngine
 from repro.sched.annealing import annealing_search
 from repro.sched.engine.batch import synthesize_scenarios
+from repro.sched.evaluator import ScheduleEvaluator
 from repro.sched.exhaustive import exhaustive_search
 from repro.sched.feasibility import enumerate_idle_feasible, idle_feasible
 from repro.sched.hybrid import hybrid_search
-from repro.study import RunReport, RunSpec, Study, scenario_digest
+from repro.study import RunReport, RunSpec, ScenarioStarted, Study, scenario_digest
+from repro.study import study as study_module
 
 
 def synthesized(design_options, **run):
@@ -226,3 +230,69 @@ class TestStudyRuns:
         assert refinement["base_schedule"] == report.best_schedule
         assert isinstance(refinement["interleaving_helps"], bool)
         assert RunReport.from_json(report.to_json()) == report
+
+
+def accounted(report: RunReport) -> bool:
+    """The engine accounting identity, read from one report."""
+    stats = report.engine_stats
+    return stats["n_requested"] == (
+        stats["n_memo_hits"] + stats["n_disk_hits"]
+        + stats["n_duplicates"] + stats["n_computed"]
+    )
+
+
+def outcome(report: RunReport) -> RunReport:
+    """``report`` without what depends on the memo's state or the clock."""
+    return replace(report, engine_stats={}, wall_time=0.0, created_at=0.0)
+
+
+class TestSharedDesignMemo:
+    """Scenarios of one problem share one design memo; each still runs
+    on its own engine, with its own stats."""
+
+    def test_a_later_search_of_the_problem_computes_nothing(self, tiny_design_options):
+        sweep = respec(synthesized(tiny_design_options), strategy="exhaustive")
+        hybrid = respec(sweep, strategy="hybrid")
+        first, second = Study.from_scenarios([sweep, hybrid]).run()
+        assert first.engine_stats["n_computed"] == first.n_space
+        assert second.engine_stats["n_computed"] == 0
+        assert second.engine_stats["n_requested"] > 0
+        assert accounted(first) and accounted(second)
+
+    def test_reports_equal_standalone_runs(self, tiny_design_options):
+        a, b = synthesize_scenarios(
+            RunSpec(kind="suite", suite_size=2, seed=11, n_apps_choices=(2,)),
+            tiny_design_options,
+        )
+        assert a.problem != b.problem
+        a_again = respec(a, strategy="annealing", starts=((1, 1),))
+        shared = Study.from_scenarios([a, b, a_again]).run()
+        alone = [Study.from_scenarios([s]).run()[0] for s in (a, b, a_again)]
+        assert [outcome(r) for r in shared] == [outcome(r) for r in alone]
+        assert shared[2].engine_stats["n_computed"] < alone[2].engine_stats["n_computed"]
+        assert all(accounted(r) for r in shared)
+
+    def test_memo_is_released_after_its_last_scenario(
+        self, tiny_design_options, tmp_path, monkeypatch
+    ):
+        built = []
+
+        def recording(*args):
+            memo = ScheduleEvaluator(*args)
+            built.append(weakref.ref(memo))
+            return memo
+
+        monkeypatch.setattr(study_module, "ScheduleEvaluator", recording)
+        scenarios = synthesize_scenarios(
+            RunSpec(kind="suite", suite_size=2, seed=11, n_apps_choices=(2,)),
+            tiny_design_options,
+        )
+        study = Study.from_scenarios(scenarios, run_dir=tmp_path)
+        for event in study.stream():
+            if isinstance(event, ScenarioStarted) and event.index == 1:
+                gc.collect()
+                assert len(built) == 1 and built[0]() is None
+        assert len(built) == 2
+        # A resumed scenario builds no memo.
+        Study.from_scenarios(scenarios, run_dir=tmp_path).run()
+        assert len(built) == 2
