@@ -25,6 +25,13 @@ automatic on a TTY).  ``experiment <name>`` regenerates one paper
 artifact through the experiment registry with the same strategy,
 platform and engine flags.
 
+This module is argument parsing plus dispatch.  The table cells live
+on the reports — :class:`~repro.study.RunReport` (schedule, app, core
+and engine rows) and :class:`~repro.sim.SimReport` (timeline and
+segment rows) — and the ``watch`` lines next to the progress line
+(:func:`~repro.study.progress.watch_line`); a command's renderer only
+picks the title, the columns and its units.
+
 Service: ``serve`` runs the HTTP job queue over the same ``Study``
 machinery, with one shared warm cache and run directory.  ``submit``
 sends it a run — it takes every run flag (``--suite-size`` makes the
@@ -269,19 +276,6 @@ def cmd_experiment(args: argparse.Namespace) -> None:
             progress.close()
 
 
-def _format_schedule_counts(counts: list[int]) -> str:
-    return "(" + ", ".join(str(m) for m in counts) + ")"
-
-
-def _format_report_schedule(report) -> str:
-    """One cell for the best schedule — per-core list for multicore."""
-    if report.cores is not None:
-        return " + ".join(
-            _format_schedule_counts(core["schedule"]) for core in report.cores
-        )
-    return _format_schedule_counts(report.best_schedule)
-
-
 def cmd_run(args: argparse.Namespace) -> None:
     """``search``/``simulate``/``batch``/``multicore``: the run the flags
     describe, as one :class:`~repro.study.RunSpec` through one
@@ -320,47 +314,24 @@ def cmd_run(args: argparse.Namespace) -> None:
     args.render(reports, args)
 
 
-def _print_engine_split(stats: dict) -> None:
-    from .sched.engine import stats_summary
-
-    print(f"engine: {stats_summary(stats)}")
-
-
 def _render_search(reports, args: argparse.Namespace) -> None:
-    report = reports[0]
+    (report,) = reports
     if args.json:
         print(report.to_json())
         return
-    print(f"strategy: {report.spec.strategy}  backend: {report.backend}")
-    rows = [
-        [
-            app["name"],
-            format_seconds_ms(app["settling"], 2),
-            f"{app['performance']:.3f}",
-        ]
-        for app in report.apps
-    ]
-    print(
-        render_table(
-            ["App", "settling", "P_i"],
-            rows,
-            title=f"best schedule {_format_report_schedule(report)}",
-        )
-    )
-    print(
-        f"best: {_format_report_schedule(report)}  P_all = {report.overall:.4f}"
-    )
     stats = report.engine_stats
-    print(
-        f"engine: {stats['n_computed']} computed, "
-        f"{stats['n_memo_hits']} memo hits, {stats['n_disk_hits']} disk hits"
-    )
+    print(f"strategy: {report.spec.strategy}  backend: {report.backend}")
+    print(render_table(["App", "settling", "P_i"], report.app_rows(),
+                       title=f"best schedule {report.schedule_cell()}"))
+    print(f"best: {report.schedule_cell()}  P_all = {report.overall:.4f}")
+    print(f"engine: {stats['n_computed']} computed, "
+          f"{stats['n_memo_hits']} memo hits, {stats['n_disk_hits']} disk hits")
 
 
 def _render_simulate(reports, args: argparse.Namespace) -> None:
     from .sim import SimReport
 
-    report = reports[0]
+    (report,) = reports
     sim = SimReport.from_dict(report.sim)
     if args.json:
         # The SimReport is the simulation artifact: wall-clock-free, so
@@ -368,154 +339,66 @@ def _render_simulate(reports, args: argparse.Namespace) -> None:
         # (the enclosing RunReport persists under --run-dir).
         print(sim.to_json())
         return
-    timeline_rows = []
-    for entry in sim.timeline:
-        kind = entry["event"]
-        if kind == "ScheduleSwitch":
-            detail = (
-                f"-> {tuple(entry['counts'])} ({entry['reason']})"
-            )
-        elif kind == "LoadDisturbance":
-            detail = "demands " + str(tuple(entry["demands"]))
-        elif kind == "PlantModeChange":
-            detail = f"{entry['app']} x{entry['factor']:g}"
-        else:
-            detail = entry.get("app", "")
-        timeline_rows.append([f"{entry['time']:.4f}", kind, detail])
-    print(
-        render_table(
-            ["t (s)", "event", "detail"],
-            timeline_rows,
-            title=f"simulated timeline (strategy {sim.strategy}, "
-            f"adapt={'on' if sim.adapt else 'off'})",
-        )
-    )
-    segment_rows = [
-        [
-            f"{segment['start']:.4f}-{segment['end']:.4f}",
-            _format_schedule_counts(segment["schedule"]),
-            "(" + ", ".join(f"{d:g}" for d in segment["demands"]) + ")",
-            "yes" if segment["feasible"] else "no",
-            f"{segment['cost']:.4f}",
-        ]
-        for segment in sim.segments
-    ]
+    adapt = "on" if sim.adapt else "off"
+    print(render_table(["t (s)", "event", "detail"], sim.timeline_rows(),
+                       title=f"simulated timeline (strategy {sim.strategy}, adapt={adapt})"))
     print()
-    print(
-        render_table(
-            ["interval (s)", "schedule", "demands", "feasible", "cost"],
-            segment_rows,
-            title="piecewise-constant segments",
-        )
-    )
-    print(
-        f"\nmean cost = {sim.mean_cost:.4f} over {sim.horizon:g} s"
-        f"  adaptations: {sim.n_adaptations}"
-        + (
-            f" (strategy {sim.adapt_strategy})"
-            if sim.adapt
-            else " (adaptation disabled)"
-        )
-    )
-    _print_engine_split(report.engine_stats)
+    print(render_table(["interval (s)", "schedule", "demands", "feasible", "cost"],
+                       sim.segment_rows(), title="piecewise-constant segments"))
+    how = f"strategy {sim.adapt_strategy}" if sim.adapt else "adaptation disabled"
+    print(f"\nmean cost = {sim.mean_cost:.4f} over {sim.horizon:g} s"
+          f"  adaptations: {sim.n_adaptations} ({how})")
+    print(f"engine: {report.engine_summary()}")
 
 
 def _render_batch(reports, args: argparse.Namespace) -> None:
     if args.json:
-        print(
-            json.dumps(
-                [report.to_dict() for report in reports], indent=2, sort_keys=True
-            )
-        )
+        print(json.dumps([report.to_dict() for report in reports], indent=2, sort_keys=True))
         return
-    dynamic = any(report.sim is not None for report in reports)
-    rows = []
-    for report in reports:
-        stats = report.engine_stats
-        row = [
-            report.scenario,
-            str(len(report.apps)),
-            str(report.n_space),
-            _format_report_schedule(report),
-            f"{report.overall:.4f}",
-            str(stats["n_computed"]),
-            str(stats["n_disk_hits"]),
-            f"{report.wall_time:.2f} s",
-        ]
-        if dynamic:
-            sim = report.sim or {}
-            row.append(
-                f"{sim['mean_cost']:.4f} ({len(sim['adaptations'])} adapt)"
-                if sim
-                else "-"
-            )
-        rows.append(row)
     headers = ["scenario", "apps", "space", "best schedule", "P_all",
                "computed", "disk hits", "wall time"]
-    if dynamic:
+    rows = [
+        [report.scenario, str(len(report.apps)), str(report.n_space),
+         report.schedule_cell(), f"{report.overall:.4f}",
+         str(report.engine_stats["n_computed"]), str(report.engine_stats["n_disk_hits"]),
+         f"{report.wall_time:.2f} s"]
+        for report in reports
+    ]
+    if any(report.sim is not None for report in reports):
         headers.append("sim mean cost")
-    print(
-        render_table(
-            headers,
-            rows,
-            title=f"batch {reports[0].spec.strategy} search "
-                  f"({reports[0].backend} backend, {args.workers} workers)",
-        )
-    )
+        for row, report in zip(rows, reports):
+            sim = report.sim
+            row.append(f"{sim['mean_cost']:.4f} ({len(sim['adaptations'])} adapt)"
+                       if sim else "-")
+    print(render_table(headers, rows, title=f"batch {reports[0].spec.strategy} search "
+                       f"({reports[0].backend} backend, {args.workers} workers)"))
     total_wall = sum(r.wall_time for r in reports)
     print(f"\ntotal search time: {total_wall:.2f} s over {len(reports)} scenarios")
 
 
 def _render_multicore(reports, args: argparse.Namespace) -> None:
-    report = reports[0]
+    (report,) = reports
     if args.json:
         print(report.to_json())
         return
-    settling = {app["name"]: app["settling"] for app in report.apps}
-    # --cores 1 degenerates to the single-core search, whose report has
-    # a best schedule instead of a partition: render it as one core.
-    cores = report.cores or [
-        {
-            "apps": [app["name"] for app in report.apps],
-            "schedule": report.best_schedule,
-        }
+    cores = report.core_rows()
+    shared = any(core.ways is not None for core in cores)
+    rows = [
+        [core.core, core.apps, *([str(core.ways)] if shared else []), core.schedule,
+         ", ".join(f"{settling} ms" for settling in core.settling)]
+        for core in cores
     ]
-    shared = any(core.get("ways") is not None for core in cores)
-    rows = []
-    for core_index, core in enumerate(cores):
-        row = [
-            str(core_index),
-            ", ".join(core["apps"]),
-            _format_schedule_counts(core["schedule"]),
-            ", ".join(
-                f"{settling[name] * 1e3:.2f} ms" for name in core["apps"]
-            ),
-        ]
-        if shared:
-            row.insert(2, str(core["ways"]))
-        rows.append(row)
-    headers = ["core", "apps", "schedule", "settling"]
-    if shared:
-        headers.insert(2, "ways")
     cache_kind = "shared way-partitioned cache" if shared else "private caches"
-    print(
-        render_table(
-            headers,
-            rows,
-            title=f"multicore co-design ({args.n_cores} cores, {cache_kind}, "
-                  f"{report.backend} backend)",
-        )
-    )
+    headers = ["core", "apps", *(["ways"] if shared else []), "schedule", "settling"]
+    print(render_table(headers, rows,
+                       title=f"multicore co-design ({args.n_cores} cores, {cache_kind}, "
+                       f"{report.backend} backend)"))
     print(f"\nP_all = {report.overall:.4f}  cores used: {len(cores)}")
     if report.spec.allocator is not None:
         n_partitions = report.search_stats.get("n_partitions")
-        streamed = (
-            f" ({n_partitions} partition(s) evaluated)"
-            if n_partitions
-            else ""
-        )
+        streamed = f" ({n_partitions} partition(s) evaluated)" if n_partitions else ""
         print(f"allocator: {report.spec.allocator}{streamed}")
-    _print_engine_split(report.engine_stats)
+    print(f"engine: {report.engine_summary()}")
 
 
 def cmd_serve(args: argparse.Namespace) -> None:
@@ -566,31 +449,16 @@ def cmd_status(args: argparse.Namespace) -> None:
     if args.job is None:
         records = client.jobs()
         if args.json:
-            print(
-                json.dumps(
-                    [r.to_dict(include_reports=False) for r in records],
-                    indent=2,
-                    sort_keys=True,
-                )
-            )
+            listing = [record.to_dict(include_reports=False) for record in records]
+            print(json.dumps(listing, indent=2, sort_keys=True))
             return
         rows = [
-            [
-                record.id,
-                record.state,
-                record.spec.kind,
-                record.spec.strategy or "default",
-                record.error or "",
-            ]
+            [record.id, record.state, record.spec.kind, record.spec.strategy or "default",
+             record.error or ""]
             for record in records
         ]
-        print(
-            render_table(
-                ["job", "state", "kind", "strategy", "error"],
-                rows,
-                title=f"jobs at {client.base_url}",
-            )
-        )
+        print(render_table(["job", "state", "kind", "strategy", "error"], rows,
+                           title=f"jobs at {client.base_url}"))
         return
     record = client.job(args.job)
     if args.json:
@@ -600,74 +468,15 @@ def cmd_status(args: argparse.Namespace) -> None:
     if record.error:
         print(f"error: {record.error}")
     for report in record.reports or []:
-        print(
-            f"  {report['scenario']}: P_all = {report['overall']:.4f}"
-            f"  feasible: {report['feasible']}"
-        )
-
-
-def _render_watch_event(event) -> str:
-    """One human-readable line per streamed study/engine event."""
-    from .sched.engine.events import BatchCompleted, BatchSubmitted
-    from .study.events import (
-        ScenarioFinished,
-        ScenarioProgress,
-        ScenarioResumed,
-        ScenarioStarted,
-        SimulationFinished,
-        SimulationProgress,
-    )
-
-    if isinstance(event, ScenarioStarted):
-        return (
-            f"scenario {event.scenario} started "
-            f"({event.strategy or 'default'}, {event.n_cores} core(s))"
-        )
-    if isinstance(event, ScenarioProgress):
-        engine = event.engine
-        if isinstance(engine, BatchCompleted):
-            best = (
-                f", best {engine.best_overall:.4f}"
-                if engine.best_overall is not None
-                else ""
-            )
-            return (
-                f"scenario {event.scenario}: {engine.n_computed} computed / "
-                f"{engine.n_requested} requested{best}"
-            )
-        if isinstance(engine, BatchSubmitted):
-            return (
-                f"scenario {event.scenario}: batch of {engine.n_batch} submitted"
-            )
-        return f"scenario {event.scenario}: {type(engine).__name__}"
-    if isinstance(event, SimulationProgress):
-        sim = event.sim
-        return (
-            f"scenario {event.scenario}: t={sim.time:.4f} "
-            f"{type(sim).__name__}"
-        )
-    if isinstance(event, SimulationFinished):
-        return (
-            f"scenario {event.scenario} simulated: mean cost "
-            f"{event.mean_cost:.4f}, {event.n_adaptations} adaptation(s)"
-        )
-    if isinstance(event, ScenarioResumed):
-        return (
-            f"scenario {event.scenario} resumed from disk "
-            f"(P_all = {event.report.overall:.4f})"
-        )
-    if isinstance(event, ScenarioFinished):
-        return (
-            f"scenario {event.scenario} finished in {event.wall_time:.2f} s "
-            f"(P_all = {event.report.overall:.4f})"
-        )
-    return type(event).__name__
+        print(f"  {report['scenario']}: P_all = {report['overall']:.4f}"
+              f"  feasible: {report['feasible']}")
 
 
 def cmd_watch(args: argparse.Namespace) -> None:
     from .errors import ServeError
     from .serve.client import ServeClient
     from .serve.wire import TERMINAL_STATES, StatusMessage
+    from .study.progress import watch_line
 
     final_state = None
     final_error = None
@@ -680,8 +489,7 @@ def cmd_watch(args: argparse.Namespace) -> None:
                 line += f": {message.error}"
             print(line, flush=True)
         else:
-            print(f"[{message.job}] {_render_watch_event(message.event)}",
-                  flush=True)
+            print(f"[{message.job}] {watch_line(message.event)}", flush=True)
         if isinstance(message, StatusMessage):
             final_state, final_error = message.state, message.error
     if final_state == "failed":
@@ -737,58 +545,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("info", help="case-study summary")
-
     evaluate = sub.add_parser("evaluate", help="evaluate one schedule")
     evaluate.add_argument("--schedule", required=True, help="e.g. 3,2,3")
-
     sub.add_parser("strategies", help="list registered search strategies")
-
     sub.add_parser("allocators", help="list registered partition allocators")
-
     sub.add_parser("models", help="list registered WCET models")
-
     sub.add_parser("experiments", help="list registered experiments")
 
     lint = sub.add_parser(
-        "lint",
-        help="run the repo's AST invariant checkers (rules RPL002, RPL004)",
+        "lint", help="run the repo's AST invariant checkers (rules RPL002, RPL004)"
     )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        help="files/directories to check (default: src/)",
-    )
-    lint.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format (json is the CI artifact)",
-    )
-    lint.add_argument(
-        "--checkers",
-        default=None,
-        help="comma-separated checker names (default: all registered)",
-    )
-    lint.add_argument(
-        "--list",
-        action="store_true",
-        help="list the registered checkers and exit",
-    )
+    lint.add_argument("paths", nargs="*", help="files/directories to check (default: src/)")
+    lint.add_argument("--format", choices=("text", "json"), default="text",
+                      help="report format (json is the CI artifact)")
+    lint.add_argument("--checkers", default=None,
+                      help="comma-separated checker names (default: all registered)")
+    lint.add_argument("--list", action="store_true",
+                      help="list the registered checkers and exit")
 
     experiment = sub.add_parser(
-        "experiment",
-        help="regenerate one paper artifact (resumable via --run-dir)",
+        "experiment", help="regenerate one paper artifact (resumable via --run-dir)"
     )
     experiment.add_argument(
-        "name",
-        help="registered experiment (see `python -m repro experiments`)",
+        "name", help="registered experiment (see `python -m repro experiments`)"
     )
-    experiment.add_argument(
-        "--out",
-        default=None,
-        help="output directory for experiments that write files "
-        "(fig6 CSVs; rejected elsewhere)",
-    )
+    experiment.add_argument("--out", default=None, help="output directory for experiments "
+                            "that write files (fig6 CSVs; rejected elsewhere)")
     add_run_flags(experiment, ("strategy", "max_count_per_core", "platform"))
     _add_engine_arguments(experiment)
 
@@ -804,92 +586,47 @@ def build_parser() -> argparse.ArgumentParser:
             _add_simulate_arguments(run)
 
     serve = sub.add_parser(
-        "serve",
-        help="run the search service (HTTP job queue, shared warm cache)",
+        "serve", help="run the search service (HTTP job queue, shared warm cache)"
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
-    serve.add_argument(
-        "--port", type=int, default=8765, help="bind port (0 = ephemeral)"
-    )
-    serve.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="jobs executing concurrently (executor threads)",
-    )
-    serve.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="evaluation worker processes per job (0/1 = serial)",
-    )
-    serve.add_argument(
-        "--queue-size",
-        type=int,
-        default=64,
-        help="max queued jobs before submissions are rejected (HTTP 429)",
-    )
-    serve.add_argument(
-        "--job-timeout",
-        type=float,
-        default=None,
-        help="per-job wall-clock budget in seconds (default: unlimited)",
-    )
-    serve.add_argument(
-        "--run-dir",
-        default=".repro-serve",
-        help="service state root: job ledger, shared report run dir "
-        "and (unless --cache-dir) the shared evaluation cache",
-    )
-    serve.add_argument(
-        "--cache-dir",
-        default=None,
-        help="shared persistent evaluation cache (default: RUN_DIR/cache)",
-    )
+    serve.add_argument("--port", type=int, default=8765, help="bind port (0 = ephemeral)")
+    serve.add_argument("--jobs", type=int, default=1,
+                       help="jobs executing concurrently (executor threads)")
+    serve.add_argument("--workers", type=int, default=0,
+                       help="evaluation worker processes per job (0/1 = serial)")
+    serve.add_argument("--queue-size", type=int, default=64,
+                       help="max queued jobs before submissions are rejected (HTTP 429)")
+    serve.add_argument("--job-timeout", type=float, default=None,
+                       help="per-job wall-clock budget in seconds (default: unlimited)")
+    serve.add_argument("--run-dir", default=".repro-serve", help="service state root: job "
+                       "ledger, shared report run dir and (unless --cache-dir) the shared "
+                       "evaluation cache")
+    serve.add_argument("--cache-dir", default=None,
+                       help="shared persistent evaluation cache (default: RUN_DIR/cache)")
 
-    submit = sub.add_parser(
-        "submit",
-        help="submit a run to a running server (the run commands' flags; "
-        "--suite-size makes it a batch suite)",
-    )
+    submit = sub.add_parser("submit", help="submit a run to a running server (the run "
+                            "commands' flags; --suite-size makes it a batch suite)")
     _add_server_argument(submit)
     add_run_flags(
         submit,
         tuple(item.name for item in fields(RunSpec) if item.metadata["cli"]),
         suite_size=None,
     )
-    submit.add_argument(
-        "--no-resume",
-        action="store_true",
-        help="recompute even if the server holds a matching report",
-    )
-    submit.add_argument(
-        "--json",
-        action="store_true",
-        help="print the submitted job record JSON instead of a summary",
-    )
+    submit.add_argument("--no-resume", action="store_true",
+                        help="recompute even if the server holds a matching report")
+    submit.add_argument("--json", action="store_true",
+                        help="print the submitted job record JSON instead of a summary")
 
-    status = sub.add_parser(
-        "status", help="job status from a running server"
-    )
-    status.add_argument(
-        "job", nargs="?", default=None, help="job id (omit to list all jobs)"
-    )
+    status = sub.add_parser("status", help="job status from a running server")
+    status.add_argument("job", nargs="?", default=None, help="job id (omit to list all jobs)")
     _add_server_argument(status)
-    status.add_argument(
-        "--json", action="store_true", help="print the record JSON"
-    )
+    status.add_argument("--json", action="store_true", help="print the record JSON")
 
-    watch = sub.add_parser(
-        "watch", help="stream a job's progress events until it finishes"
-    )
+    watch = sub.add_parser("watch", help="stream a job's progress events until it finishes")
     watch.add_argument("job", help="job id (see `python -m repro status`)")
     _add_server_argument(watch)
-    watch.add_argument(
-        "--json",
-        action="store_true",
-        help="print the raw NDJSON wire messages instead of summaries",
-    )
+    watch.add_argument("--json", action="store_true",
+                       help="print the raw NDJSON wire messages instead of summaries")
     return parser
 
 
@@ -923,28 +660,14 @@ def main(argv: list[str] | None = None) -> int:
 
 def _add_engine_arguments(parser: argparse.ArgumentParser) -> None:
     """How a run command computes and reports (never what it computes)."""
-    parser.add_argument(
-        "--json",
-        action="store_true",
-        help="print the structured RunReport JSON to stdout instead of tables",
-    )
-    parser.add_argument(
-        "--run-dir",
-        default=None,
-        help="persist per-scenario RunReport JSON artifacts here "
-        "(matching reruns resume from disk)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="evaluation worker processes (0/1 = serial)",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="persistent evaluation-cache directory (warm-starts reruns)",
-    )
+    parser.add_argument("--json", action="store_true",
+                        help="print the structured RunReport JSON to stdout instead of tables")
+    parser.add_argument("--run-dir", default=None, help="persist per-scenario RunReport JSON "
+                        "artifacts here (matching reruns resume from disk)")
+    parser.add_argument("--workers", type=int, default=0,
+                        help="evaluation worker processes (0/1 = serial)")
+    parser.add_argument("--cache-dir", default=None,
+                        help="persistent evaluation-cache directory (warm-starts reruns)")
     parser.add_argument(
         "--progress",
         action="store_true",
@@ -987,11 +710,8 @@ def _add_simulate_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_server_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--server",
-        default="http://127.0.0.1:8765",
-        help="base URL of the running `python -m repro serve`",
-    )
+    parser.add_argument("--server", default="http://127.0.0.1:8765",
+                        help="base URL of the running `python -m repro serve`")
 
 
 if __name__ == "__main__":

@@ -83,24 +83,10 @@ class FeedbackSummary:
         return self.static_cost - self.adaptive_cost
 
     def render(self) -> str:
-        rows = []
-        for record in self.adaptive_sim.adaptations:
-            to = record.get("to")
-            rows.append(
-                [
-                    f"{record['at']:.3f}",
-                    "(" + ", ".join(f"{d:g}" for d in record["demands"]) + ")",
-                    str(tuple(record["from"])),
-                    str(tuple(to)) if to is not None else "failed",
-                    "yes" if record.get("switched") else "no",
-                    f"{record['latency'] * 1e3:.2f}",
-                    str(record["engine"].get("n_requested", 0)),
-                ]
-            )
         adaptation_table = render_table(
             ["t (s)", "demands", "from", "to", "switched",
              "latency (ms)", "requested"],
-            rows,
+            self.adaptive_sim.adaptation_rows(),
             title=(
                 f"adaptations ({self.adaptive_sim.adapt_strategy} strategy, "
                 f"stress x{self.stress:g})"
@@ -108,7 +94,7 @@ class FeedbackSummary:
         )
         return (
             adaptation_table
-            + f"\n\nstatic   optimum {tuple(self.adaptive.best_schedule)}"
+            + f"\n\nstatic   optimum {self.adaptive.schedule_cell()}"
             f" (P_all = {self.adaptive.overall:.4f})"
             + f"\nstatic   mean cost = {self.static_cost:.4f}"
             " (schedule held for the whole horizon)"

@@ -46,15 +46,9 @@ class MulticoreSummary:
         return self.sweep.overall - self.single_overall
 
     def render(self) -> str:
-        settling = [app["settling"] for app in self.sweep.apps]
         rows = [
-            [
-                str(core_index),
-                ", ".join(core["apps"]),
-                str(PeriodicSchedule(tuple(core["schedule"]))),
-                ", ".join(f"{settling[i] * 1e3:.2f}" for i in core["app_indices"]),
-            ]
-            for core_index, core in enumerate(self.sweep.cores)
+            [row.core, row.apps, row.schedule, ", ".join(row.settling)]
+            for row in self.sweep.core_rows()
         ]
         table = render_table(
             ["core", "apps", "schedule", "settling (ms)"],

@@ -30,7 +30,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, Protocol, runtime_checkable
+from typing import Callable, ClassVar, Protocol, runtime_checkable
 
 from ..control.design import DesignOptions
 from ..errors import ConfigurationError
@@ -81,6 +81,14 @@ class ExperimentRequest(RunSpec):
         experiment that holds an engine itself (the ``multicore``
         sweep).
     """
+
+    #: ``max_count_per_core`` is no multicore-only field here: the
+    #: request is single-core, but ``multicore``/``shared_cache`` take
+    #: it for the two-core scenarios they build from it, where it is
+    #: checked as part of a run.
+    MULTICORE_FIELDS: ClassVar[tuple[str, ...]] = (
+        "shared_cache", "allocator", "allocator_options",
+    )
 
     design_options: DesignOptions | None = None
     workers: int = field(default=0, metadata=NON_IDENTITY)

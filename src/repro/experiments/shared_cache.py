@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from ..apps.casestudy import build_case_study
 from ..core.report import render_table
 from ..platform import shared_paper_platform
-from ..sched.engine import stats_summary
-from ..sched.schedule import PeriodicSchedule
 from ..study import RunReport, Study
 from .registry import ExperimentRequest, register_experiment
 from .report import ExperimentReport, new_report
@@ -45,18 +43,10 @@ class SharedCacheSummary:
 
     def render(self) -> str:
         def rows_for(report: RunReport) -> list[list[str]]:
-            settling = [app["settling"] for app in report.apps]
             return [
-                [
-                    str(core_index),
-                    ", ".join(core["apps"]),
-                    "full" if core["ways"] is None else str(core["ways"]),
-                    str(PeriodicSchedule(tuple(core["schedule"]))),
-                    ", ".join(
-                        f"{settling[i] * 1e3:.2f}" for i in core["app_indices"]
-                    ),
-                ]
-                for core_index, core in enumerate(report.cores)
+                [row.core, row.apps, "full" if row.ways is None else str(row.ways),
+                 row.schedule, ", ".join(row.settling)]
+                for row in report.core_rows()
             ]
 
         cache = self.private.spec.platform.cache
@@ -79,8 +69,8 @@ class SharedCacheSummary:
             + f"\nshared  P_all = {self.shared.overall:.4f}"
             + "\n\nprivate-vs-shared partitioning gain: "
             f"{self.partitioning_gain:+.4f}"
-            + f"\nengine: private: {stats_summary(self.private.engine_stats)}; "
-            f"shared: {stats_summary(self.shared.engine_stats)}"
+            + f"\nengine: private: {self.private.engine_summary()}; "
+            f"shared: {self.shared.engine_summary()}"
         )
 
 

@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from ..errors import ConfigurationError
+from ..sched.schedule import PeriodicSchedule
 
 #: Bump when the report layout changes incompatibly.
 SCHEMA_VERSION = 1
@@ -58,6 +59,9 @@ class SimReport:
     ``engine_stats``, which is why the rest of the report is
     byte-identical cold or warm).  ``mean_cost`` is the time-integrated
     segment cost divided by the horizon.
+
+    Row builders: :meth:`timeline_rows`, :meth:`segment_rows` and
+    :meth:`adaptation_rows`.
     """
 
     scenario: str
@@ -84,6 +88,56 @@ class SimReport:
         return len(self.adaptations)
 
     # ------------------------------------------------------------------
+    # Row builders
+    # ------------------------------------------------------------------
+    def timeline_rows(self) -> list[list[str]]:
+        """Per runtime event: time (s), event type and what it did."""
+        rows: list[list[str]] = []
+        for entry in self.timeline:
+            kind = entry["event"]
+            if kind == "ScheduleSwitch":
+                detail = f"-> {PeriodicSchedule(tuple(entry['counts']))} ({entry['reason']})"
+            elif kind == "LoadDisturbance":
+                detail = "demands " + str(tuple(entry["demands"]))
+            elif kind == "PlantModeChange":
+                detail = f"{entry['app']} x{entry['factor']:g}"
+            else:
+                detail = entry.get("app", "")
+            rows.append([f"{entry['time']:.4f}", kind, detail])
+        return rows
+
+    def segment_rows(self) -> list[list[str]]:
+        """Per segment: interval (s), schedule, demands, feasible, cost."""
+        return [
+            [
+                f"{segment['start']:.4f}-{segment['end']:.4f}",
+                str(PeriodicSchedule(tuple(segment["schedule"]))),
+                _demands(segment["demands"]),
+                "yes" if segment["feasible"] else "no",
+                f"{segment['cost']:.4f}",
+            ]
+            for segment in self.segments
+        ]
+
+    def adaptation_rows(self) -> list[list[str]]:
+        """Per adaptation: time (s), demands, from, to, switched,
+        latency (ms) and requested evaluations."""
+        return [
+            [
+                f"{record['at']:.3f}",
+                _demands(record["demands"]),
+                str(PeriodicSchedule(tuple(record["from"]))),
+                str(PeriodicSchedule(tuple(record["to"])))
+                if record.get("to") is not None
+                else "failed",
+                "yes" if record.get("switched") else "no",
+                f"{record['latency'] * 1e3:.2f}",
+                str(record["engine"].get("n_requested", 0)),
+            ]
+            for record in self.adaptations
+        ]
+
+    # ------------------------------------------------------------------
     # Round-tripping
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
@@ -91,34 +145,23 @@ class SimReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimReport":
-        if not isinstance(data, dict):
-            raise ConfigurationError(
-                f"sim report payload must be an object, got {type(data).__name__}"
-            )
+        """Rebuild a report from its :meth:`to_dict` form.
+
+        Strict: another schema version, an unknown or missing field
+        raises :class:`~repro.errors.ConfigurationError` naming it.  The
+        list fields are canonicalized (:func:`json_safe`), so a report
+        equals its own JSON round trip.
+        """
+        from ..study.spec import strict_payload
+
+        payload = strict_payload(cls, data, SCHEMA_VERSION)
+        for name in ("timeline", "segments", "apps", "adaptations"):
+            if name in payload:
+                payload[name] = json_safe(payload[name])
         try:
-            return cls(
-                scenario=str(data["scenario"]),
-                horizon=float(data["horizon"]),
-                n_apps=int(data["n_apps"]),
-                app_names=[str(name) for name in data["app_names"]],
-                strategy=str(data["strategy"]),
-                adapt=bool(data["adapt"]),
-                adapt_strategy=str(data["adapt_strategy"]),
-                profile=dict(data["profile"]),
-                initial_schedule=[int(m) for m in data["initial_schedule"]],
-                initial_overall=float(data["initial_overall"]),
-                timeline=[json_safe(dict(entry)) for entry in data["timeline"]],
-                segments=[json_safe(dict(entry)) for entry in data["segments"]],
-                apps=[json_safe(dict(entry)) for entry in data["apps"]],
-                adaptations=[
-                    json_safe(dict(entry)) for entry in data["adaptations"]
-                ],
-                mean_cost=float(data["mean_cost"]),
-                engine_stats=dict(data.get("engine_stats", {})),
-                schema_version=int(data.get("schema_version", SCHEMA_VERSION)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigurationError(f"invalid sim report payload: {exc}") from exc
+            return cls(**payload)
+        except TypeError as exc:
+            raise ConfigurationError(f"invalid SimReport: {exc}") from exc
 
     def to_json(self, indent: int | None = 2) -> str:
         """Stable JSON form (sorted keys; ``Infinity`` allowed for the
@@ -129,3 +172,7 @@ class SimReport:
     def from_json(cls, text: str) -> "SimReport":
         """Inverse of :meth:`to_json` (identity round-trip)."""
         return cls.from_dict(json.loads(text))
+
+
+def _demands(demands: list[float]) -> str:
+    return "(" + ", ".join(f"{d:g}" for d in demands) + ")"

@@ -10,18 +10,23 @@ On a TTY the line is redrawn in place (``\\r``); on a plain stream
 one per line, so logs stay readable.  Everything goes to the given
 stream (``stderr`` by default) — never to stdout, which stays
 reserved for tables and ``--json`` payloads.
+
+:func:`watch_line` is the one-line-per-event form ``repro watch``
+prints for a served job's streamed events.
 """
 
 from __future__ import annotations
 
 import sys
 
-from ..sched.engine.events import BatchCompleted, EngineEvent
+from ..sched.engine.events import BatchCompleted, BatchSubmitted, EngineEvent
 from .events import (
     ScenarioFinished,
     ScenarioProgress,
     ScenarioResumed,
     ScenarioStarted,
+    SimulationFinished,
+    SimulationProgress,
     StudyEvent,
 )
 
@@ -141,3 +146,40 @@ def _short(report) -> str:
         f"{stats.get('n_computed', 0)} computed, "
         f"{stats.get('n_disk_hits', 0)} disk"
     )
+
+
+def watch_line(event) -> str:
+    """One human-readable line per streamed study/engine event."""
+    label = f"scenario {getattr(event, 'scenario', '')}"
+    if isinstance(event, ScenarioStarted):
+        return f"{label} started ({event.strategy or 'default'}, {event.n_cores} core(s))"
+    if isinstance(event, ScenarioProgress):
+        engine = event.engine
+        if isinstance(engine, BatchCompleted):
+            best = (
+                f", best {engine.best_overall:.4f}"
+                if engine.best_overall is not None
+                else ""
+            )
+            return (
+                f"{label}: {engine.n_computed} computed / "
+                f"{engine.n_requested} requested{best}"
+            )
+        if isinstance(engine, BatchSubmitted):
+            return f"{label}: batch of {engine.n_batch} submitted"
+        return f"{label}: {type(engine).__name__}"
+    if isinstance(event, SimulationProgress):
+        return f"{label}: t={event.sim.time:.4f} {type(event.sim).__name__}"
+    if isinstance(event, SimulationFinished):
+        return (
+            f"{label} simulated: mean cost {event.mean_cost:.4f}, "
+            f"{event.n_adaptations} adaptation(s)"
+        )
+    if isinstance(event, ScenarioResumed):
+        return f"{label} resumed from disk (P_all = {event.report.overall:.4f})"
+    if isinstance(event, ScenarioFinished):
+        return (
+            f"{label} finished in {event.wall_time:.2f} s "
+            f"(P_all = {event.report.overall:.4f})"
+        )
+    return type(event).__name__

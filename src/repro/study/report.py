@@ -10,6 +10,11 @@ settling/performance, overall value, wall time).  Reports round-trip
 losslessly through :meth:`RunReport.to_json` /
 :meth:`RunReport.from_json`, so a sweep persisted under a run
 directory is resumable and comparable across commits.
+
+Every table that shows a report takes its cells from the report's row
+builders (:meth:`RunReport.schedule_cell`, :meth:`RunReport.app_rows`,
+:meth:`RunReport.core_rows`, :meth:`RunReport.engine_summary`); the
+CLI and the experiments choose only titles, columns and units.
 """
 
 from __future__ import annotations
@@ -19,12 +24,15 @@ import time
 import uuid
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from ..control.design import DesignOptions
 from ..errors import ConfigurationError
 from ..identity import canonical, digest
 from ..platform import default_platform
+from ..sched.engine import stats_summary
 from ..sched.engine.keys import problem_digest
+from ..sched.schedule import PeriodicSchedule
 from .spec import RunSpec, strict_payload
 
 #: Bump when the report layout changes incompatibly.
@@ -114,6 +122,21 @@ def _json_safe(value):
 _DROP = object()
 
 
+class CoreRow(NamedTuple):
+    """One core of a run as table cells (see :meth:`RunReport.core_rows`).
+
+    ``ways`` is the core's way allocation (``None``: the whole cache)
+    and ``settling`` the settling time of each of its applications in
+    milliseconds (``"8.27"``); a renderer adds its own unit to both.
+    """
+
+    core: str
+    apps: str
+    ways: int | None
+    schedule: str
+    settling: tuple[str, ...]
+
+
 @dataclass
 class RunReport:
     """Structured outcome of one scenario run (JSON round-trippable).
@@ -125,6 +148,9 @@ class RunReport:
     ``sim`` is the :meth:`SimReport.to_dict
     <repro.sim.report.SimReport.to_dict>` of a dynamic run's
     simulation, ``None`` for static runs.
+
+    Row builders: :meth:`schedule_cell`, :meth:`app_rows`,
+    :meth:`core_rows` and :meth:`engine_summary`.
     """
 
     scenario: str
@@ -223,6 +249,47 @@ class RunReport:
         )
 
     # ------------------------------------------------------------------
+    # Row builders
+    # ------------------------------------------------------------------
+    def schedule_cell(self) -> str:
+        """The best schedule, ``(2, 2, 2)``; a multicore run's per-core
+        schedules joined with `` + ``."""
+        if self.cores is None:
+            return str(PeriodicSchedule(tuple(self.best_schedule)))
+        return " + ".join(str(PeriodicSchedule(tuple(core["schedule"]))) for core in self.cores)
+
+    def app_rows(self) -> list[list[str]]:
+        """Per application: name, settling time (``10.05 ms``) and P_i."""
+        from ..core.report import format_seconds_ms
+
+        return [
+            [app["name"], format_seconds_ms(app["settling"], 2), f"{app['performance']:.3f}"]
+            for app in self.apps
+        ]
+
+    def core_rows(self) -> list[CoreRow]:
+        """Per core: index, applications, ways, schedule and settling
+        times.  A single-core run is one core holding every application."""
+        settling = {app["name"]: f"{app['settling'] * 1e3:.2f}" for app in self.apps}
+        cores = self.cores or [
+            {"apps": list(settling), "ways": None, "schedule": self.best_schedule}
+        ]
+        return [
+            CoreRow(
+                str(index),
+                ", ".join(core["apps"]),
+                core["ways"],
+                str(PeriodicSchedule(tuple(core["schedule"]))),
+                tuple(settling[name] for name in core["apps"]),
+            )
+            for index, core in enumerate(cores)
+        ]
+
+    def engine_summary(self) -> str:
+        """The engine's accounting line (:func:`~repro.sched.engine.stats_summary`)."""
+        return stats_summary(self.engine_stats)
+
+    # ------------------------------------------------------------------
     # Round-tripping
     # ------------------------------------------------------------------
     def to_dict(self) -> dict:
@@ -235,11 +302,16 @@ class RunReport:
         """Rebuild a report from its :meth:`to_dict` form.
 
         Strict: another schema version, an unknown or missing field, or
-        a malformed spec raises :class:`~repro.errors.ConfigurationError`
-        naming it — an old artifact is recomputed, never misread.
+        a malformed spec or ``sim`` raises
+        :class:`~repro.errors.ConfigurationError` naming it — an old or
+        broken artifact is recomputed, never misread.
         """
         payload = strict_payload(cls, data, SCHEMA_VERSION)
         payload["spec"] = RunSpec.from_dict(payload.get("spec"))
+        if payload.get("sim") is not None:
+            from ..sim.report import SimReport
+
+            SimReport.from_dict(payload["sim"])  # checked; kept as its dict
         try:
             return cls(**payload)
         except TypeError as exc:

@@ -35,7 +35,7 @@ import json
 import types
 import typing
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Iterator
+from typing import Any, ClassVar, Iterator
 
 from ..errors import ConfigurationError, ReproError
 from ..identity import canonical
@@ -151,6 +151,12 @@ class RunSpec:
         "loop after each search (single-core only)", action="store_true",
     ), kinds=_SUITE)
 
+    #: Fields that apply to multicore co-designs only: a single-core run
+    #: keeps their defaults, so they never fork a run it would ignore.
+    MULTICORE_FIELDS: ClassVar[tuple[str, ...]] = (
+        "shared_cache", "allocator", "allocator_options", "max_count_per_core",
+    )
+
     @property
     def app_count(self) -> int:
         """Applications of a case-study run (replication included)."""
@@ -204,8 +210,9 @@ class RunSpec:
 
         STRATEGIES.resolve_options(self.strategy_plugin(), self.options)
         if self.n_cores < 2:
-            for name in ("shared_cache", "allocator", "allocator_options"):
-                if getattr(self, name):
+            defaults = {item.name: item.default for item in fields(self)}
+            for name in self.MULTICORE_FIELDS:
+                if getattr(self, name) != defaults[name]:
                     raise ConfigurationError(
                         f"{name} requires n_cores >= 2 (it applies to "
                         "multicore co-designs only)"

@@ -121,6 +121,27 @@ class TestHttpBasics:
             assert client.jobs() == []
         assert list((serve_dir / "jobs").iterdir()) == []
 
+    def test_one_core_cap_is_a_400_before_the_ledger(self, serve_dir):
+        # A one-core run ignores max_count_per_core, so a cap there would
+        # only fork the run's identity.
+        with ServerThread(run_dir=serve_dir) as server:
+            client = ServeClient(server.url)
+            conn = http.client.HTTPConnection(
+                client.host, client.port, timeout=30
+            )
+            try:
+                body = json.dumps({"n_cores": 1, "max_count_per_core": 2})
+                conn.request("POST", "/jobs", body=body)
+                response = conn.getresponse()
+                payload = json.loads(response.read())
+            finally:
+                conn.close()
+            assert response.status == 400
+            assert payload["kind"] == "ConfigurationError"
+            assert "max_count_per_core requires n_cores >= 2" in payload["error"]
+            assert client.jobs() == []
+        assert list((serve_dir / "jobs").iterdir()) == []
+
     def test_queue_bound_rejects_with_429(self, serve_dir):
         with ServerThread(run_dir=serve_dir, queue_size=0) as server:
             client = ServeClient(server.url)

@@ -77,8 +77,42 @@ class TestContract:
     def test_n_adaptations(self):
         assert sample_report().n_adaptations == 1
 
+    def test_unknown_field_is_rejected(self):
+        data = {**sample_report().to_dict(), "extra": 1}
+        with pytest.raises(ConfigurationError, match="unknown SimReport field"):
+            SimReport.from_dict(data)
+
+    def test_other_schema_version_is_rejected(self):
+        data = {**sample_report().to_dict(), "schema_version": 99}
+        with pytest.raises(ConfigurationError, match="schema_version 99"):
+            SimReport.from_dict(data)
+
     def test_bad_payloads_fail_fast(self):
         with pytest.raises(ConfigurationError):
             SimReport.from_dict("not a dict")
         with pytest.raises(ConfigurationError):
             SimReport.from_dict({"scenario": "x"})
+
+
+class TestRows:
+    def test_timeline_rows(self):
+        assert sample_report().timeline_rows() == [
+            ["0.0000", "ScheduleSwitch", "-> (2, 2) (initial)"],
+            ["0.2500", "LoadDisturbance", "demands (1.46, 1.46)"],
+        ]
+
+    def test_segment_rows(self):
+        assert sample_report().segment_rows() == [
+            ["0.0000-0.2500", "(2, 2)", "(1, 1)", "yes", "0.3500"],
+            ["0.2500-1.0000", "(2, 2)", "(1.46, 1.46)", "no", "1.0000"],
+        ]
+
+    def test_adaptation_rows(self):
+        report = sample_report()
+        report.adaptations[0]["demands"] = [1.46, 1.46]
+        failed = dict(report.adaptations[0], to=None, switched=False)
+        report.adaptations.append(failed)
+        assert report.adaptation_rows() == [
+            ["0.250", "(1.46, 1.46)", "(2, 2)", "(1, 1)", "yes", "5.80", "8"],
+            ["0.250", "(1.46, 1.46)", "(2, 2)", "failed", "no", "5.80", "8"],
+        ]

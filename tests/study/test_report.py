@@ -12,6 +12,7 @@ from repro.multicore.allocators import GreedyAllocatorOptions
 from repro.platform import Platform, shared_paper_platform
 from repro.sched.hybrid import HybridOptions
 from repro.sim.profiles import load_transient
+from repro.sim.report import SimReport, json_safe
 from repro.study import RunReport, RunSpec
 from repro.study.report import SCHEMA_VERSION
 
@@ -104,7 +105,13 @@ def dynamic_report() -> RunReport:
         apps=[dict(app, settling=float("inf")) for app in APPS],
         wall_time=1.5,
         created_at=1700000002.5,
-        sim={"adapt": True, "mean_cost": 0.4, "adaptations": []},
+        sim=SimReport(
+            scenario="casestudy-sim", horizon=0.5, n_apps=3, app_names=["C1", "C2", "C3"],
+            strategy="hybrid", adapt=True, adapt_strategy="online",
+            profile=json_safe(profile.to_dict()), initial_schedule=[2, 2, 2],
+            initial_overall=0.61, timeline=[], segments=[], apps=[], adaptations=[],
+            mean_cost=0.4,
+        ).to_dict(),
         identity={"seed": "00" * 32},
     )
 
@@ -165,6 +172,42 @@ class TestRoundTrip:
     def test_dict_round_trip(self):
         report = single_core_report()
         assert RunReport.from_dict(report.to_dict()) == report
+
+
+class TestRows:
+    def test_schedule_cell(self):
+        assert single_core_report().schedule_cell() == "(3, 2, 3)"
+        assert multicore_report().schedule_cell() == "(2, 2) + (4)"
+
+    def test_app_rows(self):
+        apps = [*APPS[:2], dict(APPS[2], settling=float("inf"))]
+        report = replace(single_core_report(), apps=apps)
+        assert report.app_rows() == [
+            ["C1", "10.10 ms", "0.776"],
+            ["C2", "10.20 ms", "0.494"],
+            ["C3", "unsettled", "0.535"],
+        ]
+
+    def test_core_rows(self):
+        assert multicore_report().core_rows() == [
+            ("0", "C1, C3", 3, "(2, 2)", ("10.10", "8.10")),
+            ("1", "C2", 1, "(4)", ("10.20",)),
+        ]
+
+    def test_single_core_run_is_one_core(self):
+        assert single_core_report().core_rows() == [
+            ("0", "C1, C2, C3", None, "(3, 2, 3)", ("10.10", "10.20", "8.10")),
+        ]
+
+    def test_engine_summary(self):
+        assert single_core_report().engine_summary() == (
+            "30 requested = 14 computed + 10 memo + 5 disk + 1 duplicate"
+        )
+
+    def test_a_corrupt_sim_is_rejected(self):
+        data = dict(dynamic_report().to_dict(), sim={"foo": 1})
+        with pytest.raises(ConfigurationError, match="unknown SimReport field"):
+            RunReport.from_dict(data)
 
 
 class TestRoundTripProperty:

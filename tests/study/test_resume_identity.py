@@ -90,6 +90,20 @@ class TestRecomputeReason:
         assert isinstance(event, ScenarioFinished)
         assert event.recompute_reason.startswith("corrupt artifact: ")
 
+    def test_corrupt_sim_recomputes(self, scenario, tmp_path):
+        """A report whose ``sim`` block does not decode as a SimReport is
+        recomputed, not resumed into a renderer that cannot read it."""
+        study = Study.from_scenarios([scenario], run_dir=tmp_path)
+        study.run()
+        path = study.report_path(scenario)
+        data = json.loads(path.read_text())
+        path.write_text(json.dumps({**data, "sim": {"foo": 1}}))
+        event = terminal(Study.from_scenarios([scenario], run_dir=tmp_path))
+        assert isinstance(event, ScenarioFinished)
+        assert event.recompute_reason.startswith(
+            "incompatible artifact: unknown SimReport field(s) foo"
+        )
+
     def test_differing_identity_is_named(self, scenario, tmp_path, monkeypatch):
         study = Study.from_scenarios([scenario], run_dir=tmp_path)
         study.run()

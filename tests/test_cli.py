@@ -148,6 +148,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert "statik" in err and "static" in err
 
+    def test_one_core_cap_is_rejected_before_output(self, capsys, tmp_path):
+        """A one-core run ignores the burst cap, so the cap must not fork
+        its run-dir artifact: rejected before any output."""
+        argv = ["multicore", "--cores", "1", "--max-count-per-core", "2"]
+        assert main([*argv, "--run-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "max_count_per_core requires n_cores >= 2" in captured.err
+        assert list(tmp_path.iterdir()) == []
+
     def test_search_with_starts(self, capsys):
         assert main(["search", "--strategy", "hybrid", "--starts", "2,2,2"]) == 0
         out = capsys.readouterr().out
